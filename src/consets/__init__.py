@@ -1,7 +1,8 @@
 """Exact counting of connected vertex sets in complete-layer/path products.
 
-The public surface: the exact arithmetic substrate, the layer counting
-and order-sum engines, the aggregated per-graph quantities, the scalar
+The public surface: the exact arithmetic substrate, the column stream
+that counts connected sets and sums their orders layer by layer, the
+order-sum reference routes, the aggregated per-graph quantities, the scalar
 recurrence fast path, the two-layer (ladder) closed forms, and the
 exhaustive census oracle that everything is validated against.
 """
@@ -9,7 +10,7 @@ exhaustive census oracle that everything is validated against.
 from .aggregate import (
     ProductResult,
     average_order,
-    average_order_convolution,
+    cell_stream,
     count_connected_sets,
     density,
     evaluate,
@@ -30,13 +31,14 @@ from .ladder import (
     vince_average,
 )
 from .layers import (
-    ProfileTable,
+    column_stream,
     footprint_weights,
     pascal_row,
     profile_table,
     recurrence_matrix,
     weighted_power_symmetric,
     weighted_profile_sum,
+    weighted_sum,
 )
 from .oracle import (
     CapExceededError,
@@ -50,7 +52,6 @@ from .oracle import (
     span_census,
 )
 from .orders import (
-    OrderTable,
     convolution_identity_holds,
     layer_order_sum_convolution,
     order_column_direct,
@@ -74,17 +75,16 @@ __all__ = [
     "IntPolynomial",
     "LayeredGraph",
     "LinearRecurrence",
-    "OrderTable",
     "ProductResult",
-    "ProfileTable",
     "QuadInt",
     "SILVER_UNIT",
     "SimpleGraph",
     "average_order",
-    "average_order_convolution",
     "build_recurrence",
+    "cell_stream",
     "census",
     "char_poly",
+    "column_stream",
     "complete_path_product",
     "convolution_identity_holds",
     "count_connected_sets",
@@ -118,4 +118,5 @@ __all__ = [
     "weight_matrix",
     "weighted_power_symmetric",
     "weighted_profile_sum",
+    "weighted_sum",
 ]

@@ -2,17 +2,19 @@
 
 Every connected set spans a contiguous block of layers, and blocks of
 equal length are interchangeable, so the graph-level count and order sum
-are triangular-weighted sums of the per-horizon layer quantities.  The
-average order and density come out as exact reduced fractions.
+are triangular-weighted sums of the per-horizon layer quantities, which
+``cell_stream`` keeps as running prefix sums.  The average order and
+density come out as exact reduced fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
-from .layers import profile_table
-from .orders import layer_order_sum_convolution, order_table
+from .layers import column_stream, weighted_sum
 
 
 def _check_cell(m: int, n: int) -> None:
@@ -22,42 +24,47 @@ def _check_cell(m: int, n: int) -> None:
         raise ValueError("path length n must be at least 1")
 
 
+def cell_stream(m: int) -> Iterator[tuple[int, int]]:
+    """Yield (N(n), S(n)), the count and order total, for n = 1, 2, ...
+
+    With T(k) and U(k) the count and order sum of the sets spanning
+    exactly k given layers, N(n) = sum_k (n+1-k) T(k), so
+    N(n) = N(n-1) + sum_{k<=n} T(k); likewise S with U.  Running prefix
+    sums make each step O(m) big-integer additions past the column step.
+    """
+    count = total = span_count = span_total = 0
+    for counts, orders in column_stream(m):
+        span_count += weighted_sum(counts)
+        span_total += weighted_sum(orders)
+        count += span_count
+        total += span_total
+        yield count, total
+
+
+def _sums(m: int, n: int) -> tuple[int, int]:
+    _check_cell(m, n)
+    return next(islice(cell_stream(m), n - 1, None))
+
+
 def count_connected_sets(m: int, n: int) -> int:
     """Number of connected vertex sets of the m-by-n product graph."""
-    _check_cell(m, n)
-    table = profile_table(m, n)
-    return sum((n + 1 - k) * table.total(k) for k in range(1, n + 1))
+    return _sums(m, n)[0]
 
 
 def total_order(m: int, n: int) -> int:
     """Sum of the orders of all connected vertex sets."""
-    _check_cell(m, n)
-    table = order_table(m, n)
-    return sum((n - k + 1) * table.layer_order_sum(k) for k in range(1, n + 1))
+    return _sums(m, n)[1]
 
 
 def average_order(m: int, n: int) -> Fraction:
     """Average order of a connected vertex set, exact."""
-    return Fraction(total_order(m, n), count_connected_sets(m, n))
+    count, total = _sums(m, n)
+    return Fraction(total, count)
 
 
 def density(m: int, n: int) -> Fraction:
     """Average order divided by the vertex count m*n, exact."""
     return average_order(m, n) / (m * n)
-
-
-def total_order_convolution(m: int, n: int) -> int:
-    """Verification path for the total order: the same triangular sum, but
-    with each layer order sum rebuilt from counts alone (no order table)."""
-    _check_cell(m, n)
-    table = profile_table(m, n)
-    return sum((n - k + 1) * layer_order_sum_convolution(m, k, table)
-               for k in range(1, n + 1))
-
-
-def average_order_convolution(m: int, n: int) -> Fraction:
-    """Average order via the convolution path; must equal average_order."""
-    return Fraction(total_order_convolution(m, n), count_connected_sets(m, n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,6 +77,13 @@ class ProductResult:
     total: int
     average: Fraction
     density: Fraction
+
+    @classmethod
+    def from_sums(cls, m: int, n: int, count: int, total: int) -> ProductResult:
+        """The cell's result from its count and order total."""
+        average = Fraction(total, count)
+        return cls(m=m, n=n, count=count, total=total,
+                   average=average, density=average / (m * n))
 
     def __post_init__(self):
         if self.average != Fraction(self.total, self.count):
@@ -84,8 +98,4 @@ class ProductResult:
 
 def evaluate(m: int, n: int) -> ProductResult:
     """Count, total order, average, and density for one cell."""
-    count = count_connected_sets(m, n)
-    total = total_order(m, n)
-    average = Fraction(total, count)
-    return ProductResult(m=m, n=n, count=count, total=total,
-                         average=average, density=average / (m * n))
+    return ProductResult.from_sums(m, n, *_sums(m, n))

@@ -20,7 +20,8 @@ Formats: plain (default), csv (fixed header), json (big integers as
 decimal strings).  Exact fractions are authoritative; decimal columns
 are renderings at --precision significant digits, round-half-even.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3
+internal error (any other exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -143,19 +144,20 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    records = [OutputRecord.from_result(aggregate.evaluate(args.m, n))
-               for n in range(1, args.n_max + 1)]
+    records = [OutputRecord.from_result(aggregate.ProductResult.from_sums(args.m, n, *sums))
+               for n, sums in zip(range(1, args.n_max + 1), aggregate.cell_stream(args.m))]
     emit_records(records, args.format, args.precision, single=False)
     return 0
 
 
 def cmd_charpoly(args: argparse.Namespace) -> int:
-    polynomial = char_poly(recurrence_matrix(args.m))
-    print(f"m={args.m}: {polynomial}")
     if args.m < 2:
+        print(f"m={args.m}: {char_poly(recurrence_matrix(args.m))}")
         print("coefficient identities apply from m=2 upward; nothing to check")
         return 0
-    return _print_checks(validate_coefficients(args.m).checks)
+    report = validate_coefficients(args.m)
+    print(f"m={args.m}: {report.polynomial}")
+    return _print_checks(report.checks)
 
 
 def cmd_ladder(args: argparse.Namespace) -> int:
@@ -272,14 +274,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact answers are printed in full: lift CPython's int-to-str digit
+    # limit (3.10.7 on) for this call only, so importing consets changes nothing.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

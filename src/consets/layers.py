@@ -4,7 +4,9 @@ The product graph is a path of n complete layers of size m.  A connected
 set that touches layers 1..k is classified by its footprint in layer k
 (its intersection with that layer), and by symmetry only the footprint
 size matters.  The m counts per layer advance by one integer matrix, so
-the whole count grid unrolls as a vector recurrence.
+the whole count grid unrolls as a vector recurrence; the order sums ride
+along in the same step.  ``column_stream`` is that recurrence, and the one
+place it is written.
 
 Indices follow the combinatorics: layers and horizons k are 1-based, as
 are footprint sizes i in 1..m.  Matrix indices stay 0-based.
@@ -12,8 +14,9 @@ are footprint sizes i in 1..m.  Matrix indices stay 0-based.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .exactmath import IntMatrix
 
@@ -55,78 +58,38 @@ def recurrence_matrix(m: int) -> IntMatrix:
     return IntMatrix(rows)
 
 
-class ProfileTable:
-    """Append-only grid of footprint-class counts for one layer size.
+def column_stream(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield the (count column, order column) pair for horizons k = 1, 2, ...
 
-    Column k holds, for each footprint size i = 1..m, the number of
+    The count column holds, for each footprint size i = 1..m, the number of
     connected sets of the k-layer product that meet every one of the first
-    k-1 layers and occupy one fixed i-vertex footprint in layer k.  Column
-    1 is all ones; column k is the recurrence matrix applied to column k-1.
-    ``total(k)`` weights column k by the binomial row, giving the number of
-    connected sets that meet all k layers.
-
-    Growth is single-writer behind a lock; computed prefixes never change,
-    so a shared table can serve callers at different horizons.
+    k-1 layers and occupy one fixed i-vertex footprint in layer k; the
+    order column holds their summed orders.  At k = 1 they are all ones
+    and (1, 2, ..., m).  Each step applies the recurrence matrix A to both
+    (c <- A c; s <- A s + i c, the i c term counting the vertices layer k
+    itself contributes).  Only the current pair is held.
     """
-
-    def __init__(self, m: int):
-        if m < 1:
-            raise ValueError("layer size must be at least 1")
-        self.m = m
-        self.matrix = recurrence_matrix(m)
-        self.weights = footprint_weights(m)
-        self._columns: list[tuple[int, ...]] = [(1,) * m]
-        self._totals: list[int] = [sum(self.weights)]
-        self._lock = threading.Lock()
-
-    @property
-    def k_max(self) -> int:
-        return len(self._columns)
-
-    def ensure(self, k_max: int) -> ProfileTable:
-        """Grow the table to horizon k_max (no-op if already there)."""
-        if k_max < 1:
-            raise ValueError("horizon must be at least 1")
-        if k_max > len(self._columns):
-            with self._lock:
-                while len(self._columns) < k_max:
-                    column = self.matrix.apply(self._columns[-1])
-                    self._columns.append(column)
-                    self._totals.append(sum(w * c for w, c in zip(self.weights, column)))
-        return self
-
-    def _check_k(self, k: int) -> None:
-        if not 1 <= k <= len(self._columns):
-            raise ValueError(f"horizon {k} outside computed range 1..{len(self._columns)}")
-
-    def column(self, k: int) -> tuple[int, ...]:
-        self._check_k(k)
-        return self._columns[k - 1]
-
-    def count(self, i: int, k: int) -> int:
-        """Connected sets meeting layers 1..k-1 with a fixed i-vertex footprint in layer k."""
-        if not 1 <= i <= self.m:
-            raise ValueError(f"footprint size {i} outside 1..{self.m}")
-        self._check_k(k)
-        return self._columns[k - 1][i - 1]
-
-    def total(self, k: int) -> int:
-        """Connected sets of the k-layer product meeting every layer."""
-        self._check_k(k)
-        return self._totals[k - 1]
+    matrix = recurrence_matrix(m)
+    counts = (1,) * m
+    orders = tuple(range(1, m + 1))
+    while True:
+        yield counts, orders
+        counts = matrix.apply(counts)
+        orders = tuple(s + i * c for i, (s, c)
+                       in enumerate(zip(matrix.apply(orders), counts), start=1))
 
 
-_TABLES: dict[int, ProfileTable] = {}
-_TABLES_LOCK = threading.Lock()
+def profile_table(m: int, k_max: int) -> list[tuple[int, ...]]:
+    """The count columns for horizons 1..k_max (index k-1 holds horizon k)."""
+    if k_max < 1:
+        raise ValueError("horizon must be at least 1")
+    return [counts for counts, _ in islice(column_stream(m), k_max)]
 
 
-def profile_table(m: int, k_max: int = 1) -> ProfileTable:
-    """Shared per-m table, grown to at least the requested horizon."""
-    with _TABLES_LOCK:
-        table = _TABLES.get(m)
-        if table is None:
-            table = _TABLES.setdefault(m, ProfileTable(m))
-    return table.ensure(k_max)
+def weighted_sum(column: Sequence[int]) -> int:
+    """A footprint-class column weighted by the binomial row: the sum over
+    every footprint of the layer (the total at that horizon)."""
+    return sum(w * c for w, c in zip(footprint_weights(len(column)), column))
 
 
 def weighted_profile_sum(m: int, i: int, k: int) -> int:
@@ -143,7 +106,7 @@ def weighted_profile_sum(m: int, i: int, k: int) -> int:
     vector = tuple(int(j == i - 1) for j in range(m))
     for _ in range(k - 1):
         vector = matrix.apply(vector)
-    return sum(w * v for w, v in zip(footprint_weights(m), vector))
+    return weighted_sum(vector)
 
 
 def weighted_power_symmetric(m: int, k: int) -> bool:

@@ -2,9 +2,10 @@
 
 Three independent evaluation paths are kept on purpose:
 
-* a recursive table (production path, O(k m^2) scalar multiplies),
+* the recursive step of ``layers.column_stream`` (production path,
+  O(k m^2) scalar multiplies), listed by ``order_table``,
 * the literal matrix-sum formula it unrolls (reference path),
-* a convolution over the count grid (no order table at all).
+* a convolution over the count columns (no order column at all).
 
 They must agree exactly; the verification suite and the tests hold them
 against each other.
@@ -12,16 +13,12 @@ against each other.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
+from itertools import islice
+from typing import Sequence
 
 from .exactmath import IntMatrix
-from .layers import (
-    ProfileTable,
-    footprint_weights,
-    profile_table,
-    recurrence_matrix,
-)
+from .layers import column_stream, footprint_weights, recurrence_matrix, weighted_sum
 
 
 @lru_cache(maxsize=None)
@@ -32,80 +29,11 @@ def weight_matrix(m: int) -> IntMatrix:
     return IntMatrix.diagonal(tuple(range(1, m + 1)))
 
 
-class OrderTable:
-    """Append-only grid of order sums, advanced in lockstep with a ProfileTable.
-
-    Column k holds, for each footprint size i, the summed orders of the
-    connected sets behind ``ProfileTable.count(i, k)``.  Column 1 is
-    (1, 2, ..., m); the step to column k applies the recurrence matrix
-    (vertices in layers before k) and adds i times the count column
-    (vertices contributed by layer k itself).
-    """
-
-    def __init__(self, profile: ProfileTable):
-        self.profile = profile
-        m = profile.m
-        self.weights = footprint_weights(m)
-        self._columns: list[tuple[int, ...]] = [tuple(range(1, m + 1))]
-        self._sums: list[int] = [sum(w * s for w, s in zip(self.weights, self._columns[0]))]
-        self._lock = threading.Lock()
-
-    @property
-    def m(self) -> int:
-        return self.profile.m
-
-    @property
-    def k_max(self) -> int:
-        return len(self._columns)
-
-    def ensure(self, k_max: int) -> OrderTable:
-        if k_max < 1:
-            raise ValueError("horizon must be at least 1")
-        if k_max > len(self._columns):
-            self.profile.ensure(k_max)
-            with self._lock:
-                while len(self._columns) < k_max:
-                    k = len(self._columns) + 1
-                    advanced = self.profile.matrix.apply(self._columns[-1])
-                    counts = self.profile.column(k)
-                    column = tuple(s + (i + 1) * c
-                                   for i, (s, c) in enumerate(zip(advanced, counts)))
-                    self._columns.append(column)
-                    self._sums.append(sum(w * s for w, s in zip(self.weights, column)))
-        return self
-
-    def _check_k(self, k: int) -> None:
-        if not 1 <= k <= len(self._columns):
-            raise ValueError(f"horizon {k} outside computed range 1..{len(self._columns)}")
-
-    def column(self, k: int) -> tuple[int, ...]:
-        self._check_k(k)
-        return self._columns[k - 1]
-
-    def order_sum(self, i: int, k: int) -> int:
-        """Summed orders of the sets with a fixed i-vertex footprint in layer k."""
-        if not 1 <= i <= self.m:
-            raise ValueError(f"footprint size {i} outside 1..{self.m}")
-        self._check_k(k)
-        return self._columns[k - 1][i - 1]
-
-    def layer_order_sum(self, k: int) -> int:
-        """Summed orders of all connected sets meeting every one of k layers."""
-        self._check_k(k)
-        return self._sums[k - 1]
-
-
-_TABLES: dict[int, OrderTable] = {}
-_TABLES_LOCK = threading.Lock()
-
-
-def order_table(m: int, k_max: int = 1) -> OrderTable:
-    """Shared per-m order table, backed by the shared count table."""
-    with _TABLES_LOCK:
-        table = _TABLES.get(m)
-        if table is None:
-            table = _TABLES.setdefault(m, OrderTable(profile_table(m)))
-    return table.ensure(k_max)
+def order_table(m: int, k_max: int) -> list[tuple[int, ...]]:
+    """The order columns for horizons 1..k_max (index k-1 holds horizon k)."""
+    if k_max < 1:
+        raise ValueError("horizon must be at least 1")
+    return [orders for _, orders in islice(column_stream(m), k_max)]
 
 
 def order_column_direct(m: int, k: int) -> tuple[int, ...]:
@@ -133,30 +61,34 @@ def order_column_direct(m: int, k: int) -> tuple[int, ...]:
     return total
 
 
-def layer_order_sum_convolution(m: int, k: int, table: ProfileTable) -> int:
+def _self_convolution(counts: Sequence[tuple[int, ...]], i: int, k: int) -> int:
+    """sum_{s=1..k} count(i, s) * count(i, k+1-s) over the count columns."""
+    return sum(counts[s - 1][i - 1] * counts[k - s][i - 1] for s in range(1, k + 1))
+
+
+def layer_order_sum_convolution(m: int, k: int, counts: Sequence[tuple[int, ...]]) -> int:
     """Order sum over all sets meeting k layers, from counts alone.
 
     Total = m*k*(count of such sets) minus, for every footprint size
     i < m, the weighted convolution of the size-i count sequence with
     itself: each term prices the vertices missing from the layers where
-    the set's footprint is smaller than full.
+    the set's footprint is smaller than full.  ``counts`` holds the count
+    columns for horizons 1..k or beyond, as ``profile_table`` lists them.
     """
-    if table.m != m:
-        raise ValueError(f"table is for layer size {table.m}, not {m}")
-    if table.k_max < k:
-        raise ValueError(f"table horizon {table.k_max} is shorter than {k}")
+    if len(counts[0]) != m:
+        raise ValueError(f"count columns are for layer size {len(counts[0])}, not {m}")
+    if len(counts) < k:
+        raise ValueError(f"count columns reach horizon {len(counts)}, shorter than {k}")
     if k < 1:
         raise ValueError("horizon must be at least 1")
     weights = footprint_weights(m)
-    total = m * k * table.total(k)
+    total = m * k * weighted_sum(counts[k - 1])
     for i in range(1, m):
-        convolution = sum(table.count(i, s) * table.count(i, k + 1 - s)
-                          for s in range(1, k + 1))
-        total -= weights[i - 1] * (m - i) * convolution
+        total -= weights[i - 1] * (m - i) * _self_convolution(counts, i, k)
     return total
 
 
-def convolution_identity_holds(m: int, i: int, k: int, table: ProfileTable) -> bool:
+def convolution_identity_holds(m: int, i: int, k: int, counts: Sequence[tuple[int, ...]]) -> bool:
     """Check the bridge between the matrix and convolution paths.
 
     Left side: binomial row dotted with sum_{s=0}^{k-1} A^(k-s-1) E_ii A^s
@@ -166,8 +98,8 @@ def convolution_identity_holds(m: int, i: int, k: int, table: ProfileTable) -> b
     """
     if not 1 <= i <= m:
         raise ValueError(f"footprint size {i} outside 1..{m}")
-    if table.m != m or table.k_max < k:
-        raise ValueError("table does not cover the requested cell")
+    if len(counts[0]) != m or len(counts) < k:
+        raise ValueError("count columns do not cover the requested cell")
     matrix = recurrence_matrix(m)
     powers = [IntMatrix.identity(m)]
     for _ in range(k - 1):
@@ -177,7 +109,6 @@ def convolution_identity_holds(m: int, i: int, k: int, table: ProfileTable) -> b
     for s in range(k):
         accumulated = accumulated + powers[k - s - 1] @ unit @ powers[s]
     vector = accumulated.apply((1,) * m)
-    lhs = sum(w * x for w, x in zip(footprint_weights(m), vector))
-    rhs = footprint_weights(m)[i - 1] * sum(
-        table.count(i, s) * table.count(i, k + 1 - s) for s in range(1, k + 1))
+    lhs = weighted_sum(vector)
+    rhs = footprint_weights(m)[i - 1] * _self_convolution(counts, i, k)
     return lhs == rhs

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactmath import IntPolynomial, char_poly
-from .layers import profile_table, recurrence_matrix
+from .layers import profile_table, recurrence_matrix, weighted_sum
 from .reporting import Check
 
 
@@ -107,13 +107,12 @@ class LinearRecurrence:
 
 def build_recurrence(m: int) -> LinearRecurrence:
     """Recurrence coefficients from the characteristic polynomial, seed
-    from the first m columns of the shared count table."""
+    from the first m count columns."""
     if m < 1:
         raise ValueError("layer size must be at least 1")
     polynomial = char_poly(recurrence_matrix(m))
     coefficients = tuple(-polynomial[m - j] for j in range(1, m + 1))
-    table = profile_table(m, m)
-    seed = tuple(table.total(k) for k in range(1, m + 1))
+    seed = tuple(weighted_sum(counts) for counts in profile_table(m, m))
     return LinearRecurrence(m=m, coefficients=coefficients, seed=seed)
 
 

@@ -12,7 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import aggregate, ladder, oracle, recurrence
-from .layers import footprint_weights, profile_table, weighted_power_symmetric, weighted_profile_sum
+from .layers import (
+    footprint_weights,
+    profile_table,
+    weighted_power_symmetric,
+    weighted_profile_sum,
+    weighted_sum,
+)
 from .orders import layer_order_sum_convolution, order_column_direct, order_table
 from .reporting import Check
 
@@ -53,16 +59,16 @@ def _swept(name: str, where: str, mismatches: list[str]) -> Check:
 def ladder_checks(n_max: int = 200) -> list[Check]:
     """Ladder closed forms against the general-m machinery, n = 1..n_max."""
     count_bad, avg_bad, vince_bad, density_bad = [], [], [], []
-    for n in range(1, n_max + 1):
-        count = aggregate.count_connected_sets(2, n)
-        average = aggregate.average_order(2, n)
+    for n, sums in zip(range(1, n_max + 1), aggregate.cell_stream(2)):
+        result = aggregate.ProductResult.from_sums(2, n, *sums)
+        count, average = result.count, result.average
         if ladder.ladder_count(n) != count:
-            count_bad.append(f"n={n}: closed {ladder.ladder_count(n)}, table {count}")
+            count_bad.append(f"n={n}: closed {ladder.ladder_count(n)}, stream {count}")
         if ladder.ladder_average(n) != average:
-            avg_bad.append(f"n={n}: closed {ladder.ladder_average(n)}, table {average}")
+            avg_bad.append(f"n={n}: closed {ladder.ladder_average(n)}, stream {average}")
         if ladder.vince_average(n) != average:
-            vince_bad.append(f"n={n}: published {ladder.vince_average(n)}, table {average}")
-        if ladder.ladder_density(n) != aggregate.density(2, n):
+            vince_bad.append(f"n={n}: published {ladder.vince_average(n)}, stream {average}")
+        if ladder.ladder_density(n) != result.density:
             density_bad.append(f"n={n}")
     where = f"n=1..{n_max}"
     checks = [
@@ -110,10 +116,10 @@ def stream_checks(m_max: int = 6, k_max: int = 200) -> list[Check]:
     """Scalar recurrence stream against the matrix-path totals."""
     checks = []
     for m in range(2, m_max + 1):
-        table = profile_table(m, k_max)
+        totals = [weighted_sum(counts) for counts in profile_table(m, k_max)]
         stream = recurrence.total_stream(m, k_max)
-        bad = [f"m={m} k={k}: stream {stream[k - 1]}, matrix {table.total(k)}"
-               for k in range(1, k_max + 1) if stream[k - 1] != table.total(k)]
+        bad = [f"m={m} k={k}: stream {stream[k - 1]}, matrix {totals[k - 1]}"
+               for k in range(1, k_max + 1) if stream[k - 1] != totals[k - 1]]
         checks.append(_swept("scalar recurrence vs matrix path",
                              f"m={m} k=1..{k_max}", bad))
     return checks
@@ -123,14 +129,14 @@ def symmetry_checks(m_max: int = 6, k_max: int = 12) -> list[Check]:
     """Weighted power symmetry and the weighted column sums it implies."""
     checks = []
     for m in range(2, m_max + 1):
-        table = profile_table(m, k_max)
+        counts = profile_table(m, k_max)
         weights = footprint_weights(m)
         sym_bad = [f"m={m} k={k}" for k in range(1, k_max + 1)
                    if not weighted_power_symmetric(m, k)]
         sum_bad = []
         for k in range(1, k_max + 1):
             for i in range(1, m + 1):
-                expected = weights[i - 1] * table.count(i, k)
+                expected = weights[i - 1] * counts[k - 1][i - 1]
                 got = weighted_profile_sum(m, i, k)
                 if got != expected:
                     sum_bad.append(f"m={m} i={i} k={k}: got {got}, expected {expected}")
@@ -144,16 +150,15 @@ def order_path_checks(m_max: int = 5, k_max: int = 10) -> list[Check]:
     """Three-path agreement for the order sums."""
     checks = []
     for m in range(2, m_max + 1):
-        table = order_table(m, k_max)
-        weights = footprint_weights(m)
+        counts, orders = profile_table(m, k_max), order_table(m, k_max)
         direct_bad, conv_bad = [], []
         for k in range(1, k_max + 1):
-            recursive = table.column(k)
+            recursive = orders[k - 1]
             direct = order_column_direct(m, k)
             if recursive != direct:
                 direct_bad.append(f"m={m} k={k}: recursive {recursive}, direct {direct}")
-            weighted = sum(w * s for w, s in zip(weights, recursive))
-            convolved = layer_order_sum_convolution(m, k, table.profile)
+            weighted = weighted_sum(recursive)
+            convolved = layer_order_sum_convolution(m, k, counts)
             if weighted != convolved:
                 conv_bad.append(f"m={m} k={k}: weighted {weighted}, convolution {convolved}")
         where = f"m={m} k=1..{k_max}"

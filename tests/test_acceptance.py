@@ -1,7 +1,9 @@
 """Acceptance battery: one test per criterion, one printed line each.
 
 All comparisons are exact (tolerance zero); the stated runtime budgets
-are asserted as well.  Run with ``pytest tests/test_acceptance.py -s``
+are asserted as well.  Criteria 1, 2 and 4-8 run the matching
+``consets.verify`` suite with the arguments ``verify.full_suite`` passes,
+so the battery has one source of truth.  Run with ``pytest tests/test_acceptance.py -s``
 to see the per-criterion lines.
 
 Criterion 3 is known red: it asserts a unit constant term for the
@@ -19,18 +21,9 @@ import sys
 import time
 from fractions import Fraction
 
-from consets import aggregate, ladder, oracle, recurrence
+from consets import recurrence, verify
 from consets.exactmath import char_poly
-from consets.layers import (
-    footprint_weights,
-    profile_table,
-    recurrence_matrix,
-    weighted_power_symmetric,
-    weighted_profile_sum,
-)
-from consets.orders import layer_order_sum_convolution, order_column_direct, order_table
-
-ORACLE_GRID = ((1, 10), (2, 8), (3, 5), (4, 4), (5, 3))
+from consets.layers import recurrence_matrix
 
 
 def _criterion(number: int, description: str, ok: bool, elapsed: float,
@@ -42,44 +35,28 @@ def _criterion(number: int, description: str, ok: bool, elapsed: float,
     print(line)
 
 
-def test_criterion_1_census_equivalence():
+def _suite(number: int, description: str, suite, *args) -> tuple[list[str], float]:
+    """Run one verify suite, print the criterion line, return its failures."""
     start = time.perf_counter()
-    mismatches = []
-    for m, n_top in ORACLE_GRID:
-        for n in range(1, n_top + 1):
-            result = aggregate.evaluate(m, n)
-            report = oracle.census(oracle.complete_path_product(m, n).graph)
-            if (result.count, result.total) != (report.count, report.total_order):
-                mismatches.append(f"m={m} n={n}: formula ({result.count}, {result.total}), "
-                                  f"census ({report.count}, {report.total_order})")
-            if result.average != report.average or result.density != report.density:
-                mismatches.append(f"m={m} n={n}: ratio mismatch")
+    checks = suite(*args)
     elapsed = time.perf_counter() - start
-    _criterion(1, "census equivalence on the desk-scale grid",
-               not mismatches, elapsed, "; ".join(mismatches))
-    assert not mismatches
+    assert checks, "suite ran no checks"
+    failures = [check.line() for check in checks if not check.ok]
+    _criterion(number, description, not failures, elapsed, "; ".join(failures))
+    return failures, elapsed
+
+
+def test_criterion_1_census_equivalence():
+    failures, elapsed = _suite(1, "census equivalence on the desk-scale grid",
+                               verify.oracle_grid_checks)
+    assert not failures
     assert elapsed < 60
 
 
 def test_criterion_2_ladder_closed_forms():
-    start = time.perf_counter()
-    mismatches = []
-    for n in range(1, 201):
-        count = aggregate.count_connected_sets(2, n)
-        average = aggregate.average_order(2, n)
-        if ladder.ladder_count(n) != count:
-            mismatches.append(f"count at n={n}")
-        if not ladder.ladder_average(n) == ladder.vince_average(n) == average:
-            mismatches.append(f"average at n={n}")
-    anchors_ok = ([ladder.ladder_count(n) for n in (1, 2, 3)] == [3, 13, 40]
-                  and ladder.ladder_average(1) == Fraction(4, 3)
-                  and ladder.ladder_average(2) == Fraction(28, 13))
-    if not anchors_ok:
-        mismatches.append("anchor values")
-    elapsed = time.perf_counter() - start
-    _criterion(2, "ladder closed forms for n=1..200",
-               not mismatches, elapsed, "; ".join(mismatches))
-    assert not mismatches
+    failures, elapsed = _suite(2, "ladder closed forms for n=1..200",
+                               verify.ladder_checks, 200)
+    assert not failures
     assert elapsed < 5
 
 
@@ -106,87 +83,36 @@ def test_criterion_3_characteristic_coefficient_identities():
 
 
 def test_criterion_4_recurrence_matches_matrix_path():
-    start = time.perf_counter()
-    mismatches = []
-    for m in range(2, 7):
-        table = profile_table(m, 200)
-        stream = recurrence.total_stream(m, 200)
-        for k in range(1, 201):
-            if stream[k - 1] != table.total(k):
-                mismatches.append(f"m={m} k={k}")
-    elapsed = time.perf_counter() - start
-    _criterion(4, "scalar recurrence equals matrix path for m=2..6, k=1..200",
-               not mismatches, elapsed, "; ".join(mismatches))
-    assert not mismatches
+    failures, elapsed = _suite(4, "scalar recurrence equals matrix path for m=2..6, k=1..200",
+                               verify.stream_checks, 6, 200)
+    assert not failures
     assert elapsed < 5
 
 
 def test_criterion_5_weighted_symmetry():
-    start = time.perf_counter()
-    mismatches = []
-    for m in range(2, 7):
-        table = profile_table(m, 12)
-        weights = footprint_weights(m)
-        for k in range(1, 13):
-            if not weighted_power_symmetric(m, k):
-                mismatches.append(f"symmetry m={m} k={k}")
-            for i in range(1, m + 1):
-                if weighted_profile_sum(m, i, k) != weights[i - 1] * table.count(i, k):
-                    mismatches.append(f"weighted sum m={m} i={i} k={k}")
-    elapsed = time.perf_counter() - start
-    _criterion(5, "weighted power symmetry and column sums for m=2..6, k=1..12",
-               not mismatches, elapsed, "; ".join(mismatches))
-    assert not mismatches
+    failures, elapsed = _suite(5, "weighted power symmetry and column sums for m=2..6, k=1..12",
+                               verify.symmetry_checks, 6, 12)
+    assert not failures
     assert elapsed < 5
 
 
 def test_criterion_6_order_sum_three_paths():
-    start = time.perf_counter()
-    mismatches = []
-    for m in range(2, 6):
-        table = order_table(m, 10)
-        weights = footprint_weights(m)
-        for k in range(1, 11):
-            recursive = table.column(k)
-            if recursive != order_column_direct(m, k):
-                mismatches.append(f"direct m={m} k={k}")
-            weighted = sum(w * s for w, s in zip(weights, recursive))
-            if weighted != layer_order_sum_convolution(m, k, table.profile):
-                mismatches.append(f"convolution m={m} k={k}")
-    elapsed = time.perf_counter() - start
-    _criterion(6, "order-sum three-path agreement for m=2..5, k=1..10",
-               not mismatches, elapsed, "; ".join(mismatches))
-    assert not mismatches
+    failures, elapsed = _suite(6, "order-sum three-path agreement for m=2..5, k=1..10",
+                               verify.order_path_checks, 5, 10)
+    assert not failures
     assert elapsed < 10
 
 
 def test_criterion_7_analytic_anchors():
-    start = time.perf_counter()
-    mismatches = []
-    for m in range(1, 11):
-        if aggregate.average_order(m, 1) != Fraction(m * 2 ** (m - 1), 2 ** m - 1):
-            mismatches.append(f"single-layer m={m}")
-    for n in range(1, 51):
-        if aggregate.average_order(1, n) != Fraction(n + 2, 3):
-            mismatches.append(f"single-column n={n}")
-    elapsed = time.perf_counter() - start
-    _criterion(7, "analytic anchor averages", not mismatches, elapsed,
-               "; ".join(mismatches))
-    assert not mismatches
+    failures, elapsed = _suite(7, "analytic anchor averages", verify.anchor_checks)
+    assert not failures
     assert elapsed < 1
 
 
 def test_criterion_8_summation_identities():
-    start = time.perf_counter()
-    mismatches = []
-    for n in range(1, 101):
-        for check in ladder.ladder_sum_identities(n):
-            if not check.ok:
-                mismatches.append(f"{check.name} at n={n}")
-    elapsed = time.perf_counter() - start
-    _criterion(8, "prefix-sum identities for n=1..100",
-               not mismatches, elapsed, "; ".join(mismatches))
-    assert not mismatches
+    failures, elapsed = _suite(8, "prefix-sum identities for n=1..100",
+                               verify.ladder_identity_checks, 100)
+    assert not failures
     assert elapsed < 2
 
 

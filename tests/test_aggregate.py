@@ -3,11 +3,13 @@
 Claims covered:
     - small-cell anchors match exhaustive listings
     - degenerate families have their closed-form counts and averages
-    - the convolution route to the average agrees with the table route
+    - the convolution route to the average agrees with the stream route
     - every desk-scale cell matches the census exactly
     - result invariants (bounds, exact ratios) are enforced
+    - a deep cell holds O(m) integers, not every column
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,13 +17,14 @@ import pytest
 from consets.aggregate import (
     ProductResult,
     average_order,
-    average_order_convolution,
     count_connected_sets,
     density,
     evaluate,
     total_order,
 )
+from consets.layers import profile_table
 from consets.oracle import census, complete_path_product
+from consets.orders import layer_order_sum_convolution
 
 
 def test_small_cell_anchors():
@@ -58,9 +61,14 @@ def test_domain_errors():
 
 
 def test_convolution_route_agrees():
+    # the triangular sum over spans, each layer order sum rebuilt from
+    # counts alone (no order column)
     for m in range(1, 6):
         for n in range(1, 13):
-            assert average_order_convolution(m, n) == average_order(m, n)
+            counts = profile_table(m, n)
+            total = sum((n - k + 1) * layer_order_sum_convolution(m, k, counts)
+                        for k in range(1, n + 1))
+            assert Fraction(total, count_connected_sets(m, n)) == average_order(m, n)
 
 
 def test_density_bounds():
@@ -90,3 +98,14 @@ def test_result_invariants_enforced():
     with pytest.raises(ValueError, match="density"):
         ProductResult(m=2, n=3, count=good.count, total=good.total,
                       average=good.average, density=good.density / 2)
+
+
+def test_deep_cell_memory_stays_flat():
+    # every column of (6, 3000) kept would take tens of megabytes
+    tracemalloc.start()
+    try:
+        evaluate(6, 3000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20

@@ -5,16 +5,28 @@ Claims covered:
     - the csv header is identical across all record-emitting commands
     - json records round-trip: A recomputed from N and S equals A_exact
     - decimal renderings honor --precision with banker's rounding
-    - verify exits 0 on clean scopes, 1 on mismatch, 2 on usage errors
+    - verify exits 0 on clean scopes, 1 on mismatch, 2 on usage errors,
+      and any other exception exits 3
+    - integers past CPython's 4300-digit str guard print in full
+    - table rows equal the per-cell evaluation
+    - charpoly computes the characteristic polynomial once
     - the oracle cap flows through flags and the environment variable
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from consets import aggregate, cli, recurrence
 from consets.cli import CSV_HEADER, format_decimal, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +96,19 @@ def test_table_csv_values(capsys):
     assert [line.split(",")[2] for line in lines[1:]] == ["3", "13", "40"]
 
 
+def test_table_rows_equal_evaluate(capsys):
+    code, out, _ = run_cli(capsys, "table", "--m", "4", "--n-max", "40", "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    assert len(records) == 40
+    for n, record in enumerate(records, start=1):
+        result = aggregate.evaluate(4, n)
+        assert record["n"] == n
+        assert (int(record["N"]), int(record["S"])) == (result.count, result.total)
+        assert Fraction(record["A_exact"]) == result.average
+        assert Fraction(record["D_exact"]) == result.density
+
+
 def test_table_trivial_column(capsys):
     code, out, _ = run_cli(capsys, "table", "--m", "1", "--n-max", "2", "--format", "csv")
     assert code == 0
@@ -123,6 +148,28 @@ def test_charpoly_printout(capsys):
     assert code == 0
     assert "λ^3 - 5λ^2 - 3λ + 1" in out
     assert "all 4 checks passed" in out
+
+
+def test_charpoly_computes_polynomial_once(monkeypatch, capsys):
+    calls = []
+    original = cli.char_poly
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(cli, "char_poly", counted)
+    monkeypatch.setattr(recurrence, "char_poly", counted)
+    code, out, _ = run_cli(capsys, "charpoly", "--m", "6")
+    assert len(calls) == 1
+    assert code == 1
+    assert out == (
+        "m=6: λ^6 - 51λ^5 - 207λ^4 + 248λ^3 + 103λ^2 - 13λ - 1\n"
+        "PASS  charpoly top coefficient  [m=6]\n"
+        "FAIL  charpoly constant term  [m=6]: got -1, expected 1\n"
+        "PASS  matrix trace identity  [m=6]\n"
+        "PASS  determinant sign identity  [m=6]\n"
+        "1 of 4 checks FAILED\n")
 
 
 def test_charpoly_reports_false_claim(capsys):
@@ -226,6 +273,67 @@ def test_verify_oracle_cap_env(monkeypatch, capsys):
     # explicit flag wins over the environment
     code, out, _ = run_cli(capsys, "verify", "--m", "3", "--n", "2", "--oracle-cap", "10")
     assert code == 0
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(m, n):
+        raise ArithmeticError("inexact step")
+
+    monkeypatch.setattr(aggregate, "evaluate", broken)
+    code, out, err = run_cli(capsys, "compute", "--m", "3", "--n", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ArithmeticError: inexact step\n"
+
+
+# -- integers past the int-to-str guard ----------------------------------------
+
+@pytest.fixture
+def unlimited_digits():
+    """Lift the int-to-str digit limit in this process for the round trip."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def _parse_plain(out: str) -> tuple[int, int, Fraction, Fraction]:
+    match = re.fullmatch(r"m=6 n=3000: N=(\d+) S=(\d+) A=(\d+/\d+) \(~[\d.]+\) "
+                         r"D=(\d+/\d+) \(~[\d.]+\)\n", out)
+    assert match is not None
+    return int(match[1]), int(match[2]), Fraction(match[3]), Fraction(match[4])
+
+
+def _parse_csv(out: str) -> tuple[int, int, Fraction, Fraction]:
+    header, row = out.splitlines()
+    assert header == CSV_HEADER
+    m, n, count, total, a_num, a_den, _, d_num, d_den, _ = row.split(",")
+    assert (m, n) == ("6", "3000")
+    return (int(count), int(total), Fraction(int(a_num), int(a_den)),
+            Fraction(int(d_num), int(d_den)))
+
+
+def _parse_json(out: str) -> tuple[int, int, Fraction, Fraction]:
+    record = json.loads(out)
+    assert (record["m"], record["n"]) == (6, 3000)
+    return (int(record["N"]), int(record["S"]), Fraction(record["A_exact"]),
+            Fraction(record["D_exact"]))
+
+
+@pytest.mark.parametrize("fmt, parse", [("plain", _parse_plain), ("csv", _parse_csv),
+                                        ("json", _parse_json)])
+def test_compute_prints_integers_past_the_digit_guard(fmt, parse, unlimited_digits):
+    # the guard is process-wide, so only a fresh process shows the CLI lifting it
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    completed = subprocess.run(
+        [sys.executable, "-m", "consets.cli", "compute", "--m", "6", "--n", "3000",
+         "--format", fmt], capture_output=True, text=True, env=env)
+    assert completed.returncode == 0, completed.stderr
+    result = aggregate.evaluate(6, 3000)
+    assert len(str(result.count)) > 4300
+    assert parse(completed.stdout) == (result.count, result.total,
+                                       result.average, result.density)
 
 
 def test_precision_flag(capsys):

@@ -27,6 +27,7 @@ from consets.ladder import (
     pell_closed_form,
     vince_average,
 )
+from consets.layers import weighted_sum
 from consets.orders import order_table
 
 
@@ -172,4 +173,4 @@ def test_layer_order_sum_closed_form():
     for k in range(1, 51):
         value = (3 * k - 2) * layer_total(k) + pell(k + 2)
         assert value % 2 == 0
-        assert table.layer_order_sum(k) == value // 2
+        assert weighted_sum(table[k - 1]) == value // 2

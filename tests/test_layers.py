@@ -2,7 +2,8 @@
 
 Claims covered:
     - recurrence matrix entries follow the binomial-difference rule
-    - count columns reproduce the known two- and three-layer sequences
+    - the column stream's count columns reproduce the known two- and
+      three-layer sequences
     - the last footprint class at horizon k equals the total at k-1
     - weighted column sums through matrix powers match table counts
     - the binomial-weighted matrix powers are symmetric
@@ -14,12 +15,14 @@ import math
 import pytest
 
 from consets.layers import (
+    column_stream,
     footprint_weights,
     pascal_row,
     profile_table,
     recurrence_matrix,
     weighted_power_symmetric,
     weighted_profile_sum,
+    weighted_sum,
 )
 from consets.oracle import complete_path_product, footprint_census
 
@@ -59,64 +62,59 @@ def test_zero_layer_size_rejected():
 
 def test_two_layer_totals_and_first_class():
     table = profile_table(2, 2)
-    assert table.total(1) == 3
-    assert table.total(2) == 7
-    assert table.count(1, 1) == 1
-    assert table.count(1, 2) == 2
+    assert weighted_sum(table[0]) == 3
+    assert weighted_sum(table[1]) == 7
+    assert table[0][0] == 1
+    assert table[1][0] == 2
 
 
 def test_three_layer_totals():
     table = profile_table(3, 4)
-    assert [table.total(k) for k in range(1, 5)] == [7, 37, 205, 1129]
+    assert [weighted_sum(column) for column in table] == [7, 37, 205, 1129]
 
 
 def test_first_column_is_all_ones():
     for m in range(1, 7):
-        assert profile_table(m, 1).column(1) == (1,) * m
+        assert profile_table(m, 1) == [(1,) * m]
 
 
 def test_column_advances_by_matrix():
     table = profile_table(4, 6)
     for k in range(2, 7):
-        assert table.column(k) == table.matrix.apply(table.column(k - 1))
+        assert table[k - 1] == recurrence_matrix(4).apply(table[k - 2])
 
 
 def test_total_weights_column_by_binomials():
     table = profile_table(5, 8)
     weights = footprint_weights(5)
-    for k in range(1, 9):
-        assert table.total(k) == sum(w * c for w, c in zip(weights, table.column(k)))
+    for column in table:
+        assert weighted_sum(column) == sum(w * c for w, c in zip(weights, column))
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_last_class_equals_previous_total(m):
     table = profile_table(m, 30)
     for k in range(2, 31):
-        assert table.count(m, k) == table.total(k - 1)
+        assert table[k - 1][m - 1] == weighted_sum(table[k - 2])
 
 
 def test_all_entries_strictly_positive():
     for m in range(1, 7):
-        table = profile_table(m, 20)
-        for k in range(1, 21):
-            assert all(c > 0 for c in table.column(k))
-
-
-def test_tables_are_shared_per_layer_size():
-    assert profile_table(3, 5) is profile_table(3, 2)
-    assert profile_table(3, 2).k_max >= 5  # prefixes persist
+        for column in profile_table(m, 20):
+            assert all(c > 0 for c in column)
 
 
 def test_out_of_range_accessors():
-    table = profile_table(3, 3)
-    with pytest.raises(ValueError, match="outside"):
-        table.count(0, 1)
-    with pytest.raises(ValueError, match="outside"):
-        table.count(4, 1)
-    with pytest.raises(ValueError, match="outside computed range"):
-        table.total(10 ** 6)
-    with pytest.raises(ValueError):
-        table.ensure(0)
+    assert len(profile_table(3, 3)) == 3
+    with pytest.raises(ValueError, match="horizon"):
+        profile_table(3, 0)
+
+
+def test_stream_pairs_count_and_order_columns():
+    pairs = column_stream(3)
+    assert next(pairs) == ((1, 1, 1), (1, 2, 3))
+    # A (1, 2, 3) = (8, 11, 12), plus i times the new counts (4, 12, 21)
+    assert next(pairs) == ((4, 6, 7), (12, 23, 33))
 
 
 # -- weighted sums and symmetry ------------------------------------------------
@@ -138,7 +136,7 @@ def test_weighted_profile_sum_matches_table():
         weights = footprint_weights(m)
         for k in range(1, 13):
             for i in range(1, m + 1):
-                assert weighted_profile_sum(m, i, k) == weights[i - 1] * table.count(i, k)
+                assert weighted_profile_sum(m, i, k) == weights[i - 1] * table[k - 1][i - 1]
 
 
 def test_weighted_profile_sum_index_errors():
@@ -166,4 +164,4 @@ def test_counts_match_census_by_footprint(m):
         table = profile_table(m, k)
         for i in range(1, m + 1):
             footprint = [layered.vertex(k, p) for p in range(i)]
-            assert footprint_census(layered, k, footprint).count == table.count(i, k)
+            assert footprint_census(layered, k, footprint).count == table[k - 1][i - 1]

@@ -1,4 +1,4 @@
-"""Order-sum engine: recursive table, literal matrix sum, convolution.
+"""Order-sum engine: recursive column step, literal matrix sum, convolution.
 
 Claims covered:
     - base column is (1, 2, ..., m); small anchors match hand listings
@@ -10,7 +10,7 @@ Claims covered:
 
 import pytest
 
-from consets.layers import footprint_weights, profile_table
+from consets.layers import footprint_weights, profile_table, weighted_sum
 from consets.oracle import complete_path_product, footprint_census, span_census
 from consets.orders import (
     convolution_identity_holds,
@@ -27,18 +27,18 @@ def test_weight_matrix_is_size_diagonal():
 
 def test_base_column_counts_vertices():
     for m in range(1, 6):
-        assert order_table(m, 1).column(1) == tuple(range(1, m + 1))
+        assert order_table(m, 1) == [tuple(range(1, m + 1))]
 
 
 def test_two_layer_order_sum_anchor():
     # the seven sets meeting both layers of the 4-cycle have orders
     # 2+2+3+3+3+3+4
-    assert order_table(2, 2).layer_order_sum(2) == 20
+    assert weighted_sum(order_table(2, 2)[1]) == 20
 
 
 def test_three_layer_base_order_sum():
     # sizes over the nonempty subsets of a triangle: 3*1 + 3*2 + 1*3
-    assert order_table(3, 1).layer_order_sum(1) == 12
+    assert weighted_sum(order_table(3, 1)[0]) == 12
 
 
 def test_single_layer_size_direct_column():
@@ -49,7 +49,7 @@ def test_direct_column_matches_recursive():
     for m in range(1, 6):
         table = order_table(m, 10)
         for k in range(1, 11):
-            assert order_column_direct(m, k) == table.column(k)
+            assert order_column_direct(m, k) == table[k - 1]
 
 
 def test_convolution_examples():
@@ -65,18 +65,18 @@ def test_convolution_examples():
 def test_three_path_agreement():
     for m in range(2, 6):
         table = order_table(m, 10)
+        counts = profile_table(m, 10)
         weights = footprint_weights(m)
         for k in range(1, 11):
-            column = table.column(k)
+            column = table[k - 1]
             assert column == order_column_direct(m, k)
             weighted = sum(w * s for w, s in zip(weights, column))
-            assert weighted == table.layer_order_sum(k)
-            assert weighted == layer_order_sum_convolution(m, k, table.profile)
+            assert weighted == weighted_sum(column)
+            assert weighted == layer_order_sum_convolution(m, k, counts)
 
 
 def test_convolution_horizon_error():
-    from consets.layers import ProfileTable
-    table = ProfileTable(3).ensure(2)  # private table pins the horizon
+    table = profile_table(3, 2)
     with pytest.raises(ValueError, match="shorter"):
         layer_order_sum_convolution(3, 5, table)
     with pytest.raises(ValueError, match="layer size"):
@@ -88,9 +88,9 @@ def test_convolution_is_reindexing_symmetric():
         table = profile_table(m, 9)
         for i in range(1, m):
             for k in range(1, 10):
-                forward = sum(table.count(i, s) * table.count(i, k + 1 - s)
+                forward = sum(table[s - 1][i - 1] * table[k - s][i - 1]
                               for s in range(1, k + 1))
-                reverse = sum(table.count(i, k + 1 - s) * table.count(i, s)
+                reverse = sum(table[k - s][i - 1] * table[s - 1][i - 1]
                               for s in range(k, 0, -1))
                 assert forward == reverse
 
@@ -116,11 +116,8 @@ def test_order_sum_bounds():
         counts = profile_table(m, 12)
         sums = order_table(m, 12)
         for k in range(1, 13):
-            assert k * counts.total(k) <= sums.layer_order_sum(k) <= m * k * counts.total(k)
-
-
-def test_order_tables_shared_per_layer_size():
-    assert order_table(4, 6) is order_table(4, 2)
+            total = weighted_sum(counts[k - 1])
+            assert k * total <= weighted_sum(sums[k - 1]) <= m * k * total
 
 
 # -- census equivalence --------------------------------------------------------
@@ -130,7 +127,7 @@ def test_order_sums_match_census(m):
     for k in range(1, 5):
         layered = complete_path_product(m, k)
         table = order_table(m, k)
-        assert span_census(layered, 1, k).order_sum == table.layer_order_sum(k)
+        assert span_census(layered, 1, k).order_sum == weighted_sum(table[k - 1])
         for i in range(1, m + 1):
             footprint = [layered.vertex(k, p) for p in range(i)]
-            assert footprint_census(layered, k, footprint).order_sum == table.order_sum(i, k)
+            assert footprint_census(layered, k, footprint).order_sum == table[k - 1][i - 1]

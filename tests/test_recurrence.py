@@ -11,7 +11,7 @@ Claims covered:
 
 import pytest
 
-from consets.layers import profile_table
+from consets.layers import profile_table, weighted_sum
 from consets.recurrence import (
     LinearRecurrence,
     build_recurrence,
@@ -51,7 +51,7 @@ def test_three_layer_recurrence_step():
 
 
 def test_stream_prefix_shorter_than_seed():
-    assert build_recurrence(4).stream(2) == [profile_table(4, 2).total(k) for k in (1, 2)]
+    assert build_recurrence(4).stream(2) == [weighted_sum(c) for c in profile_table(4, 2)]
     with pytest.raises(ValueError):
         LinearRecurrence(m=1, coefficients=(1,), seed=(1,)).stream(0)
 
@@ -59,8 +59,7 @@ def test_stream_prefix_shorter_than_seed():
 @pytest.mark.parametrize("m", range(2, 7))
 def test_stream_matches_matrix_path(m):
     k_max = 60
-    table = profile_table(m, k_max)
-    assert total_stream(m, k_max) == [table.total(k) for k in range(1, k_max + 1)]
+    assert total_stream(m, k_max) == [weighted_sum(c) for c in profile_table(m, k_max)]
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -68,10 +67,10 @@ def test_recurrence_also_holds_at_seed_boundary(m):
     # guaranteed only for k >= m+1; observed to hold at k = m as well once
     # the horizon-0 total is taken to be 1
     rec = build_recurrence(m)
-    table = profile_table(m, m)
-    extended = [1] + [table.total(k) for k in range(1, m)]
+    totals = [weighted_sum(c) for c in profile_table(m, m)]
+    extended = [1] + totals[:-1]
     predicted = sum(c * v for c, v in zip(rec.coefficients, reversed(extended)))
-    assert predicted == table.total(m)
+    assert predicted == totals[-1]
 
 
 # -- coefficient identities ----------------------------------------------------
