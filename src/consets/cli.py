@@ -73,10 +73,10 @@ class OutputRecord:
 
     @classmethod
     def from_ladder(cls, n: int) -> OutputRecord:
+        average = ladder.ladder_average(n)
         return cls(m=2, n=n, count=ladder.ladder_count(n),
                    total=ladder.ladder_total_order(n),
-                   average=ladder.ladder_average(n),
-                   density=ladder.ladder_density(n))
+                   average=average, density=average / (2 * n))
 
     def csv_row(self, precision: int) -> str:
         return ",".join(str(field) for field in (

@@ -245,6 +245,58 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
     return IntPolynomial(coefficients)
 
 
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer polynomials, coefficients low degree first."""
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                product[i + j] += x * y
+    return product
+
+
+def _square(a: Sequence[int]) -> list[int]:
+    """poly_mul(a, a) with each cross product a_i a_j (i < j) taken once."""
+    cross = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(i + 1, len(a)):
+                cross[i + j] += x * a[j]
+    square = [2 * c for c in cross]
+    for i, x in enumerate(a):
+        square[2 * i] += x * x
+    return square
+
+
+def _reduce(a: list[int], modulus: Sequence[int]) -> list[int]:
+    """a mod a monic polynomial, in place from the top down.  The modulus
+    coefficients are small, so each step is small-by-big."""
+    degree = len(modulus) - 1
+    for top in range(len(a) - 1, degree - 1, -1):
+        c = a[top]
+        if c:
+            base = top - degree
+            for j in range(degree):
+                a[base + j] -= c * modulus[j]
+    del a[degree:]
+    return a
+
+
+def x_power_mod(e: int, modulus: IntPolynomial) -> list[int]:
+    """Coefficients of x^e mod a monic integer polynomial, low degree first,
+    padded to the modulus degree; binary powering, O(log e) squarings."""
+    if e < 0:
+        raise ValueError("exponent must be non-negative")
+    coefficients = modulus.coefficients
+    result = _reduce([1], coefficients)  # degree 0 modulus: everything is 0
+    result += [0] * (modulus.degree - len(result))
+    for bit in bin(e)[2:]:
+        result = _reduce(_square(result), coefficients)
+        if bit == "1":
+            result = _reduce([0, *result], coefficients)
+    return result
+
+
 @dataclass(frozen=True, slots=True)
 class QuadInt:
     """Ring element a + b*sqrt(2) with exact integer parts."""

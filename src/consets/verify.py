@@ -10,6 +10,7 @@ the detail (a 200-cell sweep should not print 200 lines).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from . import aggregate, ladder, oracle, recurrence
 from .layers import (
@@ -185,6 +186,25 @@ def anchor_checks(m_max: int = 10, n_max: int = 50) -> list[Check]:
     ]
 
 
+def jump_checks(m_max: int = 8, n_max: int = 200) -> list[Check]:
+    """The recurrence jump against one stream walk per m, at the first
+    horizons past its seeds, on both sides of the engine crossover, and
+    at n_max."""
+    checks = []
+    for m in range(1, m_max + 1):
+        streamed = list(islice(aggregate.cell_stream(m), n_max))
+        degree = 2 * m + 2
+        crossover = aggregate.STREAM_MAX_PER_LAYER * m
+        horizons = {*range(degree + 1, degree + 5), crossover, crossover + 1, n_max}
+        bad = []
+        for n in sorted(h for h in horizons if h <= n_max):
+            jumped = aggregate.jump_sums(m, n)
+            if jumped != streamed[n - 1]:
+                bad.append(f"m={m} n={n}: jump {jumped}, stream {streamed[n - 1]}")
+        checks.append(_swept("recurrence jump vs stream", f"m={m} n<={n_max}", bad))
+    return checks
+
+
 def graph_file_checks(graph: oracle.SimpleGraph, cap: int | None = None) -> tuple[list[Check], oracle.CensusReport]:
     """Census an arbitrary graph with both connectivity checkers."""
     flood = oracle.census(graph, cap, connectivity="flood")
@@ -207,4 +227,5 @@ def full_suite(cap: int | None = None) -> list[Check]:
     checks.extend(symmetry_checks(6, 12))
     checks.extend(order_path_checks(5, 10))
     checks.extend(anchor_checks())
+    checks.extend(jump_checks(8, 200))
     return checks

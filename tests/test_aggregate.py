@@ -7,19 +7,26 @@ Claims covered:
     - every desk-scale cell matches the census exactly
     - result invariants (bounds, exact ratios) are enforced
     - a deep cell holds O(m) integers, not every column
+    - the recurrence jump equals the stream, on both sides of the engine
+      crossover, and its annihilator holds on the streamed sums
 """
 
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from consets.aggregate import (
+    STREAM_MAX_PER_LAYER,
     ProductResult,
+    annihilator,
     average_order,
+    cell_stream,
     count_connected_sets,
     density,
     evaluate,
+    jump_sums,
     total_order,
 )
 from consets.layers import profile_table
@@ -109,3 +116,43 @@ def test_deep_cell_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_jump_equals_stream(m):
+    degree = 2 * m + 2
+    streamed = list(islice(cell_stream(m), 500))
+    for n in [*range(1, 3 * degree + 1), 500]:
+        assert jump_sums(m, n) == streamed[n - 1], n
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_evaluate_across_the_engine_crossover(m):
+    # n = crossover streams, n = crossover + 1 jumps
+    crossover = STREAM_MAX_PER_LAYER * m
+    streamed = list(islice(cell_stream(m), crossover + 1))
+    for n in (crossover, crossover + 1):
+        assert evaluate(m, n) == ProductResult.from_sums(m, n, *streamed[n - 1])
+
+
+def test_deep_jump_equals_stream():
+    assert evaluate(3, 5000) == ProductResult.from_sums(
+        3, 5000, *next(islice(cell_stream(3), 4999, None)))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_annihilator_holds_on_streamed_sums(m):
+    q = annihilator(m)
+    assert q.degree == 2 * m + 2
+    streamed = list(islice(cell_stream(m), 100))
+    for start in range(len(streamed) - q.degree):
+        window = streamed[start:start + q.degree + 1]
+        assert sum(c * count for c, (count, _) in zip(q.coefficients, window)) == 0
+        assert sum(c * total for c, (_, total) in zip(q.coefficients, window)) == 0
+
+
+def test_jump_domain_errors():
+    with pytest.raises(ValueError):
+        jump_sums(3, 0)
+    with pytest.raises(ValueError):
+        jump_sums(0, 3)

@@ -9,6 +9,7 @@ Claims covered:
       and any other exception exits 3
     - integers past CPython's 4300-digit str guard print in full
     - table rows equal the per-cell evaluation
+    - ladder rows equal the closed-form average and density
     - charpoly computes the characteristic polynomial once
     - the oracle cap flows through flags and the environment variable
 """
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from consets import aggregate, cli, recurrence
+from consets import aggregate, cli, ladder, recurrence
 from consets.cli import CSV_HEADER, format_decimal, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -191,6 +192,19 @@ def test_ladder_table(capsys):
     code, out, _ = run_cli(capsys, "ladder", "--n-max", "3", "--format", "csv")
     assert code == 0
     assert [line.split(",")[2] for line in out.strip().splitlines()[1:]] == ["3", "13", "40"]
+
+
+def test_ladder_rows_equal_closed_forms(capsys):
+    code, out, _ = run_cli(capsys, "ladder", "--n-max", "300", "--format", "csv")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 300
+    for n, row in enumerate(rows, start=1):
+        average, density = ladder.ladder_average(n), ladder.ladder_density(n)
+        assert row == ",".join(str(field) for field in (
+            2, n, ladder.ladder_count(n), ladder.ladder_total_order(n),
+            average.numerator, average.denominator, format_decimal(average),
+            density.numerator, density.denominator, format_decimal(density)))
 
 
 def test_ladder_requires_scope(capsys):

@@ -5,6 +5,7 @@ Claims covered:
     - Faddeev-LeVerrier characteristic polynomials match hand values
     - every layer matrix annihilates its own characteristic polynomial
     - Bareiss determinant agrees with the charpoly constant term
+    - polynomial products and x^e mod a monic polynomial are exact
     - Fraction construction always lands on the reduced canonical form
     - QuadInt powers are exact, conjugation pairs halve evenly
 """
@@ -14,7 +15,15 @@ from fractions import Fraction
 
 import pytest
 
-from consets.exactmath import SILVER_UNIT, IntMatrix, IntPolynomial, QuadInt, char_poly
+from consets.exactmath import (
+    SILVER_UNIT,
+    IntMatrix,
+    IntPolynomial,
+    QuadInt,
+    char_poly,
+    poly_mul,
+    x_power_mod,
+)
 from consets.layers import recurrence_matrix
 
 
@@ -83,10 +92,27 @@ def test_charpoly_identity_matrix():
     assert poly.coefficients == (-1, 3, -3, 1)  # (x-1)^3
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 11))
 def test_cayley_hamilton_exact(m):
     matrix = recurrence_matrix(m)
     assert char_poly(matrix).evaluate_matrix(matrix).is_zero
+
+
+def test_poly_mul():
+    assert poly_mul((1, 1), (1, 1)) == [1, 2, 1]
+    assert poly_mul((-1, 0, 3), (2, 5)) == [-2, -5, 6, 15]
+
+
+def test_x_power_mod_matches_repeated_shift():
+    rng = random.Random(7)
+    for degree in range(1, 7):
+        modulus = IntPolynomial([rng.randint(-9, 9) for _ in range(degree)] + [1])
+        reference = [1] + [0] * (degree - 1)  # x^0, then times x each step
+        for e in range(60):
+            assert x_power_mod(e, modulus) == reference, (degree, e)
+            top = reference[-1]
+            reference = [0, *reference[:-1]]
+            reference = [r - top * c for r, c in zip(reference, modulus.coefficients)]
 
 
 @pytest.mark.parametrize("m", range(2, 13))
