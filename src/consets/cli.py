@@ -16,9 +16,11 @@ charpoly
 ladder
     The two-layer closed forms at one n or for n = 1..n_max.
 
-Formats: plain (default), csv (fixed header), json (big integers as
-decimal strings).  Exact fractions are authoritative; decimal columns
-are renderings at --precision significant digits, round-half-even.
+compute, table and ladder take --format: plain (default), csv (fixed
+header), json (big integers as decimal strings).  Exact fractions are
+authoritative; decimal columns are renderings at --precision significant
+digits, round-half-even, which compute, table, ladder and verify --graph
+take.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3
 internal error (any other exception, reported on one stderr line).
@@ -172,6 +174,10 @@ def cmd_ladder(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.n_max is not None and not args.ladder:
+        raise ValueError("--n-max applies only with --ladder")
+    if args.m_max is not None and not args.charpoly:
+        raise ValueError("--m-max applies only with --charpoly")
     cap = oracle.resolve_cap(args.oracle_cap)
     checks: list[Check] = []
     scoped = False
@@ -211,15 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="consets",
         description="Exact counts, order sums, averages, and densities of "
                     "connected vertex sets of a complete-layer/path product graph.")
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=("plain", "csv", "json"),
-                        default="plain", help="output format (default plain)")
-    shared.add_argument("--precision", type=_positive_int, default=12,
-                        help="significant digits for decimal renderings (default 12)")
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("plain", "csv", "json"),
+                           default="plain", help="output format (default plain)")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--precision", type=_positive_int, default=12,
+                           help="significant digits for decimal renderings (default 12)")
+    rendered = [formatted, precision]
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_compute = commands.add_parser(
-        "compute", parents=[shared], help="one (m, n) cell")
+        "compute", parents=rendered, help="one (m, n) cell")
     p_compute.add_argument("--m", type=_positive_int, required=True,
                            help="layer size (complete-graph order)")
     p_compute.add_argument("--n", type=_positive_int, required=True,
@@ -227,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(func=cmd_compute)
 
     p_table = commands.add_parser(
-        "table", parents=[shared], help="cells n=1..n_max for a fixed m")
+        "table", parents=rendered, help="cells n=1..n_max for a fixed m")
     p_table.add_argument("--m", type=_positive_int, required=True)
     p_table.add_argument("--n-max", type=_positive_int, required=True)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = commands.add_parser(
-        "verify", parents=[shared],
+        "verify", parents=[precision],
         help="cross-validate formulas against the exhaustive census and "
              "each other (no flags: full desk-scale suite)")
     p_verify.add_argument("--m", type=_positive_int, help="cell to check against the census")
@@ -256,13 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_charpoly = commands.add_parser(
-        "charpoly", parents=[shared],
+        "charpoly",
         help="characteristic polynomial of the layer recurrence matrix")
     p_charpoly.add_argument("--m", type=_positive_int, required=True)
     p_charpoly.set_defaults(func=cmd_charpoly)
 
     p_ladder = commands.add_parser(
-        "ladder", parents=[shared], help="two-layer closed forms")
+        "ladder", parents=rendered, help="two-layer closed forms")
     p_ladder.add_argument("--n", type=_positive_int, help="single rung count")
     p_ladder.add_argument("--n-max", type=_positive_int,
                           help="table of rung counts 1..n_max (ignored if --n is given)")

@@ -64,9 +64,6 @@ class IntMatrix:
     def entry(self, i: int, j: int) -> int:
         return self._rows[i][j]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self._rows)
-
     def _check_order(self, other: IntMatrix) -> None:
         if self.order != other.order:
             raise ValueError(f"matrix orders differ: {self.order} vs {other.order}")
@@ -105,9 +102,6 @@ class IntMatrix:
             raise ValueError(f"vector length {len(vector)} does not match order {self.order}")
         return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._rows)
 
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(zip(*self._rows))
-
     def trace(self) -> int:
         return sum(row[i] for i, row in enumerate(self._rows))
 
@@ -137,10 +131,6 @@ class IntMatrix:
     def is_symmetric(self) -> bool:
         return all(self._rows[i][j] == self._rows[j][i]
                    for i in range(self.order) for j in range(i + 1, self.order))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(entry == 0 for row in self._rows for entry in row)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self._rows == other._rows
@@ -177,22 +167,6 @@ class IntPolynomial:
 
     def __getitem__(self, power: int) -> int:
         return self._coefficients[power]
-
-    def evaluate(self, x: int) -> int:
-        result = 0
-        for c in reversed(self._coefficients):
-            result = result * x + c
-        return result
-
-    def evaluate_matrix(self, matrix: IntMatrix) -> IntMatrix:
-        """Substitute a square matrix for the variable (Horner form)."""
-        if matrix.order != self.degree:
-            raise ValueError("matrix order must equal polynomial degree")
-        identity = IntMatrix.identity(matrix.order)
-        result = identity  # leading coefficient is 1
-        for c in reversed(self._coefficients[:-1]):
-            result = result @ matrix + identity.scale(c)
-        return result
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntPolynomial) and self._coefficients == other._coefficients

@@ -1,12 +1,13 @@
-"""Scalar linear recurrence for the per-horizon totals.
+"""Coefficient identities of the layer matrix's characteristic polynomial.
 
-The recurrence matrix satisfies its own characteristic polynomial, so the
-weighted totals obey an order-m linear recurrence whose coefficients are
-the (negated) polynomial coefficients.  That turns the O(k m^2) matrix
-path into an O(k m) stream.  The validator checks two claimed closed
-forms for the coefficients: the trace identity (against Fibonacci
-numbers) holds for every m, while the unit-constant-term claim is true
-only for m = 0, 3 (mod 4) and is reported honestly where it fails.
+With p(x) = x^m + c_m x^(m-1) + ... + c_1 the characteristic polynomial
+of the layer matrix, ``validate_coefficients`` checks two claimed closed
+forms for its coefficients against independent matrix-side quantities:
+the top coefficient (through the trace, against Fibonacci numbers) holds
+for every m, while the unit-constant-term claim is true only for
+m = 0, 3 (mod 4) and is reported honestly where it fails.  The engine
+uses p itself through ``aggregate.annihilator``; that p annihilates the
+per-horizon totals is checked by ``verify.stream_checks``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactmath import IntPolynomial, char_poly
-from .layers import profile_table, recurrence_matrix, weighted_sum
+from .layers import recurrence_matrix
 from .reporting import Check
 
 
@@ -76,46 +77,3 @@ def validate_coefficients(m: int) -> CoefficientReport:
               f"det {matrix.determinant()}, expected {(-1) ** m * constant}"),
     )
     return CoefficientReport(m=m, polynomial=polynomial, checks=checks)
-
-
-@dataclass(frozen=True, slots=True)
-class LinearRecurrence:
-    """Order-m integer recurrence with seed values for horizons 1..m.
-
-    value(k) = sum_j coefficients[j-1] * value(k-j) is guaranteed for
-    k >= m+1; the seed itself always comes from the matrix path.
-    """
-
-    m: int
-    coefficients: tuple[int, ...]
-    seed: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.m or len(self.seed) != self.m:
-            raise ValueError("coefficients and seed must both have length m")
-
-    def stream(self, k_max: int) -> list[int]:
-        """Totals for horizons 1..k_max."""
-        if k_max < 1:
-            raise ValueError("horizon must be at least 1")
-        values = list(self.seed[:k_max])
-        while len(values) < k_max:
-            values.append(sum(c * v for c, v in
-                              zip(self.coefficients, reversed(values[-self.m:]))))
-        return values
-
-
-def build_recurrence(m: int) -> LinearRecurrence:
-    """Recurrence coefficients from the characteristic polynomial, seed
-    from the first m count columns."""
-    if m < 1:
-        raise ValueError("layer size must be at least 1")
-    polynomial = char_poly(recurrence_matrix(m))
-    coefficients = tuple(-polynomial[m - j] for j in range(1, m + 1))
-    seed = tuple(weighted_sum(counts) for counts in profile_table(m, m))
-    return LinearRecurrence(m=m, coefficients=coefficients, seed=seed)
-
-
-def total_stream(m: int, k_max: int) -> list[int]:
-    """Totals for horizons 1..k_max via the scalar recurrence."""
-    return build_recurrence(m).stream(k_max)

@@ -13,14 +13,17 @@ from fractions import Fraction
 from itertools import islice
 
 from . import aggregate, ladder, oracle, recurrence
+from .exactmath import char_poly
 from .layers import (
+    column_stream,
     footprint_weights,
     profile_table,
+    recurrence_matrix,
     weighted_power_symmetric,
     weighted_profile_sum,
     weighted_sum,
 )
-from .orders import layer_order_sum_convolution, order_column_direct, order_table
+from .orders import layer_order_sum_convolution, order_column_direct
 from .reporting import Check
 
 #: Desk-scale cells for census-vs-formula equivalence: (m, largest n).
@@ -114,13 +117,24 @@ def charpoly_checks(m_max: int = 10) -> list[Check]:
 
 
 def stream_checks(m_max: int = 6, k_max: int = 200) -> list[Check]:
-    """Scalar recurrence stream against the matrix-path totals."""
+    """The characteristic polynomial p of the layer matrix annihilates the
+    matrix-path totals: sum_j p_j T(k-m+j) = 0 for every k = m+1..k_max.
+
+    By induction on k this is the scalar recurrence seeded with T(1..m)
+    reproducing T(1..k_max); a failure names the first horizon k where
+    the recurrence departs from the matrix path.
+    """
     checks = []
     for m in range(2, m_max + 1):
+        p = char_poly(recurrence_matrix(m)).coefficients
         totals = [weighted_sum(counts) for counts in profile_table(m, k_max)]
-        stream = recurrence.total_stream(m, k_max)
-        bad = [f"m={m} k={k}: stream {stream[k - 1]}, matrix {totals[k - 1]}"
-               for k in range(1, k_max + 1) if stream[k - 1] != totals[k - 1]]
+        bad = []
+        for k in range(m + 1, k_max + 1):
+            residual = sum(c * t for c, t in zip(p, totals[k - m - 1:k]))
+            if residual:
+                bad.append(f"m={m} k={k}: recurrence {totals[k - 1] - residual}, "
+                           f"matrix {totals[k - 1]}")
+                break
         checks.append(_swept("scalar recurrence vs matrix path",
                              f"m={m} k=1..{k_max}", bad))
     return checks
@@ -151,7 +165,7 @@ def order_path_checks(m_max: int = 5, k_max: int = 10) -> list[Check]:
     """Three-path agreement for the order sums."""
     checks = []
     for m in range(2, m_max + 1):
-        counts, orders = profile_table(m, k_max), order_table(m, k_max)
+        counts, orders = zip(*islice(column_stream(m), k_max))
         direct_bad, conv_bad = [], []
         for k in range(1, k_max + 1):
             recursive = orders[k - 1]

@@ -9,6 +9,8 @@ Claims covered:
     - a deep cell holds O(m) integers, not every column
     - the recurrence jump equals the stream, on both sides of the engine
       crossover, and its annihilator holds on the streamed sums
+    - the package exports exactly the engine, ladder, census and
+      polynomial names, and each of them resolves
 """
 
 import tracemalloc
@@ -17,6 +19,7 @@ from itertools import islice
 
 import pytest
 
+import consets
 from consets.aggregate import (
     STREAM_MAX_PER_LAYER,
     ProductResult,
@@ -156,3 +159,17 @@ def test_jump_domain_errors():
         jump_sums(3, 0)
     with pytest.raises(ValueError):
         jump_sums(0, 3)
+
+
+def test_public_surface():
+    assert sorted(consets.__all__) == sorted([
+        "evaluate", "ProductResult", "count_connected_sets", "total_order",
+        "average_order", "density", "cell_stream",
+        "ladder_count", "ladder_total_order", "ladder_average", "ladder_density",
+        "census", "complete_path_product", "parse_edge_list", "SimpleGraph",
+        "CensusReport", "CapExceededError",
+        "char_poly", "recurrence_matrix", "validate_coefficients",
+    ])
+    assert len(consets.__all__) == 20
+    for name in consets.__all__:
+        assert getattr(consets, name) is not None, name

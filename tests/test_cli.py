@@ -10,7 +10,8 @@ Claims covered:
     - integers past CPython's 4300-digit str guard print in full
     - table rows equal the per-cell evaluation
     - ladder rows equal the closed-form average and density
-    - charpoly computes the characteristic polynomial once
+    - charpoly computes the characteristic polynomial once and takes no
+      rendering options; verify takes --precision but not --format
     - the oracle cap flows through flags and the environment variable
 """
 
@@ -173,6 +174,16 @@ def test_charpoly_computes_polynomial_once(monkeypatch, capsys):
         "1 of 4 checks FAILED\n")
 
 
+def test_charpoly_and_verify_refuse_unread_options(capsys):
+    for argv in (["charpoly", "--m", "3", "--format", "csv"],
+                 ["charpoly", "--m", "3", "--precision", "5"],
+                 ["verify", "--format", "json"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2, argv
+    capsys.readouterr()
+
+
 def test_charpoly_reports_false_claim(capsys):
     # the claimed unit constant term is false at m=5; exit must be honest
     code, out, _ = run_cli(capsys, "charpoly", "--m", "5")
@@ -226,6 +237,20 @@ def test_verify_cell_needs_both_coordinates(capsys):
     code, _, err = run_cli(capsys, "verify", "--m", "3")
     assert code == 2
     assert "both --m and --n" in err
+
+
+def test_verify_m_max_needs_charpoly(capsys):
+    code, out, err = run_cli(capsys, "verify", "--m-max", "3")
+    assert code == 2
+    assert out == ""
+    assert "--m-max applies only with --charpoly" in err
+
+
+def test_verify_n_max_needs_ladder(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n-max", "5")
+    assert code == 2
+    assert out == ""
+    assert "--n-max applies only with --ladder" in err
 
 
 def test_verify_ladder_scope(capsys):

@@ -1,24 +1,36 @@
-"""Scalar recurrence fast path and the coefficient identities.
+"""The characteristic polynomial as a recurrence, and the coefficient identities.
 
 Claims covered:
     - the Fibonacci helper iterates the defining recurrence
-    - recurrence coefficients and seeds reproduce the matrix-path totals,
-      far past the seed and at the k = m boundary (horizon-0 total := 1)
+    - the characteristic polynomial p annihilates the column-stream totals,
+      far past the first m horizons and at the seed boundary (horizon-0
+      total := 1); verify.stream_checks passes on the true totals and
+      names the first corrupted horizon otherwise
     - the trace identity holds for every checked layer size
     - the constant-coefficient validator passes exactly where the claimed
       identity is true (m = 0, 3 mod 4) and flags it where it is false
 """
 
+from itertools import islice
+
 import pytest
 
-from consets.layers import profile_table, weighted_sum
-from consets.recurrence import (
-    LinearRecurrence,
-    build_recurrence,
-    fibonacci,
-    total_stream,
-    validate_coefficients,
-)
+from consets import verify
+from consets.exactmath import char_poly
+from consets.layers import column_stream, profile_table, recurrence_matrix, weighted_sum
+from consets.recurrence import fibonacci, validate_coefficients
+
+
+def totals(m, k_max):
+    """T(1..k_max), the weighted count columns of the stream."""
+    return [weighted_sum(counts) for counts, _ in islice(column_stream(m), k_max)]
+
+
+def annihilates(m, values):
+    """sum_j p_j values[i+j] == 0 for every window of m+1 values."""
+    p = char_poly(recurrence_matrix(m)).coefficients
+    return all(sum(c * v for c, v in zip(p, values[i:i + m + 1])) == 0
+               for i in range(len(values) - m))
 
 
 def test_fibonacci_values():
@@ -31,46 +43,55 @@ def test_fibonacci_values():
 
 
 def test_two_layer_recurrence_shape():
-    rec = build_recurrence(2)
-    assert rec.coefficients == (2, 1)
-    assert rec.seed == (3, 7)
-    assert rec.stream(6) == [3, 7, 17, 41, 99, 239]
+    assert char_poly(recurrence_matrix(2)).coefficients == (-1, -2, 1)
+    assert totals(2, 6) == [3, 7, 17, 41, 99, 239]
+    assert annihilates(2, totals(2, 6))
 
 
 def test_single_layer_recurrence_is_constant():
-    rec = build_recurrence(1)
-    assert rec.coefficients == (1,)
-    assert rec.stream(5) == [1, 1, 1, 1, 1]
+    assert char_poly(recurrence_matrix(1)).coefficients == (-1, 1)
+    assert totals(1, 5) == [1, 1, 1, 1, 1]
 
 
 def test_three_layer_recurrence_step():
-    rec = build_recurrence(3)
-    assert rec.coefficients == (5, 3, -1)
-    assert rec.stream(4) == [7, 37, 205, 1129]
+    assert char_poly(recurrence_matrix(3)).coefficients == (1, -3, -5, 1)
+    assert totals(3, 4) == [7, 37, 205, 1129]
     assert 1129 == 5 * 205 + 3 * 37 - 7
 
 
 def test_stream_prefix_shorter_than_seed():
-    assert build_recurrence(4).stream(2) == [weighted_sum(c) for c in profile_table(4, 2)]
+    # with k_max <= m there is no window to check, so every suite passes;
+    # a horizon below 1 is refused by the matrix path
+    assert all(check.ok for check in verify.stream_checks(4, 2))
     with pytest.raises(ValueError):
-        LinearRecurrence(m=1, coefficients=(1,), seed=(1,)).stream(0)
+        verify.stream_checks(2, 0)
 
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_stream_matches_matrix_path(m):
-    k_max = 60
-    assert total_stream(m, k_max) == [weighted_sum(c) for c in profile_table(m, k_max)]
+    checks = verify.stream_checks(m, 60)
+    assert [check.where for check in checks] == [f"m={j} k=1..60" for j in range(2, m + 1)]
+    assert all(check.ok for check in checks)
+
+
+def test_stream_check_names_first_corrupted_horizon(monkeypatch):
+    def corrupted(m, k_max):
+        columns = profile_table(m, k_max)
+        columns[39] = (columns[39][0] + 1, *columns[39][1:])
+        return columns
+
+    monkeypatch.setattr(verify, "profile_table", corrupted)
+    checks = verify.stream_checks(4, 60)
+    assert not any(check.ok for check in checks)
+    for m, check in enumerate(checks, start=2):
+        assert check.detail.startswith(f"m={m} k=40: ")
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_recurrence_also_holds_at_seed_boundary(m):
-    # guaranteed only for k >= m+1; observed to hold at k = m as well once
-    # the horizon-0 total is taken to be 1
-    rec = build_recurrence(m)
-    totals = [weighted_sum(c) for c in profile_table(m, m)]
-    extended = [1] + totals[:-1]
-    predicted = sum(c * v for c, v in zip(rec.coefficients, reversed(extended)))
-    assert predicted == totals[-1]
+    # guaranteed only from the window T(1..m+1) on; observed to hold for
+    # the window (1, T(1), ..., T(m)) as well, with the horizon-0 total 1
+    assert annihilates(m, [1, *totals(m, m)])
 
 
 # -- coefficient identities ----------------------------------------------------
