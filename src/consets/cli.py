@@ -44,9 +44,10 @@ from .recurrence import validate_coefficients
 from .reporting import Check
 
 CSV_HEADER = "m,n,N,S,A_num,A_den,A_dec,D_num,D_den,D_dec"
+DEFAULT_PRECISION = 12
 
 
-def format_decimal(value: Fraction, precision: int = 12) -> str:
+def format_decimal(value: Fraction, precision: int = DEFAULT_PRECISION) -> str:
     """Decimal rendering at the given significant digits, round-half-even."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
@@ -75,9 +76,12 @@ class OutputRecord:
 
     @classmethod
     def from_ladder(cls, n: int) -> OutputRecord:
-        average = ladder.ladder_average(n)
-        return cls(m=2, n=n, count=ladder.ladder_count(n),
-                   total=ladder.ladder_total_order(n),
+        return cls.from_ladder_row(n, *ladder.ladder_row(n))
+
+    @classmethod
+    def from_ladder_row(cls, n: int, count: int, total: int,
+                        average: Fraction) -> OutputRecord:
+        return cls(m=2, n=n, count=count, total=total,
                    average=average, density=average / (2 * n))
 
     def csv_row(self, precision: int) -> str:
@@ -168,7 +172,8 @@ def cmd_ladder(args: argparse.Namespace) -> int:
     if args.n is not None:
         records = [OutputRecord.from_ladder(args.n)]
     else:
-        records = [OutputRecord.from_ladder(n) for n in range(1, args.n_max + 1)]
+        records = [OutputRecord.from_ladder_row(n, *row)
+                   for n, row in zip(range(1, args.n_max + 1), ladder.row_stream())]
     emit_records(records, args.format, args.precision, single=args.n is not None)
     return 0
 
@@ -178,6 +183,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--n-max applies only with --ladder")
     if args.m_max is not None and not args.charpoly:
         raise ValueError("--m-max applies only with --charpoly")
+    if args.precision is not None and args.graph is None:
+        raise ValueError("--precision applies only with --graph")
     cap = oracle.resolve_cap(args.oracle_cap)
     checks: list[Check] = []
     scoped = False
@@ -201,11 +208,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         scoped = True
         graph = oracle.parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
         graph_checks, report = verify.graph_file_checks(graph, cap)
+        precision = DEFAULT_PRECISION if args.precision is None else args.precision
         sizes = " ".join(f"{t}:{c}" for t, c in enumerate(report.size_counts, start=1) if c)
         print(f"census of {args.graph}: sizes {{{sizes}}}")
         print(f"N={report.count} S={report.total_order} "
-              f"A={report.average} (~{format_decimal(report.average, args.precision)}) "
-              f"D={report.density} (~{format_decimal(report.density, args.precision)})")
+              f"A={report.average} (~{format_decimal(report.average, precision)}) "
+              f"D={report.density} (~{format_decimal(report.density, precision)})")
         checks.extend(graph_checks)
     if not scoped:
         checks = verify.full_suite(cap)
@@ -221,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     formatted.add_argument("--format", choices=("plain", "csv", "json"),
                            default="plain", help="output format (default plain)")
     precision = argparse.ArgumentParser(add_help=False)
-    precision.add_argument("--precision", type=_positive_int, default=12,
-                           help="significant digits for decimal renderings (default 12)")
+    precision.add_argument("--precision", type=_positive_int, default=DEFAULT_PRECISION,
+                           help=f"significant digits for decimal renderings "
+                                f"(default {DEFAULT_PRECISION})")
     rendered = [formatted, precision]
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -241,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_verify = commands.add_parser(
-        "verify", parents=[precision],
+        "verify",
         help="cross-validate formulas against the exhaustive census and "
              "each other (no flags: full desk-scale suite)")
     p_verify.add_argument("--m", type=_positive_int, help="cell to check against the census")
@@ -257,10 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--graph", metavar="FILE",
                           help="edge-list file ('u v' per line, 0-based) to census "
                                "with both connectivity checkers")
+    p_verify.add_argument("--precision", type=_positive_int,
+                          help=f"significant digits for the --graph decimals "
+                               f"(default {DEFAULT_PRECISION})")
     p_verify.add_argument("--oracle-cap", type=int, default=None,
                           help=f"enumeration cap on vertices (default "
-                               f"{oracle.DEFAULT_CAP}, ceiling {oracle.MAX_CAP}; "
-                               f"also via {oracle.CAP_ENV_VAR})")
+                               f"{oracle.DEFAULT_CAP}, ceiling {oracle.MAX_CAP})")
     p_verify.set_defaults(func=cmd_verify)
 
     p_charpoly = commands.add_parser(

@@ -3,151 +3,136 @@
 With layers of size two, the per-horizon totals are the half-companion
 Pell numbers 1, 1, 3, 7, 17, 41, ... and the single-vertex-footprint
 counts are the Pell numbers 0, 1, 2, 5, 12, ...; both satisfy
-x(k) = 2 x(k-1) + x(k-2).  Everything downstream (counts, averages,
+x(k) = 2 x(k-1) + x(k-2).  Both are read off one power of the unit
+u = 1 + sqrt(2): u^k = H(k) + P(k)·sqrt(2), with H the half-companion
+and P the Pell sequence.  Everything downstream (counts, averages,
 densities, and the published ladder formula they must match) reduces to
-those two sequences.  The sqrt(2) closed forms are realized exactly
-through QuadInt, never through floating point.
+the pair (H(n), P(n)): the shifted terms come by additions, since
+u^(k+1) = (H + 2P) + (H + P)·sqrt(2).
+
+A single n takes one power, O(log n) products, through QuadInt (exact,
+never floating point); ``row_stream`` walks the powers by additions
+only.  Both feed the same closed-form evaluator, and nothing is cached.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from typing import Iterator
 
 from .exactmath import SILVER_UNIT
 from .reporting import Check
 
 
-class PellPair:
-    """Cached Pell and half-companion Pell sequences, grown append-only.
-
-    ``pell(k)`` is 0, 1, 2, 5, 12, ... and ``half_companion(k)`` is
-    1, 1, 3, 7, 17, ...; the half-companion index is offset so that the
-    k-layer total equals half_companion(k+1), which also pins the index-0
-    value (run the recurrence backwards: 7 - 2*3 = 1).
-    """
-
-    def __init__(self):
-        self._pell = [0, 1]
-        self._half = [1, 1]
-        self._lock = threading.Lock()
-
-    def _extend(self, values: list[int], k: int) -> None:
-        with self._lock:
-            while len(values) <= k:
-                values.append(2 * values[-1] + values[-2])
-
-    def pell(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("index must be non-negative")
-        if k >= len(self._pell):
-            self._extend(self._pell, k)
-        return self._pell[k]
-
-    def half_companion(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("index must be non-negative")
-        if k >= len(self._half):
-            self._extend(self._half, k)
-        return self._half[k]
-
-
-_SHARED = PellPair()
+def _unit_power(k: int) -> tuple[int, int]:
+    """(H(k), P(k)), the rational and sqrt(2) parts of (1 + sqrt(2))^k;
+    a negative k raises ValueError."""
+    power = SILVER_UNIT ** k
+    return power.a, power.b
 
 
 def pell(k: int) -> int:
     """k-th Pell number; equals the single-vertex-footprint count at horizon k."""
-    return _SHARED.pell(k)
+    return _unit_power(k)[1]
 
 
 def half_companion(k: int) -> int:
     """k-th half-companion Pell number (1, 1, 3, 7, 17, ...)."""
-    return _SHARED.half_companion(k)
+    return _unit_power(k)[0]
 
 
 def layer_total(k: int) -> int:
-    """Two-layer-case total at horizon k, i.e. half_companion(k+1).
+    """Two-layer-case total at horizon k, i.e. half_companion(k+1) = H(k) + 2 P(k).
 
     Index 0 is the backwards extension (value 1), which the recurrence,
     the prefix-sum identities, and the published ladder formula all need.
     """
-    if k < 0:
-        raise ValueError("horizon must be non-negative")
-    return _SHARED.half_companion(k + 1)
+    h, p = _unit_power(k)
+    return h + 2 * p
 
 
-def layer_total_closed_form(k: int) -> int:
-    """Horizon-k total from the sqrt(2) closed form.
-
-    The total is half the sum of the two conjugate (1 +- sqrt(2))^(k+1);
-    the sum is twice the rational part, so the division by two is exact.
-    The parity is asserted anyway so a broken power would surface loudly.
-    """
-    if k < 1:
-        raise ValueError("horizon must be at least 1")
-    power = SILVER_UNIT ** (k + 1)
-    paired = power + power.conjugate()
-    if paired.b != 0 or paired.a % 2 != 0:
-        raise ArithmeticError("conjugate pairing lost exactness")
-    return paired.a // 2
-
-
-def pell_closed_form(k: int) -> int:
-    """k-th Pell number as the sqrt(2) part of (1 + sqrt(2))^k."""
-    if k < 0:
-        raise ValueError("index must be non-negative")
-    return (SILVER_UNIT ** k).b
-
-
-def ladder_count(n: int) -> int:
-    """Number of connected sets of the n-rung ladder:
-    (layer_total(n+2) - 4n - 7) / 2, with the divisibility asserted."""
+def _check_rungs(n: int) -> None:
     if n < 1:
         raise ValueError("rung count must be at least 1")
-    numerator = layer_total(n + 2) - 4 * n - 7
+
+
+def _count_numerator(n: int, h: int, p: int) -> int:
+    """Twice the count: layer_total(n+2) - 4n - 7, with
+    layer_total(n+2) = H(n+3) = 7H + 10P."""
+    return 7 * h + 10 * p - 4 * n - 7
+
+
+def _order_numerator(n: int, h: int, p: int) -> int:
+    """Four times the order sum: (21n - 32) layer_total(n) + (19 - 12n) P(n) + 10n + 32."""
+    return (21 * n - 32) * (h + 2 * p) + (19 - 12 * n) * p + 10 * n + 32
+
+
+def _count(n: int, numerator: int) -> int:
     if numerator % 2 != 0:
         raise ArithmeticError(f"count numerator odd at n={n}")
     return numerator // 2
 
 
-def _average_numerator(n: int) -> int:
-    return ((21 * n - 32) * layer_total(n)
-            + (19 - 12 * n) * pell(n)
-            + 10 * n + 32)
-
-
-def ladder_total_order(n: int) -> int:
-    """Sum of the orders of all connected sets of the n-rung ladder."""
-    if n < 1:
-        raise ValueError("rung count must be at least 1")
-    numerator = _average_numerator(n)
+def _order_sum(n: int, numerator: int) -> int:
     if numerator % 4 != 0:
         raise ArithmeticError(f"order-sum numerator not divisible by 4 at n={n}")
     return numerator // 4
 
 
-def ladder_average(n: int) -> Fraction:
-    """Average order of a connected set of the n-rung ladder, exact.
+def _row(n: int, h: int, p: int) -> tuple[int, int, Fraction]:
+    """(count, order sum, average) of the n-rung ladder from (H(n), P(n)).
 
-    The denominator is read as 2*(layer_total(n+2) - 4n - 7), i.e. four
+    The average's denominator is 2*(layer_total(n+2) - 4n - 7), i.e. four
     times the count, which is what the numerator (four times the order
     sum) requires.
     """
-    if n < 1:
-        raise ValueError("rung count must be at least 1")
-    return Fraction(_average_numerator(n),
-                    2 * (layer_total(n + 2) - 4 * n - 7))
+    count_numerator = _count_numerator(n, h, p)
+    order_numerator = _order_numerator(n, h, p)
+    return (_count(n, count_numerator), _order_sum(n, order_numerator),
+            Fraction(order_numerator, 2 * count_numerator))
+
+
+def ladder_row(n: int) -> tuple[int, int, Fraction]:
+    """(count, order sum, average) of the n-rung ladder from one power of u."""
+    _check_rungs(n)
+    return _row(n, *_unit_power(n))
+
+
+def row_stream() -> Iterator[tuple[int, int, Fraction]]:
+    """``ladder_row(n)`` for n = 1, 2, ..., stepping u^n -> u^(n+1) by additions."""
+    n, h, p = 1, 1, 1
+    while True:
+        yield _row(n, h, p)
+        n, h, p = n + 1, h + 2 * p, h + p
+
+
+def ladder_count(n: int) -> int:
+    """Number of connected sets of the n-rung ladder:
+    (layer_total(n+2) - 4n - 7) / 2, with the divisibility asserted."""
+    _check_rungs(n)
+    return _count(n, _count_numerator(n, *_unit_power(n)))
+
+
+def ladder_total_order(n: int) -> int:
+    """Sum of the orders of all connected sets of the n-rung ladder."""
+    _check_rungs(n)
+    return _order_sum(n, _order_numerator(n, *_unit_power(n)))
+
+
+def ladder_average(n: int) -> Fraction:
+    """Average order of a connected set of the n-rung ladder, exact."""
+    return ladder_row(n)[2]
 
 
 def vince_average(n: int) -> Fraction:
     """Average order via the independently published ladder formula,
-    stated over the Pell and half-companion Pell sequences directly."""
-    if n < 1:
-        raise ValueError("rung count must be at least 1")
-    beta = half_companion
-    numerator = (32 - 45 * pell(n) - 32 * beta(n)
-                 + n * (10 + 21 * beta(n) + 30 * pell(n)))
-    return Fraction(numerator, 2 * (beta(n + 3) - 4 * n - 7))
+    stated over the Pell and half-companion Pell sequences directly:
+    beta(n) = H, pell(n) = P and beta(n+3) = 7H + 10P."""
+    _check_rungs(n)
+    beta, pell_n = _unit_power(n)
+    numerator = (32 - 45 * pell_n - 32 * beta
+                 + n * (10 + 21 * beta + 30 * pell_n))
+    return Fraction(numerator, 2 * (7 * beta + 10 * pell_n - 4 * n - 7))
 
 
 def ladder_density(n: int) -> Fraction:
@@ -158,18 +143,25 @@ def ladder_density(n: int) -> Fraction:
 def ladder_sum_identities(n: int) -> tuple[Check, ...]:
     """Check the five prefix-sum closed forms against direct summation.
 
-    Each comparison is cross-multiplied so a failing identity reports the
+    Every P and H value comes from one walk of u^k, k = 0..n+3.  Each
+    comparison is cross-multiplied so a failing identity reports the
     two integers instead of raising on a non-exact halving.  The closed
     form for the plain Pell-tail sum uses layer_total(n+2); the version
     with index n+3 fails direct summation already at n=1 (5 vs 17).
     """
-    if n < 1:
-        raise ValueError("rung count must be at least 1")
+    _check_rungs(n)
     where = f"n={n}"
-    totals = [layer_total(k) for k in range(1, n + 4)]
+    halves, pells = [1], [0]
+    for _ in range(n + 3):
+        h, p = halves[-1], pells[-1]
+        halves.append(h + 2 * p)
+        pells.append(h + p)
 
     def total(k: int) -> int:
-        return totals[k - 1]
+        return halves[k + 1]
+
+    def pell(k: int) -> int:
+        return pells[k]
 
     sum_totals = sum(total(k) for k in range(1, n + 1))
     sum_k_totals = sum(k * total(k) for k in range(1, n + 1))

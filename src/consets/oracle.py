@@ -12,14 +12,12 @@ The 2^v cost is guarded by an enumeration cap: 22 vertices by default
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 DEFAULT_CAP = 22
 MAX_CAP = 26
-CAP_ENV_VAR = "CONSETS_ORACLE_CAP"
 
 
 class CapExceededError(ValueError):
@@ -27,15 +25,8 @@ class CapExceededError(ValueError):
 
 
 def resolve_cap(cap: int | None = None) -> int:
-    """Effective enumeration cap: explicit argument, else the environment
-    variable, else the default.  Values outside 1..26 are refused."""
-    if cap is None:
-        raw = os.environ.get(CAP_ENV_VAR)
-        if raw is not None:
-            try:
-                cap = int(raw)
-            except ValueError:
-                raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+    """Effective enumeration cap: the argument, else the default.
+    Values outside 1..26 are refused."""
     if cap is None:
         return DEFAULT_CAP
     if not 1 <= cap <= MAX_CAP:
@@ -48,7 +39,7 @@ def _check_cap(vertex_count: int, cap: int | None) -> None:
     if vertex_count > cap:
         raise CapExceededError(
             f"graph has {vertex_count} vertices; enumeration cap is {cap} "
-            f"(raise it with --oracle-cap or {CAP_ENV_VAR}, ceiling {MAX_CAP})")
+            f"(raise it with --oracle-cap or the cap argument, ceiling {MAX_CAP})")
 
 
 class SimpleGraph:
@@ -175,18 +166,6 @@ def _connected_union_find(adjacency: tuple[int, ...], mask: int) -> bool:
 
 
 _CHECKERS = {"flood": _connected_flood, "union-find": _connected_union_find}
-
-
-def subset_connected(graph: SimpleGraph, mask: int, connectivity: str = "flood") -> bool:
-    """Whether the subgraph induced by the bitmask subset is connected.
-
-    The empty set is rejected rather than given a convention.
-    """
-    if mask == 0:
-        raise ValueError("subset must be nonempty")
-    if mask >> graph.vertex_count:
-        raise ValueError("subset mask has bits outside the vertex range")
-    return _CHECKERS[connectivity](graph.adjacency, mask)
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,14 +16,18 @@ than weakened.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from consets import recurrence, verify
 from consets.exactmath import char_poly
 from consets.layers import recurrence_matrix
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _criterion(number: int, description: str, ok: bool, elapsed: float,
@@ -117,11 +121,14 @@ def test_criterion_8_summation_identities():
 
 
 def test_criterion_9_performance_floor():
+    # the child finds the source tree even when consets is not installed
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     start = time.perf_counter()
     completed = subprocess.run(
         [sys.executable, "-m", "consets.cli", "compute",
          "--m", "6", "--n", "1000", "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     elapsed = time.perf_counter() - start
     record = json.loads(completed.stdout) if completed.returncode == 0 else {}
     exact = (completed.returncode == 0

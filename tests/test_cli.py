@@ -12,7 +12,7 @@ Claims covered:
     - ladder rows equal the closed-form average and density
     - charpoly computes the characteristic polynomial once and takes no
       rendering options; verify takes --precision but not --format
-    - the oracle cap flows through flags and the environment variable
+    - the oracle cap is set by --oracle-cap alone; the environment is not read
 """
 
 import json
@@ -276,6 +276,18 @@ def test_verify_graph_file(tmp_path, capsys):
     assert "connectivity checkers agree" in out
 
 
+def test_verify_precision_needs_graph(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", "--precision", "5")
+    assert code == 2
+    assert out == ""
+    assert "--precision applies only with --graph" in err
+    path = tmp_path / "square.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", "--graph", str(path), "--precision", "3")
+    assert code == 0
+    assert "A=28/13 (~2.15)" in out
+
+
 def test_verify_missing_graph_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--graph", str(tmp_path / "missing.txt"))
     assert code == 2
@@ -304,14 +316,15 @@ def test_verify_oracle_cap_flag(capsys):
     assert code == 2
 
 
-def test_verify_oracle_cap_env(monkeypatch, capsys):
+def test_verify_oracle_cap_ignores_environment(monkeypatch, capsys):
+    # --oracle-cap is the only knob; the environment is not read
     monkeypatch.setenv("CONSETS_ORACLE_CAP", "5")
-    code, _, err = run_cli(capsys, "verify", "--m", "3", "--n", "2")
-    assert code == 2
-    assert "CONSETS_ORACLE_CAP" in err
-    # explicit flag wins over the environment
-    code, out, _ = run_cli(capsys, "verify", "--m", "3", "--n", "2", "--oracle-cap", "10")
+    code, _, _ = run_cli(capsys, "verify", "--m", "3", "--n", "2")
     assert code == 0
+    code, _, err = run_cli(capsys, "verify", "--m", "3", "--n", "2", "--oracle-cap", "5")
+    assert code == 2
+    assert "--oracle-cap" in err
+    assert "CONSETS_ORACLE_CAP" not in err
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

@@ -1,18 +1,22 @@
 """Two-layer closed forms: Pell sequences, counts, averages, identities.
 
 Claims covered:
-    - the cached sequences satisfy their defining recurrences and anchors
-    - sqrt(2) closed forms reproduce the recurrences exactly
+    - the sequences read off powers of 1 + sqrt(2) satisfy their defining
+      recurrences and anchors
+    - the closed forms hold no growing state (tracemalloc peak)
     - count/average/density closed forms match the general-m machinery
     - the independently published ladder average gives the same fractions
     - the five prefix-sum identities hold against direct summation
-    - the count numerator is always even (the halving is exact)
+    - the count numerator is always even (the halving is exact), and an
+      inexact halving or quartering raises
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from consets import ladder
 from consets.aggregate import average_order, count_connected_sets, density, total_order
 from consets.ladder import (
     half_companion,
@@ -21,10 +25,9 @@ from consets.ladder import (
     ladder_density,
     ladder_sum_identities,
     ladder_total_order,
+    ladder_row,
     layer_total,
-    layer_total_closed_form,
     pell,
-    pell_closed_form,
     vince_average,
 )
 from consets.layers import weighted_sum
@@ -40,9 +43,22 @@ def test_sequence_anchors():
 
 
 def test_sequences_satisfy_recurrence():
-    for k in range(2, 120):
+    for k in range(2, 201):
         assert pell(k) == 2 * pell(k - 1) + pell(k - 2)
         assert half_companion(k) == 2 * half_companion(k - 1) + half_companion(k - 2)
+
+
+def test_powers_match_recurrence_from_seeds():
+    # the sequences built here by P(k) = 2P(k-1) + P(k-2) from their seeds
+    pells, halves = [0, 1], [1, 1]
+    while len(pells) <= 200:
+        pells.append(2 * pells[-1] + pells[-2])
+        halves.append(2 * halves[-1] + halves[-2])
+    for k in range(201):
+        assert pell(k) == pells[k]
+        assert half_companion(k) == halves[k]
+    for k in range(200):
+        assert layer_total(k) == halves[k + 1]
 
 
 def test_total_splits_into_previous_total_plus_two_pell():
@@ -50,29 +66,13 @@ def test_total_splits_into_previous_total_plus_two_pell():
         assert layer_total(k) == layer_total(k - 1) + 2 * pell(k)
 
 
-def test_closed_forms_match_recurrences():
-    for k in range(1, 201):
-        assert layer_total_closed_form(k) == layer_total(k)
-        assert pell_closed_form(k) == pell(k)
-    assert pell_closed_form(0) == 0
-
-
-def test_closed_form_examples():
-    assert layer_total_closed_form(1) == 3
-    assert layer_total_closed_form(2) == 7
-    assert layer_total_closed_form(6) == 239
-    assert pell_closed_form(1) == 1
-    assert pell_closed_form(2) == 2
-    assert pell_closed_form(5) == 29
-
-
 def test_negative_indices_rejected():
     with pytest.raises(ValueError):
         pell(-1)
     with pytest.raises(ValueError):
-        layer_total(-1)
+        half_companion(-1)
     with pytest.raises(ValueError):
-        layer_total_closed_form(0)
+        layer_total(-1)
 
 
 # -- counts, averages, densities -------------------------------------------------
@@ -124,11 +124,33 @@ def test_closed_forms_match_general_machinery():
         assert ladder_density(n) == density(2, n)
 
 
+def test_average_holds_no_growing_state():
+    # one power of 1 + sqrt(2) and nothing kept, so memory stays O(n) bits
+    tracemalloc.start()
+    try:
+        average = ladder_average(20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+    assert average == average_order(2, 20000)
+
+
+def test_inexact_numerators_raise():
+    # (H, P) pairs off the sequence make the halving or the quartering inexact
+    with pytest.raises(ArithmeticError, match="count numerator odd at n=1"):
+        ladder._row(1, 2, 1)
+    with pytest.raises(ArithmeticError, match="not divisible by 4 at n=1"):
+        ladder._row(1, 3, 0)
+
+
 def test_rung_count_domain():
     with pytest.raises(ValueError):
         ladder_count(0)
     with pytest.raises(ValueError):
         ladder_average(0)
+    with pytest.raises(ValueError):
+        ladder_row(0)
 
 
 # -- summation identities ---------------------------------------------------------

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from consets.oracle import (
+    _CHECKERS,
     CapExceededError,
     SimpleGraph,
     census,
@@ -23,7 +24,6 @@ from consets.oracle import (
     parse_edge_list,
     resolve_cap,
     span_census,
-    subset_connected,
 )
 
 
@@ -100,6 +100,7 @@ def test_census_checkers_agree_on_structured_graphs():
 
 def test_connectivity_checkers_agree_on_random_subsets():
     rng = random.Random(424242)
+    flood, union_find = _CHECKERS["flood"], _CHECKERS["union-find"]
     for _ in range(10):
         v = rng.randint(6, 12)
         edges = [(i, j) for i in range(v) for j in range(i + 1, v)
@@ -107,16 +108,7 @@ def test_connectivity_checkers_agree_on_random_subsets():
         graph = SimpleGraph(v, edges)
         for _ in range(100):
             mask = rng.randint(1, (1 << v) - 1)
-            assert (subset_connected(graph, mask, "flood")
-                    == subset_connected(graph, mask, "union-find"))
-
-
-def test_subset_connected_input_validation():
-    graph = complete_path_product(2, 2).graph
-    with pytest.raises(ValueError, match="nonempty"):
-        subset_connected(graph, 0)
-    with pytest.raises(ValueError, match="outside"):
-        subset_connected(graph, 1 << 10)
+            assert flood(graph.adjacency, mask) == union_find(graph.adjacency, mask)
 
 
 def test_census_deterministic_under_relabeling():
@@ -200,16 +192,6 @@ def test_resolve_cap_bounds():
         resolve_cap(0)
     with pytest.raises(ValueError):
         resolve_cap(27)
-
-
-def test_resolve_cap_env_var(monkeypatch):
-    monkeypatch.setenv("CONSETS_ORACLE_CAP", "8")
-    assert resolve_cap(None) == 8
-    with pytest.raises(CapExceededError):
-        complete_path_product(3, 3)
-    monkeypatch.setenv("CONSETS_ORACLE_CAP", "not-a-number")
-    with pytest.raises(ValueError, match="integer"):
-        resolve_cap(None)
 
 
 # -- edge-list parsing -----------------------------------------------------------------
