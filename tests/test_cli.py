@@ -316,7 +316,7 @@ def test_verify_oracle_cap_flag(capsys):
     assert code == 2
 
 
-def test_verify_oracle_cap_ignores_environment(monkeypatch, capsys):
+def test_verify_oracle_cap_env(monkeypatch, capsys):
     # --oracle-cap is the only knob; the environment is not read
     monkeypatch.setenv("CONSETS_ORACLE_CAP", "5")
     code, _, _ = run_cli(capsys, "verify", "--m", "3", "--n", "2")

@@ -48,7 +48,7 @@ def test_sequences_satisfy_recurrence():
         assert half_companion(k) == 2 * half_companion(k - 1) + half_companion(k - 2)
 
 
-def test_powers_match_recurrence_from_seeds():
+def test_closed_forms_match_recurrences():
     # the sequences built here by P(k) = 2P(k-1) + P(k-2) from their seeds
     pells, halves = [0, 1], [1, 1]
     while len(pells) <= 200:
@@ -59,6 +59,16 @@ def test_powers_match_recurrence_from_seeds():
         assert half_companion(k) == halves[k]
     for k in range(200):
         assert layer_total(k) == halves[k + 1]
+
+
+def test_closed_form_examples():
+    # values read off powers of 1 + sqrt(2)
+    assert layer_total(1) == 3
+    assert layer_total(2) == 7
+    assert layer_total(6) == 239
+    assert pell(1) == 1
+    assert pell(2) == 2
+    assert pell(5) == 29
 
 
 def test_total_splits_into_previous_total_plus_two_pell():

@@ -194,6 +194,16 @@ def test_resolve_cap_bounds():
         resolve_cap(27)
 
 
+def test_resolve_cap_env_var(monkeypatch):
+    # the cap is set by the argument alone; CONSETS_ORACLE_CAP is not read
+    monkeypatch.setenv("CONSETS_ORACLE_CAP", "8")
+    assert resolve_cap(None) == 22
+    assert complete_path_product(3, 3).graph.vertex_count == 9
+    monkeypatch.setenv("CONSETS_ORACLE_CAP", "not-a-number")
+    assert resolve_cap(None) == 22
+    assert resolve_cap(8) == 8
+
+
 # -- edge-list parsing -----------------------------------------------------------------
 
 def test_parse_edge_list_roundtrip():
