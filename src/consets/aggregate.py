@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .exactmath import IntPolynomial, char_poly, poly_mul, x_power_mod
 from .layers import column_stream, recurrence_matrix, weighted_sum
@@ -69,18 +69,28 @@ def annihilator(m: int) -> IntPolynomial:
     return IntPolynomial(poly_mul(poly_mul(p, p), (1, -2, 1)))
 
 
-def jump_sums(m: int, n: int) -> tuple[int, int]:
-    """(N(n), S(n)) from the first deg Q items of ``cell_stream``.
+def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
+    """n -> (N(n), S(n)) by the recurrence jump, with Q and its deg Q
+    seed items of ``cell_stream`` computed once for this m.
 
     With x^(n-1) = sum_j r_j x^j mod Q, a sequence a annihilated by Q
     has a(n) = sum_j r_j a(j+1); one powering serves both sums.
     """
-    _check_cell(m, n)
     modulus = annihilator(m)
     seeds = list(islice(cell_stream(m), modulus.degree))
-    remainder = x_power_mod(n - 1, modulus)
-    return (sum(r * count for r, (count, _) in zip(remainder, seeds)),
-            sum(r * total for r, (_, total) in zip(remainder, seeds)))
+
+    def jump(n: int) -> tuple[int, int]:
+        remainder = x_power_mod(n - 1, modulus)
+        return (sum(r * count for r, (count, _) in zip(remainder, seeds)),
+                sum(r * total for r, (_, total) in zip(remainder, seeds)))
+
+    return jump
+
+
+def jump_sums(m: int, n: int) -> tuple[int, int]:
+    """(N(n), S(n)) from the first deg Q items of ``cell_stream``."""
+    _check_cell(m, n)
+    return _jumper(m)(n)
 
 
 def _sums(m: int, n: int) -> tuple[int, int]:

@@ -20,22 +20,27 @@ compute, table and ladder take --format: plain (default), csv (fixed
 header), json (big integers as decimal strings).  Exact fractions are
 authoritative; decimal columns are renderings at --precision significant
 digits, round-half-even, which compute, table, ladder and verify --graph
-take.
+take.  Each decimal comes from one integer division, and each distinct
+integer of a row is converted to text once.  table and ladder --n-max
+print each csv or plain row as the engine yields it, so their memory
+does not grow with n_max; json collects the rows for one dump.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3
-internal error (any other exception, reported on one stderr line).
+internal error (any other exception, reported on one stderr line), 141
+output pipe closed by its reader (128 + SIGPIPE; nothing on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import aggregate, ladder, oracle, verify
 from .exactmath import char_poly
@@ -45,34 +50,106 @@ from .reporting import Check
 
 CSV_HEADER = "m,n,N,S,A_num,A_den,A_dec,D_num,D_den,D_dec"
 DEFAULT_PRECISION = 12
+#: Exit code when the reader of stdout goes away: 128 + SIGPIPE, as a shell
+#: reports a process that the signal ended.
+CLOSED_PIPE = 141
+
+
+def _decimal_text(num: int, den: int, precision: int) -> str:
+    """num/den (den > 0) at ``precision`` significant digits, round-half-even,
+    as ``format(Decimal(num) / Decimal(den), "f")`` renders it.
+
+    One integer division gives the digits; ``str`` sees at most
+    ``precision`` of them and zeros are padded as text, so no exact
+    integer is ever converted whole.
+    """
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
+    if num == 0:
+        return "0"
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    top = 10 ** precision
+    # 10**e <= num/den < 10**(e+1); the bit lengths put e within one of this guess.
+    e = (num.bit_length() - den.bit_length()) * 30102999566 // 10 ** 11
+    while True:
+        shift = precision - 1 - e
+        if shift >= 0:
+            divisor = den
+            quotient, remainder = divmod(num * 10 ** shift, den)
+        else:
+            divisor = den * 10 ** -shift
+            quotient, remainder = divmod(num, divisor)
+        if quotient >= top:
+            e += 1
+        elif quotient * 10 < top:
+            e -= 1
+        else:
+            break
+    exponent = -shift  # of the last digit
+    if remainder == 0:
+        # Exact: drop trailing zeros down to exponent 0, as Decimal does.
+        while exponent < 0 and quotient % 10 == 0:
+            quotient //= 10
+            exponent += 1
+    elif 2 * remainder > divisor or (2 * remainder == divisor and quotient & 1):
+        quotient += 1
+        if quotient == top:
+            quotient //= 10
+            exponent += 1
+    digits = str(quotient)
+    if exponent >= 0:
+        return sign + digits + "0" * exponent
+    point = len(digits) + exponent
+    if point > 0:
+        return f"{sign}{digits[:point]}.{digits[point:]}"
+    return f"{sign}0.{'0' * -point}{digits}"
 
 
 def format_decimal(value: Fraction, precision: int = DEFAULT_PRECISION) -> str:
     """Decimal rendering at the given significant digits, round-half-even."""
-    if precision < 1:
-        raise ValueError("precision must be at least 1")
-    with localcontext() as ctx:
-        ctx.prec = precision
-        ctx.rounding = ROUND_HALF_EVEN
-        quotient = Decimal(value.numerator) / Decimal(value.denominator)
-    return format(quotient, "f")
+    return _decimal_text(value.numerator, value.denominator, precision)
+
+
+def _divided(fraction: tuple[int, int], k: int) -> tuple[int, int]:
+    """A reduced num/den divided by the positive integer k, reduced."""
+    num, den = fraction
+    g = gcd(num, k)
+    return (num, den * k) if g == 1 else (num // g, den * (k // g))
+
+
+def _exact_text(num: str, den: str) -> str:
+    """A reduced fraction's text, as ``str(Fraction)`` gives it."""
+    return num if den == "1" else f"{num}/{den}"
 
 
 @dataclass(frozen=True, slots=True)
 class OutputRecord:
-    """One result row, carrying the exact values; rendering happens here."""
+    """One result row: the cell's exact integers, with the average
+    A = S/N and the density D = A/(mn) as reduced (numerator,
+    denominator) pairs; rendering happens here."""
 
     m: int
     n: int
     count: int
     total: int
-    average: Fraction
-    density: Fraction
+    average: tuple[int, int]
+    density: tuple[int, int]
 
     @classmethod
     def from_result(cls, result: aggregate.ProductResult) -> OutputRecord:
+        average, density = result.average, result.density
         return cls(m=result.m, n=result.n, count=result.count, total=result.total,
-                   average=result.average, density=result.density)
+                   average=(average.numerator, average.denominator),
+                   density=(density.numerator, density.denominator))
+
+    @classmethod
+    def from_sums(cls, m: int, n: int, count: int, total: int) -> OutputRecord:
+        """The row of one cell from its count and order total, by integer gcds."""
+        g = gcd(total, count)
+        average = (total, count) if g == 1 else (total // g, count // g)
+        return cls(m=m, n=n, count=count, total=total,
+                   average=average, density=_divided(average, m * n))
 
     @classmethod
     def from_ladder(cls, n: int) -> OutputRecord:
@@ -81,45 +158,59 @@ class OutputRecord:
     @classmethod
     def from_ladder_row(cls, n: int, count: int, total: int,
                         average: Fraction) -> OutputRecord:
+        pair = (average.numerator, average.denominator)
         return cls(m=2, n=n, count=count, total=total,
-                   average=average, density=average / (2 * n))
+                   average=pair, density=_divided(pair, 2 * n))
+
+    def _fields(self, precision: int) -> tuple[str, ...]:
+        """Texts of N, S, A_num, A_den, A_dec, D_num, D_den, D_dec.
+
+        Each distinct integer is converted once: A_num is S and A_den is N
+        whenever gcd(S, N) = 1, and D often shares A's numerator.
+        """
+        texts: dict[int, str] = {}
+        for value in (self.count, self.total, *self.average, *self.density):
+            if value not in texts:
+                texts[value] = str(value)
+        return (texts[self.count], texts[self.total],
+                texts[self.average[0]], texts[self.average[1]],
+                _decimal_text(*self.average, precision),
+                texts[self.density[0]], texts[self.density[1]],
+                _decimal_text(*self.density, precision))
 
     def csv_row(self, precision: int) -> str:
-        return ",".join(str(field) for field in (
-            self.m, self.n, self.count, self.total,
-            self.average.numerator, self.average.denominator,
-            format_decimal(self.average, precision),
-            self.density.numerator, self.density.denominator,
-            format_decimal(self.density, precision)))
+        return ",".join((str(self.m), str(self.n), *self._fields(precision)))
 
     def json_object(self, precision: int) -> dict[str, object]:
+        count, total, a_num, a_den, a_dec, d_num, d_den, d_dec = self._fields(precision)
         return {
             "m": self.m,
             "n": self.n,
-            "N": str(self.count),
-            "S": str(self.total),
-            "A_exact": str(self.average),
-            "A_decimal": format_decimal(self.average, precision),
-            "D_exact": str(self.density),
-            "D_decimal": format_decimal(self.density, precision),
+            "N": count,
+            "S": total,
+            "A_exact": _exact_text(a_num, a_den),
+            "A_decimal": a_dec,
+            "D_exact": _exact_text(d_num, d_den),
+            "D_decimal": d_dec,
         }
 
     def plain_line(self, precision: int) -> str:
-        return (f"m={self.m} n={self.n}: N={self.count} S={self.total} "
-                f"A={self.average} (~{format_decimal(self.average, precision)}) "
-                f"D={self.density} (~{format_decimal(self.density, precision)})")
+        count, total, a_num, a_den, a_dec, d_num, d_den, d_dec = self._fields(precision)
+        return (f"m={self.m} n={self.n}: N={count} S={total} "
+                f"A={_exact_text(a_num, a_den)} (~{a_dec}) "
+                f"D={_exact_text(d_num, d_den)} (~{d_dec})")
 
 
-def emit_records(records: Sequence[OutputRecord], fmt: str, precision: int,
+def emit_records(records: Iterable[OutputRecord], fmt: str, precision: int,
                  single: bool) -> None:
-    if fmt == "csv":
+    """Print the records; csv and plain print each one as it arrives."""
+    if fmt == "json":
+        objects = [record.json_object(precision) for record in records]
+        print(json.dumps(objects[0] if single else objects, indent=2))
+    elif fmt == "csv":
         print(CSV_HEADER)
         for record in records:
             print(record.csv_row(precision))
-    elif fmt == "json":
-        payload: object = records[0].json_object(precision) if single else [
-            record.json_object(precision) for record in records]
-        print(json.dumps(payload, indent=2))
     else:
         for record in records:
             print(record.plain_line(precision))
@@ -150,9 +241,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    records = [OutputRecord.from_result(aggregate.ProductResult.from_sums(args.m, n, *sums))
-               for n, sums in zip(range(1, args.n_max + 1), aggregate.cell_stream(args.m))]
-    emit_records(records, args.format, args.precision, single=False)
+    rows = (OutputRecord.from_sums(args.m, n, *sums)
+            for n, sums in zip(range(1, args.n_max + 1), aggregate.cell_stream(args.m)))
+    emit_records(rows, args.format, args.precision, single=False)
     return 0
 
 
@@ -172,8 +263,8 @@ def cmd_ladder(args: argparse.Namespace) -> int:
     if args.n is not None:
         records = [OutputRecord.from_ladder(args.n)]
     else:
-        records = [OutputRecord.from_ladder_row(n, *row)
-                   for n, row in zip(range(1, args.n_max + 1), ladder.row_stream())]
+        records = (OutputRecord.from_ladder_row(n, *row)
+                   for n, row in zip(range(1, args.n_max + 1), ladder.row_stream()))
     emit_records(records, args.format, args.precision, single=args.n is not None)
     return 0
 
@@ -300,6 +391,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed the pipe (say, `| head`): stop without an error
+        # line, and point stdout at devnull so the flush at exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_PIPE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 DEFAULT_CAP = 22
 MAX_CAP = 26
@@ -134,38 +134,50 @@ def _connected_flood(adjacency: tuple[int, ...], mask: int) -> bool:
     return reached == mask
 
 
-def _connected_union_find(adjacency: tuple[int, ...], mask: int) -> bool:
-    """Redundant checker: union-find over the subset's internal edges."""
-    vertices = []
+def _find(parent: list[int], v: int) -> int:
+    """Root of v, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _higher_rows(adjacency: tuple[int, ...]) -> tuple[int, ...]:
+    """Each vertex's row of neighbours above it."""
+    return tuple(row >> (u + 1) << (u + 1) for u, row in enumerate(adjacency))
+
+
+def _connected_union_find(higher: tuple[int, ...], mask: int) -> bool:
+    """Redundant checker: union-find over the subset's internal edges,
+    each met once from its lower end in the rows of ``_higher_rows``."""
+    parent = list(range(len(higher)))
+    components = mask.bit_count()
     scan = mask
     while scan:
         low = scan & -scan
         scan ^= low
-        vertices.append(low.bit_length() - 1)
-    parent = {v: v for v in vertices}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    components = len(vertices)
-    for u in vertices:
-        row = adjacency[u] & mask
+        u = low.bit_length() - 1
+        row = higher[u] & mask
         while row:
-            low = row & -row
-            row ^= low
-            w = low.bit_length() - 1
-            if w > u:
-                ru, rw = find(u), find(w)
-                if ru != rw:
-                    parent[ru] = rw
-                    components -= 1
+            bit = row & -row
+            row ^= bit
+            ru, rw = _find(parent, u), _find(parent, bit.bit_length() - 1)
+            if ru != rw:
+                parent[ru] = rw
+                components -= 1
     return components == 1
 
 
-_CHECKERS = {"flood": _connected_flood, "union-find": _connected_union_find}
+class _Checker(NamedTuple):
+    """A connectivity test of a mask against rows that ``prepare`` makes
+    once per graph from its adjacency rows."""
+
+    prepare: Callable[[tuple[int, ...]], tuple[int, ...]]
+    connected: Callable[[tuple[int, ...], int], bool]
+
+
+_CHECKERS = {"flood": _Checker(lambda adjacency: adjacency, _connected_flood),
+             "union-find": _Checker(_higher_rows, _connected_union_find)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,10 +214,10 @@ def census(graph: SimpleGraph, cap: int | None = None,
         raise ValueError(f"unknown connectivity checker {connectivity!r}")
     _check_cap(graph.vertex_count, cap)
     checker = _CHECKERS[connectivity]
-    adjacency = graph.adjacency
+    rows, connected = checker.prepare(graph.adjacency), checker.connected
     counts = [0] * graph.vertex_count
     for mask in range(1, 1 << graph.vertex_count):
-        if checker(adjacency, mask):
+        if connected(rows, mask):
             counts[mask.bit_count() - 1] += 1
     return CensusReport(size_counts=tuple(counts))
 

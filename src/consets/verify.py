@@ -195,10 +195,11 @@ def anchor_checks(m_max: int = 10, n_max: int = 50) -> list[Check]:
         for m in range(1, m_max + 1)
         if aggregate.average_order(m, 1) != Fraction(m * 2 ** (m - 1), 2 ** m - 1)
     ]
+    path_averages = (Fraction(total, count) for count, total in aggregate.cell_stream(1))
     path_bad = [
-        f"n={n}: got {aggregate.average_order(1, n)}"
-        for n in range(1, n_max + 1)
-        if aggregate.average_order(1, n) != Fraction(n + 2, 3)
+        f"n={n}: got {average}"
+        for n, average in zip(range(1, n_max + 1), path_averages)
+        if average != Fraction(n + 2, 3)
     ]
     return [
         _swept("single-layer average anchor", f"m=1..{m_max} n=1", complete_bad),
@@ -216,9 +217,10 @@ def jump_checks(m_max: int = 8, n_max: int = 200) -> list[Check]:
         degree = 2 * m + 2
         crossover = aggregate.STREAM_MAX_PER_LAYER * m
         horizons = {*range(degree + 1, degree + 5), crossover, crossover + 1, n_max}
+        jump = aggregate._jumper(m)
         bad = []
         for n in sorted(h for h in horizons if h <= n_max):
-            jumped = aggregate.jump_sums(m, n)
+            jumped = jump(n)
             if jumped != streamed[n - 1]:
                 bad.append(f"m={m} n={n}: jump {jumped}, stream {streamed[n - 1]}")
         checks.append(_swept("recurrence jump vs stream", f"m={m} n<={n_max}", bad))

@@ -4,7 +4,12 @@ Claims covered:
     - compute/table/ladder emit stable plain, csv, and json shapes
     - the csv header is identical across all record-emitting commands
     - json records round-trip: A recomputed from N and S equals A_exact
-    - decimal renderings honor --precision with banker's rounding
+    - decimal renderings honor --precision with banker's rounding, and equal
+      the decimal module's rendering (kept here as the reference) for any
+      fraction, without converting any exact integer to text
+    - table output is byte-for-byte the reference rendering of the stream
+    - table and ladder stream their rows: memory does not grow with n_max
+    - a reader closing the pipe ends the CLI quietly with exit 141
     - verify exits 0 on clean scopes, 1 on mismatch, 2 on usage errors,
       and any other exception exits 3
     - integers past CPython's 4300-digit str guard print in full
@@ -15,20 +20,27 @@ Claims covered:
     - the oracle cap is set by --oracle-cap alone; the environment is not read
 """
 
+import contextlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from consets import aggregate, cli, ladder, recurrence
 from consets.cli import CSV_HEADER, format_decimal, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CLI_ENV = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -37,18 +49,86 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def reference_decimal(value: Fraction, precision: int = cli.DEFAULT_PRECISION) -> str:
+    """The decimal module's rendering, which format_decimal must reproduce."""
+    with localcontext() as ctx:
+        ctx.prec = precision
+        ctx.rounding = ROUND_HALF_EVEN
+        quotient = Decimal(value.numerator) / Decimal(value.denominator)
+    return format(quotient, "f")
+
+
 # -- rendering -----------------------------------------------------------------
 
 def test_format_decimal_significant_digits():
     assert format_decimal(Fraction(54, 17), 12) == "3.17647058824"
     assert format_decimal(Fraction(54, 17), 5) == "3.1765"
     assert format_decimal(Fraction(2), 12) == "2"
+    assert format_decimal(Fraction(3, 2), 12) == "1.5"
+    assert format_decimal(Fraction(10 ** 15), 12) == "1000000000000000"
     assert format_decimal(Fraction(1, 6000), 12) == "0.000166666666667"
+    assert format_decimal(Fraction(0), 12) == "0"
+    assert format_decimal(Fraction(-54, 17), 5) == "-3.1765"
+    assert format_decimal(Fraction(99999, 10000), 3) == "10.0"
 
 
 def test_format_decimal_round_half_even():
     assert format_decimal(Fraction(5, 4), 2) == "1.2"
     assert format_decimal(Fraction(7, 4), 2) == "1.8"
+
+
+def test_format_decimal_rejects_zero_precision():
+    with pytest.raises(ValueError, match="precision"):
+        format_decimal(Fraction(1, 3), 0)
+
+
+#: Integers of up to about 5000 digits, either sign.
+_BIG = st.integers(min_value=0, max_value=5000).flatmap(
+    lambda digits: st.integers(min_value=-10 ** digits, max_value=10 ** digits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(numerator=_BIG, denominator=_BIG.filter(bool), precision=st.integers(1, 40))
+@example(numerator=0, denominator=7, precision=1)
+@example(numerator=-1, denominator=3, precision=40)
+@example(numerator=10 ** 4999, denominator=1, precision=12)
+def test_format_decimal_matches_decimal(numerator, denominator, precision):
+    value = Fraction(numerator, denominator)
+    assert format_decimal(value, precision) == reference_decimal(value, precision)
+
+
+@st.composite
+def _half_ties(draw):
+    """(c + 1/2)·10^s with c of exactly `precision` digits: an exact tie."""
+    precision = draw(st.integers(1, 40))
+    coefficient = draw(st.integers(10 ** (precision - 1), 10 ** precision - 1))
+    value = Fraction(2 * coefficient + 1, 2) * Fraction(10) ** draw(st.integers(-60, 60))
+    return (-value if draw(st.booleans()) else value), precision
+
+
+@settings(max_examples=300, deadline=None)
+@given(_half_ties())
+def test_format_decimal_half_ties_match_decimal(tie):
+    value, precision = tie
+    assert format_decimal(value, precision) == reference_decimal(value, precision)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int-to-str digit limit, whatever a test before set."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_format_decimal_past_the_digit_guard(default_digit_limit):
+    big = 3 ** 10000 + 1  # 4772 digits: str() of it raises under the limit
+    with pytest.raises(ValueError):
+        str(big)
+    for value in (Fraction(big, 7), Fraction(7, big), Fraction(-big, big + 2)):
+        assert format_decimal(value, 20) == reference_decimal(value, 20)
+    assert format_decimal(Fraction(10 ** 5000 + 1, 3), 12) == "3" * 12 + "0" * 4988
 
 
 # -- compute -------------------------------------------------------------------
@@ -109,6 +189,55 @@ def test_table_rows_equal_evaluate(capsys):
         assert (int(record["N"]), int(record["S"])) == (result.count, result.total)
         assert Fraction(record["A_exact"]) == result.average
         assert Fraction(record["D_exact"]) == result.density
+
+
+def _reference_table(m: int, n_max: int, fmt: str, precision: int) -> str:
+    """table output as the Fraction and decimal-module rendering gives it."""
+    lines, objects = [CSV_HEADER] if fmt == "csv" else [], []
+    for n, (count, total) in zip(range(1, n_max + 1), aggregate.cell_stream(m)):
+        average = Fraction(total, count)
+        density = average / (m * n)
+        a_dec, d_dec = reference_decimal(average, precision), reference_decimal(density, precision)
+        if fmt == "csv":
+            lines.append(",".join(str(field) for field in (
+                m, n, count, total, average.numerator, average.denominator, a_dec,
+                density.numerator, density.denominator, d_dec)))
+        elif fmt == "plain":
+            lines.append(f"m={m} n={n}: N={count} S={total} "
+                         f"A={average} (~{a_dec}) D={density} (~{d_dec})")
+        else:
+            objects.append({"m": m, "n": n, "N": str(count), "S": str(total),
+                            "A_exact": str(average), "A_decimal": a_dec,
+                            "D_exact": str(density), "D_decimal": d_dec})
+    if fmt == "json":
+        lines.append(json.dumps(objects, indent=2))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plain", "json"])
+@pytest.mark.parametrize("m, n_max, precision", [(1, 30, 12), (3, 120, 12), (6, 60, 30), (8, 40, 1)])
+def test_table_bytes_equal_reference_rendering(capsys, fmt, m, n_max, precision):
+    code, out, _ = run_cli(capsys, "table", "--m", str(m), "--n-max", str(n_max),
+                           "--format", fmt, "--precision", str(precision))
+    assert code == 0
+    assert out == _reference_table(m, n_max, fmt, precision)
+
+
+@pytest.mark.parametrize("argv", [["ladder", "--n-max", "3000"],
+                                  ["table", "--m", "6", "--n-max", "600"]])
+def test_rows_stream_in_flat_memory(argv):
+    # Rows are printed as they arrive, so the peak is a few rows (about
+    # 0.2 MB); holding every row takes 5.7 MB for this ladder and 1.2 MB
+    # for this table.
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            code = main([*argv, "--format", "csv"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 ** 20
 
 
 def test_table_trivial_column(capsys):
@@ -327,6 +456,19 @@ def test_verify_oracle_cap_env(monkeypatch, capsys):
     assert "CONSETS_ORACLE_CAP" not in err
 
 
+def test_closed_pipe_exits_141_quietly():
+    with subprocess.Popen(
+            [sys.executable, "-m", "consets.cli", "table", "--m", "3", "--n-max", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert first == b"m=3 n=1: N=7 S=12 A=12/7 (~1.71428571429) D=4/7 (~0.571428571429)\n"
+    assert err == b""
+    assert code == cli.CLOSED_PIPE == 141
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     def broken(m, n):
         raise ArithmeticError("inexact step")
@@ -376,11 +518,9 @@ def _parse_json(out: str) -> tuple[int, int, Fraction, Fraction]:
                                         ("json", _parse_json)])
 def test_compute_prints_integers_past_the_digit_guard(fmt, parse, unlimited_digits):
     # the guard is process-wide, so only a fresh process shows the CLI lifting it
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     completed = subprocess.run(
         [sys.executable, "-m", "consets.cli", "compute", "--m", "6", "--n", "3000",
-         "--format", fmt], capture_output=True, text=True, env=env)
+         "--format", fmt], capture_output=True, text=True, env=CLI_ENV)
     assert completed.returncode == 0, completed.stderr
     result = aggregate.evaluate(6, 3000)
     assert len(str(result.count)) > 4300
