@@ -140,9 +140,16 @@ class ProductResult:
                    average=average, density=average / (m * n))
 
     def __post_init__(self):
-        if self.average != Fraction(self.total, self.count):
+        # Cross-multiplied, with the reduced average's denominator divided
+        # out first: it divides count (and density's denominator) whenever
+        # the equality holds, and the short division left costs far less
+        # than the gcd or the full products of re-deriving the fractions.
+        average, density = self.average, self.density
+        scale, rest = divmod(self.count, average.denominator)
+        if rest or self.total != average.numerator * scale:
             raise ValueError("average must equal total/count exactly")
-        if self.density != self.average / (self.m * self.n):
+        scale, rest = divmod(density.denominator, average.denominator)
+        if rest or density.numerator * self.m * self.n != average.numerator * scale:
             raise ValueError("density must equal average/(m*n) exactly")
         if not 1 <= self.average <= self.m * self.n:
             raise ValueError("average outside [1, m*n]")

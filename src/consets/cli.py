@@ -28,6 +28,8 @@ does not grow with n_max; json collects the rows for one dump.
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3
 internal error (any other exception, reported on one stderr line), 141
 output pipe closed by its reader (128 + SIGPIPE; nothing on stderr).
+Since table and ladder --n-max stream csv and plain rows, a nonzero
+exit from them may follow rows already printed.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -111,13 +112,6 @@ def format_decimal(value: Fraction, precision: int = DEFAULT_PRECISION) -> str:
     return _decimal_text(value.numerator, value.denominator, precision)
 
 
-def _divided(fraction: tuple[int, int], k: int) -> tuple[int, int]:
-    """A reduced num/den divided by the positive integer k, reduced."""
-    num, den = fraction
-    g = gcd(num, k)
-    return (num, den * k) if g == 1 else (num // g, den * (k // g))
-
-
 def _exact_text(num: str, den: str) -> str:
     """A reduced fraction's text, as ``str(Fraction)`` gives it."""
     return num if den == "1" else f"{num}/{den}"
@@ -125,31 +119,19 @@ def _exact_text(num: str, den: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class OutputRecord:
-    """One result row: the cell's exact integers, with the average
-    A = S/N and the density D = A/(mn) as reduced (numerator,
-    denominator) pairs; rendering happens here."""
+    """One result row, carrying the exact values; rendering happens here."""
 
     m: int
     n: int
     count: int
     total: int
-    average: tuple[int, int]
-    density: tuple[int, int]
+    average: Fraction
+    density: Fraction
 
     @classmethod
     def from_result(cls, result: aggregate.ProductResult) -> OutputRecord:
-        average, density = result.average, result.density
         return cls(m=result.m, n=result.n, count=result.count, total=result.total,
-                   average=(average.numerator, average.denominator),
-                   density=(density.numerator, density.denominator))
-
-    @classmethod
-    def from_sums(cls, m: int, n: int, count: int, total: int) -> OutputRecord:
-        """The row of one cell from its count and order total, by integer gcds."""
-        g = gcd(total, count)
-        average = (total, count) if g == 1 else (total // g, count // g)
-        return cls(m=m, n=n, count=count, total=total,
-                   average=average, density=_divided(average, m * n))
+                   average=result.average, density=result.density)
 
     @classmethod
     def from_ladder(cls, n: int) -> OutputRecord:
@@ -158,9 +140,8 @@ class OutputRecord:
     @classmethod
     def from_ladder_row(cls, n: int, count: int, total: int,
                         average: Fraction) -> OutputRecord:
-        pair = (average.numerator, average.denominator)
         return cls(m=2, n=n, count=count, total=total,
-                   average=pair, density=_divided(pair, 2 * n))
+                   average=average, density=average / (2 * n))
 
     def _fields(self, precision: int) -> tuple[str, ...]:
         """Texts of N, S, A_num, A_den, A_dec, D_num, D_den, D_dec.
@@ -168,15 +149,15 @@ class OutputRecord:
         Each distinct integer is converted once: A_num is S and A_den is N
         whenever gcd(S, N) = 1, and D often shares A's numerator.
         """
+        a_num, a_den = self.average.numerator, self.average.denominator
+        d_num, d_den = self.density.numerator, self.density.denominator
         texts: dict[int, str] = {}
-        for value in (self.count, self.total, *self.average, *self.density):
+        for value in (self.count, self.total, a_num, a_den, d_num, d_den):
             if value not in texts:
                 texts[value] = str(value)
         return (texts[self.count], texts[self.total],
-                texts[self.average[0]], texts[self.average[1]],
-                _decimal_text(*self.average, precision),
-                texts[self.density[0]], texts[self.density[1]],
-                _decimal_text(*self.density, precision))
+                texts[a_num], texts[a_den], _decimal_text(a_num, a_den, precision),
+                texts[d_num], texts[d_den], _decimal_text(d_num, d_den, precision))
 
     def csv_row(self, precision: int) -> str:
         return ",".join((str(self.m), str(self.n), *self._fields(precision)))
@@ -241,7 +222,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = (OutputRecord.from_sums(args.m, n, *sums)
+    rows = (OutputRecord.from_result(aggregate.ProductResult.from_sums(args.m, n, *sums))
             for n, sums in zip(range(1, args.n_max + 1), aggregate.cell_stream(args.m)))
     emit_records(rows, args.format, args.precision, single=False)
     return 0

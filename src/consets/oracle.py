@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 DEFAULT_CAP = 22
 MAX_CAP = 26
@@ -142,22 +142,17 @@ def _find(parent: list[int], v: int) -> int:
     return v
 
 
-def _higher_rows(adjacency: tuple[int, ...]) -> tuple[int, ...]:
-    """Each vertex's row of neighbours above it."""
-    return tuple(row >> (u + 1) << (u + 1) for u, row in enumerate(adjacency))
-
-
-def _connected_union_find(higher: tuple[int, ...], mask: int) -> bool:
+def _connected_union_find(adjacency: tuple[int, ...], mask: int) -> bool:
     """Redundant checker: union-find over the subset's internal edges,
-    each met once from its lower end in the rows of ``_higher_rows``."""
-    parent = list(range(len(higher)))
+    each met once from its lower end."""
+    parent = list(range(len(adjacency)))
     components = mask.bit_count()
     scan = mask
     while scan:
         low = scan & -scan
         scan ^= low
         u = low.bit_length() - 1
-        row = higher[u] & mask
+        row = adjacency[u] >> (u + 1) << (u + 1) & mask
         while row:
             bit = row & -row
             row ^= bit
@@ -168,16 +163,7 @@ def _connected_union_find(higher: tuple[int, ...], mask: int) -> bool:
     return components == 1
 
 
-class _Checker(NamedTuple):
-    """A connectivity test of a mask against rows that ``prepare`` makes
-    once per graph from its adjacency rows."""
-
-    prepare: Callable[[tuple[int, ...]], tuple[int, ...]]
-    connected: Callable[[tuple[int, ...], int], bool]
-
-
-_CHECKERS = {"flood": _Checker(lambda adjacency: adjacency, _connected_flood),
-             "union-find": _Checker(_higher_rows, _connected_union_find)}
+_CHECKERS = {"flood": _connected_flood, "union-find": _connected_union_find}
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,10 +200,10 @@ def census(graph: SimpleGraph, cap: int | None = None,
         raise ValueError(f"unknown connectivity checker {connectivity!r}")
     _check_cap(graph.vertex_count, cap)
     checker = _CHECKERS[connectivity]
-    rows, connected = checker.prepare(graph.adjacency), checker.connected
+    adjacency = graph.adjacency
     counts = [0] * graph.vertex_count
     for mask in range(1, 1 << graph.vertex_count):
-        if connected(rows, mask):
+        if checker(adjacency, mask):
             counts[mask.bit_count() - 1] += 1
     return CensusReport(size_counts=tuple(counts))
 

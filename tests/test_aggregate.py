@@ -108,6 +108,18 @@ def test_result_invariants_enforced():
     with pytest.raises(ValueError, match="density"):
         ProductResult(m=2, n=3, count=good.count, total=good.total,
                       average=good.average, density=good.density / 2)
+    # Denominators that do not divide the other side's, where the quotients
+    # alone would match.
+    with pytest.raises(ValueError, match="average must"):
+        ProductResult(m=1, n=1, count=3, total=1,
+                      average=Fraction(1, 2), density=Fraction(1, 2))
+    with pytest.raises(ValueError, match="density must"):
+        ProductResult(m=1, n=1, count=2, total=1,
+                      average=Fraction(1, 2), density=Fraction(1, 3))
+    with pytest.raises(ValueError, match="average outside"):
+        ProductResult.from_sums(1, 2, 1, 5)
+    with pytest.raises(ValueError, match="average outside"):
+        ProductResult.from_sums(1, 2, 2, 1)
 
 
 def test_deep_cell_memory_stays_flat():

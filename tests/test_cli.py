@@ -191,6 +191,15 @@ def test_table_rows_equal_evaluate(capsys):
         assert Fraction(record["D_exact"]) == result.density
 
 
+def test_table_rows_pass_the_result_invariants(monkeypatch, capsys):
+    # An engine yielding an out-of-range cell stops the table at that row.
+    monkeypatch.setattr(aggregate, "cell_stream", lambda m: iter([(1, 1), (1, 5)]))
+    code, out, err = run_cli(capsys, "table", "--m", "1", "--n-max", "2", "--format", "csv")
+    assert code == 2
+    assert out == f"{CSV_HEADER}\n1,1,1,1,1,1,1,1,1,1\n"
+    assert "average outside" in err
+
+
 def _reference_table(m: int, n_max: int, fmt: str, precision: int) -> str:
     """table output as the Fraction and decimal-module rendering gives it."""
     lines, objects = [CSV_HEADER] if fmt == "csv" else [], []

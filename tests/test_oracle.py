@@ -106,10 +106,9 @@ def test_connectivity_checkers_agree_on_random_subsets():
         edges = [(i, j) for i in range(v) for j in range(i + 1, v)
                  if rng.random() < 0.3]
         graph = SimpleGraph(v, edges)
-        flood_rows, union_rows = flood.prepare(graph.adjacency), union_find.prepare(graph.adjacency)
         for _ in range(100):
             mask = rng.randint(1, (1 << v) - 1)
-            assert flood.connected(flood_rows, mask) == union_find.connected(union_rows, mask)
+            assert flood(graph.adjacency, mask) == union_find(graph.adjacency, mask)
 
 
 def test_census_deterministic_under_relabeling():
