@@ -17,7 +17,10 @@ ladder
     The two-layer closed forms at one n or for n = 1..n_max.
 
 compute, table and ladder take --format: plain (default), csv (fixed
-header), json (big integers as decimal strings).  Exact fractions are
+header), json (big integers as decimal strings).  Every printed row is
+one aggregate.ProductResult, built from the cell's count and order sum
+by ProductResult.from_sums and checked there; OutputRecord renders it.
+ladder takes --n or --n-max, not both.  Exact fractions are
 authoritative; decimal columns are renderings at --precision significant
 digits, round-half-even, which compute, table, ladder and verify --graph
 take.  Each decimal comes from one integer division, and each distinct
@@ -41,7 +44,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import aggregate, ladder, oracle, verify
 from .exactmath import char_poly
@@ -61,8 +64,8 @@ def _decimal_text(num: int, den: int, precision: int) -> str:
     as ``format(Decimal(num) / Decimal(den), "f")`` renders it.
 
     One integer division gives the digits; ``str`` sees at most
-    ``precision`` of them and zeros are padded as text, so no exact
-    integer is ever converted whole.
+    ``precision`` of them and trailing zeros are padded or stripped as
+    text, so no exact integer is ever converted whole.
     """
     if precision < 1:
         raise ValueError("precision must be at least 1")
@@ -88,17 +91,17 @@ def _decimal_text(num: int, den: int, precision: int) -> str:
         else:
             break
     exponent = -shift  # of the last digit
-    if remainder == 0:
-        # Exact: drop trailing zeros down to exponent 0, as Decimal does.
-        while exponent < 0 and quotient % 10 == 0:
-            quotient //= 10
-            exponent += 1
-    elif 2 * remainder > divisor or (2 * remainder == divisor and quotient & 1):
+    if remainder and (2 * remainder > divisor or (2 * remainder == divisor and quotient & 1)):
         quotient += 1
         if quotient == top:
             quotient //= 10
             exponent += 1
     digits = str(quotient)
+    if not remainder and exponent < 0:
+        # Exact: drop trailing zeros down to exponent 0, as Decimal does,
+        # from the text in one step.
+        drop = min(len(digits) - len(digits.rstrip("0")), -exponent)
+        digits, exponent = digits[:len(digits) - drop], exponent + drop
     if exponent >= 0:
         return sign + digits + "0" * exponent
     point = len(digits) + exponent
@@ -119,29 +122,17 @@ def _exact_text(num: str, den: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class OutputRecord:
-    """One result row, carrying the exact values; rendering happens here."""
+    """One printed row: the rendering of one cell's result."""
 
-    m: int
-    n: int
-    count: int
-    total: int
-    average: Fraction
-    density: Fraction
+    result: aggregate.ProductResult
 
     @classmethod
     def from_result(cls, result: aggregate.ProductResult) -> OutputRecord:
-        return cls(m=result.m, n=result.n, count=result.count, total=result.total,
-                   average=result.average, density=result.density)
+        return cls(result)
 
     @classmethod
     def from_ladder(cls, n: int) -> OutputRecord:
-        return cls.from_ladder_row(n, *ladder.ladder_row(n))
-
-    @classmethod
-    def from_ladder_row(cls, n: int, count: int, total: int,
-                        average: Fraction) -> OutputRecord:
-        return cls(m=2, n=n, count=count, total=total,
-                   average=average, density=average / (2 * n))
+        return cls(aggregate.ProductResult.from_sums(2, n, *ladder.ladder_row(n)))
 
     def _fields(self, precision: int) -> tuple[str, ...]:
         """Texts of N, S, A_num, A_den, A_dec, D_num, D_den, D_dec.
@@ -149,24 +140,25 @@ class OutputRecord:
         Each distinct integer is converted once: A_num is S and A_den is N
         whenever gcd(S, N) = 1, and D often shares A's numerator.
         """
-        a_num, a_den = self.average.numerator, self.average.denominator
-        d_num, d_den = self.density.numerator, self.density.denominator
+        result = self.result
+        a_num, a_den = result.average.numerator, result.average.denominator
+        d_num, d_den = result.density.numerator, result.density.denominator
         texts: dict[int, str] = {}
-        for value in (self.count, self.total, a_num, a_den, d_num, d_den):
+        for value in (result.count, result.total, a_num, a_den, d_num, d_den):
             if value not in texts:
                 texts[value] = str(value)
-        return (texts[self.count], texts[self.total],
+        return (texts[result.count], texts[result.total],
                 texts[a_num], texts[a_den], _decimal_text(a_num, a_den, precision),
                 texts[d_num], texts[d_den], _decimal_text(d_num, d_den, precision))
 
     def csv_row(self, precision: int) -> str:
-        return ",".join((str(self.m), str(self.n), *self._fields(precision)))
+        return ",".join((str(self.result.m), str(self.result.n), *self._fields(precision)))
 
     def json_object(self, precision: int) -> dict[str, object]:
         count, total, a_num, a_den, a_dec, d_num, d_den, d_dec = self._fields(precision)
         return {
-            "m": self.m,
-            "n": self.n,
+            "m": self.result.m,
+            "n": self.result.n,
             "N": count,
             "S": total,
             "A_exact": _exact_text(a_num, a_den),
@@ -177,9 +169,15 @@ class OutputRecord:
 
     def plain_line(self, precision: int) -> str:
         count, total, a_num, a_den, a_dec, d_num, d_den, d_dec = self._fields(precision)
-        return (f"m={self.m} n={self.n}: N={count} S={total} "
+        return (f"m={self.result.m} n={self.result.n}: N={count} S={total} "
                 f"A={_exact_text(a_num, a_den)} (~{a_dec}) "
                 f"D={_exact_text(d_num, d_den)} (~{d_dec})")
+
+
+def _records(m: int, sums: Iterable[tuple[int, int]], n_max: int) -> Iterator[OutputRecord]:
+    """The rows n = 1..n_max of layer size m from a stream of (N, S)."""
+    for n, (count, total) in zip(range(1, n_max + 1), sums):
+        yield OutputRecord.from_result(aggregate.ProductResult.from_sums(m, n, count, total))
 
 
 def emit_records(records: Iterable[OutputRecord], fmt: str, precision: int,
@@ -222,9 +220,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = (OutputRecord.from_result(aggregate.ProductResult.from_sums(args.m, n, *sums))
-            for n, sums in zip(range(1, args.n_max + 1), aggregate.cell_stream(args.m)))
-    emit_records(rows, args.format, args.precision, single=False)
+    emit_records(_records(args.m, aggregate.cell_stream(args.m), args.n_max),
+                 args.format, args.precision, single=False)
     return 0
 
 
@@ -239,13 +236,12 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
 
 
 def cmd_ladder(args: argparse.Namespace) -> int:
-    if args.n is None and args.n_max is None:
-        raise ValueError("ladder needs --n or --n-max")
     if args.n is not None:
         records = [OutputRecord.from_ladder(args.n)]
+    elif args.n_max is not None:
+        records = _records(2, ladder.row_stream(), args.n_max)
     else:
-        records = (OutputRecord.from_ladder_row(n, *row)
-                   for n, row in zip(range(1, args.n_max + 1), ladder.row_stream()))
+        raise ValueError("ladder needs --n or --n-max")
     emit_records(records, args.format, args.precision, single=args.n is not None)
     return 0
 
@@ -278,7 +274,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks.extend(verify.charpoly_checks(m_max))
     if args.graph is not None:
         scoped = True
-        graph = oracle.parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
+        graph = oracle.parse_edge_list(Path(args.graph).read_text(encoding="utf-8"), cap)
         graph_checks, report = verify.graph_file_checks(graph, cap)
         precision = DEFAULT_PRECISION if args.precision is None else args.precision
         sizes = " ".join(f"{t}:{c}" for t, c in enumerate(report.size_counts, start=1) if c)
@@ -354,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ladder = commands.add_parser(
         "ladder", parents=rendered, help="two-layer closed forms")
-    p_ladder.add_argument("--n", type=_positive_int, help="single rung count")
-    p_ladder.add_argument("--n-max", type=_positive_int,
-                          help="table of rung counts 1..n_max (ignored if --n is given)")
+    rungs = p_ladder.add_mutually_exclusive_group()
+    rungs.add_argument("--n", type=_positive_int, help="single rung count")
+    rungs.add_argument("--n-max", type=_positive_int, help="table of rung counts 1..n_max")
     p_ladder.set_defaults(func=cmd_ladder)
 
     return parser

@@ -9,7 +9,6 @@ this package ever rounds: every count, sum, average, and density is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -200,10 +199,9 @@ class IntPolynomial:
 def char_poly(matrix: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - M) by the Faddeev-LeVerrier scheme.
 
-    Intermediate matrices stay integral; the per-step trace division is done
-    with exact rationals and checked for integrality, so a non-integer
-    coefficient (impossible for an integer matrix) would raise instead of
-    silently corrupting the result.
+    Intermediate matrices stay integral; the per-step trace division is
+    checked exact, so a non-integer coefficient (impossible for an integer
+    matrix) would raise instead of silently corrupting the result.
     """
     n = matrix.order
     identity = IntMatrix.identity(n)
@@ -212,10 +210,10 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
     aux = IntMatrix.zero(n)
     for k in range(1, n + 1):
         aux = matrix @ (aux + identity.scale(coefficients[n - k + 1]))
-        c = Fraction(-aux.trace(), k)
-        if c.denominator != 1:
+        c, rest = divmod(-aux.trace(), k)
+        if rest:
             raise ArithmeticError(f"non-integral characteristic coefficient at step {k}")
-        coefficients[n - k] = int(c)
+        coefficients[n - k] = c
     return IntPolynomial(coefficients)
 
 

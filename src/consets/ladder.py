@@ -12,7 +12,10 @@ u^(k+1) = (H + 2P) + (H + P)·sqrt(2).
 
 A single n takes one power, O(log n) products, through QuadInt (exact,
 never floating point); ``row_stream`` walks the powers by additions
-only.  Both feed the same closed-form evaluator, and nothing is cached.
+only.  Both feed the same closed-form evaluator, which yields two
+integers, the count N and the order sum S, as every other route does;
+the CLI turns each (N, S) into an ``aggregate.ProductResult`` and its
+checks.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -56,49 +59,30 @@ def _check_rungs(n: int) -> None:
         raise ValueError("rung count must be at least 1")
 
 
-def _count_numerator(n: int, h: int, p: int) -> int:
-    """Twice the count: layer_total(n+2) - 4n - 7, with
-    layer_total(n+2) = H(n+3) = 7H + 10P."""
-    return 7 * h + 10 * p - 4 * n - 7
+def _row(n: int, h: int, p: int) -> tuple[int, int]:
+    """(count, order sum) of the n-rung ladder from (H(n), P(n)).
 
-
-def _order_numerator(n: int, h: int, p: int) -> int:
-    """Four times the order sum: (21n - 32) layer_total(n) + (19 - 12n) P(n) + 10n + 32."""
-    return (21 * n - 32) * (h + 2 * p) + (19 - 12 * n) * p + 10 * n + 32
-
-
-def _count(n: int, numerator: int) -> int:
-    if numerator % 2 != 0:
-        raise ArithmeticError(f"count numerator odd at n={n}")
-    return numerator // 2
-
-
-def _order_sum(n: int, numerator: int) -> int:
-    if numerator % 4 != 0:
-        raise ArithmeticError(f"order-sum numerator not divisible by 4 at n={n}")
-    return numerator // 4
-
-
-def _row(n: int, h: int, p: int) -> tuple[int, int, Fraction]:
-    """(count, order sum, average) of the n-rung ladder from (H(n), P(n)).
-
-    The average's denominator is 2*(layer_total(n+2) - 4n - 7), i.e. four
-    times the count, which is what the numerator (four times the order
-    sum) requires.
+    Twice the count is layer_total(n+2) - 4n - 7, with
+    layer_total(n+2) = H(n+3) = 7H + 10P; four times the order sum is
+    (21n - 32) layer_total(n) + (19 - 12n) P(n) + 10n + 32.  Both
+    divisions are checked exact.
     """
-    count_numerator = _count_numerator(n, h, p)
-    order_numerator = _order_numerator(n, h, p)
-    return (_count(n, count_numerator), _order_sum(n, order_numerator),
-            Fraction(order_numerator, 2 * count_numerator))
+    count, odd = divmod(7 * h + 10 * p - 4 * n - 7, 2)
+    if odd:
+        raise ArithmeticError(f"count numerator odd at n={n}")
+    total, rest = divmod((21 * n - 32) * (h + 2 * p) + (19 - 12 * n) * p + 10 * n + 32, 4)
+    if rest:
+        raise ArithmeticError(f"order-sum numerator not divisible by 4 at n={n}")
+    return count, total
 
 
-def ladder_row(n: int) -> tuple[int, int, Fraction]:
-    """(count, order sum, average) of the n-rung ladder from one power of u."""
+def ladder_row(n: int) -> tuple[int, int]:
+    """(count, order sum) of the n-rung ladder from one power of u."""
     _check_rungs(n)
     return _row(n, *_unit_power(n))
 
 
-def row_stream() -> Iterator[tuple[int, int, Fraction]]:
+def row_stream() -> Iterator[tuple[int, int]]:
     """``ladder_row(n)`` for n = 1, 2, ..., stepping u^n -> u^(n+1) by additions."""
     n, h, p = 1, 1, 1
     while True:
@@ -107,21 +91,19 @@ def row_stream() -> Iterator[tuple[int, int, Fraction]]:
 
 
 def ladder_count(n: int) -> int:
-    """Number of connected sets of the n-rung ladder:
-    (layer_total(n+2) - 4n - 7) / 2, with the divisibility asserted."""
-    _check_rungs(n)
-    return _count(n, _count_numerator(n, *_unit_power(n)))
+    """Number of connected sets of the n-rung ladder."""
+    return ladder_row(n)[0]
 
 
 def ladder_total_order(n: int) -> int:
     """Sum of the orders of all connected sets of the n-rung ladder."""
-    _check_rungs(n)
-    return _order_sum(n, _order_numerator(n, *_unit_power(n)))
+    return ladder_row(n)[1]
 
 
 def ladder_average(n: int) -> Fraction:
     """Average order of a connected set of the n-rung ladder, exact."""
-    return ladder_row(n)[2]
+    count, total = ladder_row(n)
+    return Fraction(total, count)
 
 
 def vince_average(n: int) -> Fraction:

@@ -286,10 +286,11 @@ def span_census(layered: LayeredGraph, first: int, span: int,
     return FamilyCensus(count=count, order_sum=order_sum)
 
 
-def parse_edge_list(text: str) -> SimpleGraph:
+def parse_edge_list(text: str, cap: int | None = None) -> SimpleGraph:
     """Graph from edge-list text: one 'u v' pair per line, 0-based vertex
     ids, blank lines and lines starting with '#' ignored.  The vertex
-    count is one past the largest id mentioned."""
+    count is one past the largest id mentioned; a count past the census
+    cap is refused before the adjacency rows are allocated."""
     edges = []
     top = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -309,4 +310,5 @@ def parse_edge_list(text: str) -> SimpleGraph:
         top = max(top, u, v)
     if top < 0:
         raise ValueError("edge list is empty")
+    _check_cap(top + 1, cap)
     return SimpleGraph(top + 1, edges)

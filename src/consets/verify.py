@@ -63,19 +63,21 @@ def _swept(name: str, where: str, mismatches: list[str]) -> Check:
 def ladder_checks(n_max: int = 200) -> list[Check]:
     """Ladder closed forms against the general-m machinery, n = 1..n_max.
 
-    Count and average come from the closed-form row walk that ``ladder
-    --n-max`` prints; the published formula and the density take one
-    power of 1 + sqrt(2) per n, the single-n path.
+    Count and order sum come from the closed-form row walk that ``ladder
+    --n-max`` prints, and are compared with the stream's; the published
+    formula and the density take one power of 1 + sqrt(2) per n, the
+    single-n path.
     """
     count_bad, avg_bad, vince_bad, density_bad = [], [], [], []
-    for n, sums, (closed_count, _, closed_average) in zip(
+    for n, sums, (closed_count, closed_total) in zip(
             range(1, n_max + 1), aggregate.cell_stream(2), ladder.row_stream()):
         result = aggregate.ProductResult.from_sums(2, n, *sums)
         count, average = result.count, result.average
         if closed_count != count:
             count_bad.append(f"n={n}: closed {closed_count}, stream {count}")
-        if closed_average != average:
-            avg_bad.append(f"n={n}: closed {closed_average}, stream {average}")
+        if closed_total * count != result.total * closed_count:
+            avg_bad.append(f"n={n}: closed {Fraction(closed_total, closed_count)}, "
+                           f"stream {average}")
         if ladder.vince_average(n) != average:
             vince_bad.append(f"n={n}: published {ladder.vince_average(n)}, stream {average}")
         if ladder.ladder_density(n) != result.density:

@@ -14,7 +14,9 @@ Claims covered:
       and any other exception exits 3
     - integers past CPython's 4300-digit str guard print in full
     - table rows equal the per-cell evaluation
-    - ladder rows equal the closed-form average and density
+    - ladder rows equal the closed-form average and density, and pass the
+      same result checks as table rows; --n and --n-max are exclusive
+    - verify --graph refuses a graph past the cap before allocating it
     - charpoly computes the characteristic polynomial once and takes no
       rendering options; verify takes --precision but not --format
     - the oracle cap is set by --oracle-cap alone; the environment is not read
@@ -26,6 +28,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -75,6 +78,14 @@ def test_format_decimal_significant_digits():
 def test_format_decimal_round_half_even():
     assert format_decimal(Fraction(5, 4), 2) == "1.2"
     assert format_decimal(Fraction(7, 4), 2) == "1.8"
+
+
+def test_format_decimal_strips_exact_zeros_in_one_step(unlimited_digits):
+    # An exact value's trailing zeros go in one step, not one digit at a time.
+    start = time.perf_counter()
+    assert format_decimal(Fraction(1), 100000) == "1"
+    assert format_decimal(Fraction(3, 2), 100000) == "1.5"
+    assert time.perf_counter() - start < 3
 
 
 def test_format_decimal_rejects_zero_precision():
@@ -362,6 +373,22 @@ def test_ladder_requires_scope(capsys):
     assert "needs --n or --n-max" in err
 
 
+def test_ladder_scopes_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["ladder", "--n", "3", "--n-max", "5"])
+    assert excinfo.value.code == 2
+    assert "not allowed with argument --n" in capsys.readouterr().err
+
+
+def test_ladder_rows_pass_the_result_invariants(monkeypatch, capsys):
+    # A closed form yielding an average above 2n stops the ladder at that row.
+    monkeypatch.setattr(ladder, "row_stream", lambda: iter([(3, 4), (1, 5)]))
+    code, out, err = run_cli(capsys, "ladder", "--n-max", "2", "--format", "csv")
+    assert code == 2
+    assert out == f"{CSV_HEADER}\n2,1,3,4,4,3,1.33333333333,2,3,0.666666666667\n"
+    assert "average outside" in err
+
+
 # -- verify --------------------------------------------------------------------
 
 def test_verify_single_cell(capsys):
@@ -452,6 +479,23 @@ def test_verify_oracle_cap_flag(capsys):
     assert "enumeration cap" in err
     code, _, err = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--oracle-cap", "99")
     assert code == 2
+
+
+def test_verify_graph_refused_before_allocation(tmp_path, capsys):
+    # Building this graph would size its adjacency by the largest id (about
+    # 320 MB); the cap refuses it first.
+    path = tmp_path / "sparse.txt"
+    path.write_text("0 1\n1 20000000\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "verify", "--graph", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "graph has 20000001 vertices; enumeration cap is 22" in err
+    assert peak < 2 * 2 ** 20
 
 
 def test_verify_oracle_cap_env(monkeypatch, capsys):

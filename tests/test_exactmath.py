@@ -2,7 +2,8 @@
 
 Claims covered:
     - matrix product, power, apply, symmetry, trace behave exactly
-    - Faddeev-LeVerrier characteristic polynomials match hand values
+    - Faddeev-LeVerrier characteristic polynomials match hand values, and
+      an inexact trace division raises
     - every layer matrix annihilates its own characteristic polynomial
     - Bareiss determinant agrees with the charpoly constant term
     - polynomial products and x^e mod a monic polynomial are exact
@@ -89,6 +90,15 @@ def test_charpoly_three_layers():
 def test_charpoly_identity_matrix():
     poly = char_poly(IntMatrix.identity(3))
     assert poly.coefficients == (-1, 3, -3, 1)  # (x-1)^3
+
+
+def test_charpoly_refuses_an_inexact_trace_division(monkeypatch):
+    # impossible for an integer matrix: a trace forced to 1 leaves step 2
+    # dividing 1 by 2, which must raise rather than truncate
+    monkeypatch.setattr(IntMatrix, "trace", lambda self: 1)
+    with pytest.raises(ArithmeticError,
+                       match="non-integral characteristic coefficient at step 2"):
+        char_poly(IntMatrix.identity(2))
 
 
 @pytest.mark.parametrize("m", range(1, 11))

@@ -5,6 +5,8 @@ Claims covered:
       recurrences and anchors
     - the closed forms hold no growing state (tracemalloc peak)
     - count/average/density closed forms match the general-m machinery
+    - the row stream and the single-n path yield the same (count, order
+      sum) integers
     - the independently published ladder average gives the same fractions
     - the five prefix-sum identities hold against direct summation
     - the count numerator is always even (the halving is exact), and an
@@ -13,6 +15,7 @@ Claims covered:
 
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -144,6 +147,14 @@ def test_average_holds_no_growing_state():
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024
     assert average == average_order(2, 20000)
+
+
+def test_rows_are_count_and_order_sum():
+    # the stream and the single-n path yield the same two integers per n
+    rows = list(islice(ladder.row_stream(), 80))
+    assert rows[:3] == [(3, 4), (13, 28), (40, 126)]
+    for n, row in enumerate(rows, start=1):
+        assert row == ladder_row(n) == (count_connected_sets(2, n), total_order(2, n))
 
 
 def test_inexact_numerators_raise():
