@@ -9,7 +9,12 @@ table
 verify
     Cross-validation: census vs formulas at one cell, ladder closed
     forms, characteristic-coefficient identities, an arbitrary edge-list
-    graph, or (with no scope flags) the full desk-scale battery.
+    graph, or (with no scope flags) the full desk-scale battery.  A cell
+    and the battery's grid are censused by oracle.enumerated_census, which
+    grows the connected sets (O(N·v) for N sets); --graph runs it and the
+    2^v flood census of oracle.census and compares their size counts.
+    --oracle-cap bounds the vertex count of both routes (default 22,
+    ceiling 26).
 charpoly
     The characteristic polynomial of the layer recurrence matrix, with
     its coefficient identities checked.
@@ -23,10 +28,12 @@ by ProductResult.from_sums and checked there; OutputRecord renders it.
 ladder takes --n or --n-max, not both.  Exact fractions are
 authoritative; decimal columns are renderings at --precision significant
 digits, round-half-even, which compute, table, ladder and verify --graph
-take.  Each decimal comes from one integer division, and each distinct
-integer of a row is converted to text once.  table and ladder --n-max
-print each csv or plain row as the engine yields it, so their memory
-does not grow with n_max; json collects the rows for one dump.
+take.  --precision is refused above MAX_PRECISION (100000) before any
+work, since rendering time grows with its square.  Each decimal comes
+from one integer division, and each distinct integer of a row is
+converted to text once.  table and ladder --n-max print each csv or
+plain row as the engine yields it, so their memory does not grow with
+n_max; json collects the rows for one dump.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3
 internal error (any other exception, reported on one stderr line), 141
@@ -54,6 +61,9 @@ from .reporting import Check
 
 CSV_HEADER = "m,n,N,S,A_num,A_den,A_dec,D_num,D_den,D_dec"
 DEFAULT_PRECISION = 12
+#: Largest --precision: rendering time grows with the square of the digits
+#: (CPython's int division and str are schoolbook at these sizes).
+MAX_PRECISION = 100_000
 #: Exit code when the reader of stdout goes away: 128 + SIGPIPE, as a shell
 #: reports a process that the signal ended.
 CLOSED_PIPE = 141
@@ -213,6 +223,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _precision(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_PRECISION}: rendering time grows "
+            f"quadratically with the digits")
+    return value
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     record = OutputRecord.from_result(aggregate.evaluate(args.m, args.n))
     emit_records([record], args.format, args.precision, single=True)
@@ -297,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     formatted.add_argument("--format", choices=("plain", "csv", "json"),
                            default="plain", help="output format (default plain)")
     precision = argparse.ArgumentParser(add_help=False)
-    precision.add_argument("--precision", type=_positive_int, default=DEFAULT_PRECISION,
+    precision.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION,
                            help=f"significant digits for decimal renderings "
-                                f"(default {DEFAULT_PRECISION})")
+                                f"(default {DEFAULT_PRECISION}, at most {MAX_PRECISION})")
     rendered = [formatted, precision]
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -319,10 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = commands.add_parser(
         "verify",
-        help="cross-validate formulas against the exhaustive census and "
-             "each other (no flags: full desk-scale suite)")
-    p_verify.add_argument("--m", type=_positive_int, help="cell to check against the census")
-    p_verify.add_argument("--n", type=_positive_int, help="cell to check against the census")
+        help="cross-validate formulas against the census and each other "
+             "(no flags: full desk-scale suite)")
+    p_verify.add_argument("--m", type=_positive_int,
+                          help="cell to check against the connected-set enumerator")
+    p_verify.add_argument("--n", type=_positive_int,
+                          help="cell to check against the connected-set enumerator")
     p_verify.add_argument("--ladder", action="store_true",
                           help="check the two-layer closed forms")
     p_verify.add_argument("--charpoly", action="store_true",
@@ -333,13 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="largest layer size for --charpoly (default 8)")
     p_verify.add_argument("--graph", metavar="FILE",
                           help="edge-list file ('u v' per line, 0-based) to census "
-                               "with both connectivity checkers")
-    p_verify.add_argument("--precision", type=_positive_int,
+                               "twice: connected-set enumerator against the 2^v "
+                               "flood census")
+    p_verify.add_argument("--precision", type=_precision,
                           help=f"significant digits for the --graph decimals "
-                               f"(default {DEFAULT_PRECISION})")
+                               f"(default {DEFAULT_PRECISION}, at most {MAX_PRECISION})")
     p_verify.add_argument("--oracle-cap", type=int, default=None,
-                          help=f"enumeration cap on vertices (default "
-                               f"{oracle.DEFAULT_CAP}, ceiling {oracle.MAX_CAP})")
+                          help=f"enumeration cap on vertices, for both census routes "
+                               f"(default {oracle.DEFAULT_CAP}, ceiling {oracle.MAX_CAP})")
     p_verify.set_defaults(func=cmd_verify)
 
     p_charpoly = commands.add_parser(

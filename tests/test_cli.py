@@ -20,6 +20,11 @@ Claims covered:
     - charpoly computes the characteristic polynomial once and takes no
       rendering options; verify takes --precision but not --format
     - the oracle cap is set by --oracle-cap alone; the environment is not read
+    - --precision above MAX_PRECISION is refused with exit 2 before any work
+    - verify --m --n and verify --graph print exactly the lines the
+      benchmark's output checker parses
+    - verify --m --n and the battery's grid run the connected-set
+      enumerator and no 2^v census; verify --graph compares the two
 """
 
 import contextlib
@@ -38,7 +43,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from consets import aggregate, cli, ladder, recurrence
+from consets import aggregate, cli, ladder, oracle, recurrence, verify
 from consets.cli import CSV_HEADER, format_decimal, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -441,6 +446,28 @@ def test_verify_graph_file(tmp_path, capsys):
     assert "connectivity checkers agree" in out
 
 
+def test_cell_checks_run_no_subset_census(monkeypatch, capsys):
+    def refused(*args, **kwargs):
+        raise AssertionError("the 2^v census ran")
+
+    monkeypatch.setattr(oracle, "census", refused)
+    code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "10")
+    assert code == 0
+    assert out.endswith("all 4 checks passed\n")
+    assert all(check.ok for check in verify.oracle_grid_checks())
+
+
+def test_verify_graph_compares_enumerator_with_census(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "square.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    monkeypatch.setattr(oracle, "enumerated_census",
+                        lambda graph, cap=None: oracle.CensusReport((4, 4, 4, 0)))
+    code, out, _ = run_cli(capsys, "verify", "--graph", str(path))
+    assert code == 1
+    assert ("FAIL  connectivity checkers agree  [4 vertices, 4 edges]: "
+            "enumerator (4, 4, 4, 0), flood (4, 4, 4, 1)") in out
+
+
 def test_verify_precision_needs_graph(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--precision", "5")
     assert code == 2
@@ -579,6 +606,56 @@ def test_compute_prints_integers_past_the_digit_guard(fmt, parse, unlimited_digi
     assert len(str(result.count)) > 4300
     assert parse(completed.stdout) == (result.count, result.total,
                                        result.average, result.density)
+
+
+@pytest.mark.parametrize("argv", [["compute", "--m", "1", "--n", "3"],
+                                  ["table", "--m", "1", "--n-max", "3"],
+                                  ["ladder", "--n", "3"],
+                                  ["verify", "--graph", "unread.txt"]])
+def test_precision_above_the_limit_is_refused(argv, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(cli, "_decimal_text", unreachable)
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--precision", str(cli.MAX_PRECISION + 1)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--precision: must be at most 100000" in err
+    assert "quadratically" in err
+    args = cli.build_parser().parse_args([*argv, "--precision", str(cli.MAX_PRECISION)])
+    assert args.precision == cli.MAX_PRECISION == 100000
+
+
+def _cli_lines(*argv: str) -> tuple[int, list[str], str]:
+    completed = subprocess.run([sys.executable, "-m", "consets.cli", *argv],
+                               capture_output=True, text=True, env=CLI_ENV, timeout=120)
+    return completed.returncode, completed.stdout.splitlines(), completed.stderr
+
+
+def test_verify_cell_output_contract():
+    code, lines, err = _cli_lines("verify", "--m", "2", "--n", "10")
+    assert (code, err) == (0, "")
+    assert lines == [
+        "PASS  census-vs-formula count  [m=2 n=10]",
+        "PASS  census-vs-formula order total  [m=2 n=10]",
+        "PASS  census-vs-formula average  [m=2 n=10]",
+        "PASS  census-vs-formula density  [m=2 n=10]",
+        "all 4 checks passed",
+    ]
+
+
+def test_verify_graph_output_contract(tmp_path):
+    path = tmp_path / "square.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    code, lines, err = _cli_lines("verify", "--graph", str(path))
+    assert (code, err) == (0, "")
+    assert lines == [
+        f"census of {path}: sizes {{1:4 2:4 3:4 4:1}}",
+        "N=13 S=28 A=28/13 (~2.15384615385) D=7/13 (~0.538461538462)",
+        "PASS  connectivity checkers agree  [4 vertices, 4 edges]",
+        "all 1 checks passed",
+    ]
 
 
 def test_precision_flag(capsys):

@@ -3,6 +3,9 @@
 Claims covered:
     - product-graph construction has the right edge counts and layers
     - censuses of tiny graphs match hand listings
+    - the connected-set enumerator equals both 2^v censuses size for size
+      on random graphs of 1-12 vertices, disconnected ones included, and
+      equals the engine's (N, S) at cells past the battery's grid
     - the two connectivity checkers agree on random subsets
     - footprint families of equal size have equal counts and order sums
     - the census decomposes over layer spans, independent of position
@@ -13,13 +16,17 @@ Claims covered:
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from consets.aggregate import evaluate
 from consets.oracle import (
     _CHECKERS,
     CapExceededError,
     SimpleGraph,
     census,
     complete_path_product,
+    enumerated_census,
     footprint_census,
     parse_edge_list,
     resolve_cap,
@@ -123,6 +130,44 @@ def test_census_deterministic_under_relabeling():
         assert census(relabeled).size_counts == baseline.size_counts
 
 
+# -- enumerated census -------------------------------------------------------------
+
+def test_enumerated_census_hand_listings():
+    assert enumerated_census(SimpleGraph(1, [])).size_counts == (1,)
+    assert enumerated_census(complete_path_product(2, 2).graph).size_counts == (4, 4, 4, 1)
+    assert enumerated_census(complete_path_product(3, 2).graph).size_counts == (6, 9, 14, 15, 6, 1)
+    # two isolated vertices beside a triangle: no set spans components
+    assert enumerated_census(SimpleGraph(5, [(2, 3), (3, 4), (2, 4)])).size_counts == (5, 3, 1, 0, 0)
+
+
+@st.composite
+def small_graphs(draw) -> SimpleGraph:
+    """Any simple graph on 1..12 vertices, sparse ones (hence disconnected
+    ones and isolated vertices) included."""
+    v = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return SimpleGraph(v, edges)
+
+
+@settings(deadline=None)
+@given(graph=small_graphs())
+@example(graph=SimpleGraph(1, []))
+@example(graph=SimpleGraph(6, []))
+@example(graph=SimpleGraph(8, [(0, 1), (1, 2), (4, 5), (5, 6), (4, 6)]))
+def test_enumerated_census_equals_both_checkers(graph):
+    grown = enumerated_census(graph).size_counts
+    assert grown == census(graph, connectivity="flood").size_counts
+    assert grown == census(graph, connectivity="union-find").size_counts
+
+
+@pytest.mark.parametrize("m,n", [(3, 7), (6, 3), (7, 3)])
+def test_enumerated_census_equals_engine_past_the_grid(m, n):
+    report = enumerated_census(complete_path_product(m, n).graph)
+    result = evaluate(m, n)
+    assert (report.count, report.total_order) == (result.count, result.total)
+
+
 # -- families ------------------------------------------------------------------------
 
 def test_footprint_census_examples():
@@ -183,6 +228,8 @@ def test_cap_refusals():
     graph = complete_path_product(4, 3).graph
     with pytest.raises(CapExceededError):
         census(graph, cap=10)
+    with pytest.raises(CapExceededError, match="enumeration cap is 10"):
+        enumerated_census(graph, cap=10)
 
 
 def test_resolve_cap_bounds():
