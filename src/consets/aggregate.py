@@ -3,8 +3,9 @@
 Every connected set spans a contiguous block of layers, and blocks of
 equal length are interchangeable, so the graph-level count and order sum
 are triangular-weighted sums of the per-horizon layer quantities, which
-``cell_stream`` keeps as running prefix sums.  The average order and
-density come out as exact reduced fractions.
+``cell_stream`` keeps as running prefix sums.  ``evaluate`` returns all
+four quantities of one cell as one checked ``ProductResult``, the average
+order and density as exact reduced fractions.
 
 One cell has two engines.  Up to n = STREAM_MAX_PER_LAYER * m it takes
 the n-th item of ``cell_stream``; above that, ``jump_sums`` reads N(n)
@@ -20,7 +21,7 @@ from itertools import islice
 from typing import Callable, Iterator
 
 from .exactmath import IntPolynomial, char_poly, poly_mul, x_power_mod
-from .layers import column_stream, recurrence_matrix, weighted_sum
+from .layers import column_stream, footprint_weights, recurrence_matrix
 
 #: Above n = STREAM_MAX_PER_LAYER * m a single cell jumps instead of
 #: streaming.  This is the measured crossover: best of 7 in-process runs,
@@ -46,10 +47,11 @@ def cell_stream(m: int) -> Iterator[tuple[int, int]]:
     N(n) = N(n-1) + sum_{k<=n} T(k); likewise S with U.  Running prefix
     sums make each step O(m) big-integer additions past the column step.
     """
+    weights = footprint_weights(m)
     count = total = span_count = span_total = 0
     for counts, orders in column_stream(m):
-        span_count += weighted_sum(counts)
-        span_total += weighted_sum(orders)
+        span_count += sum(w * c for w, c in zip(weights, counts))
+        span_total += sum(w * s for w, s in zip(weights, orders))
         count += span_count
         total += span_total
         yield count, total
@@ -98,27 +100,6 @@ def _sums(m: int, n: int) -> tuple[int, int]:
     if n > STREAM_MAX_PER_LAYER * m:
         return jump_sums(m, n)
     return next(islice(cell_stream(m), n - 1, None))
-
-
-def count_connected_sets(m: int, n: int) -> int:
-    """Number of connected vertex sets of the m-by-n product graph."""
-    return _sums(m, n)[0]
-
-
-def total_order(m: int, n: int) -> int:
-    """Sum of the orders of all connected vertex sets."""
-    return _sums(m, n)[1]
-
-
-def average_order(m: int, n: int) -> Fraction:
-    """Average order of a connected vertex set, exact."""
-    count, total = _sums(m, n)
-    return Fraction(total, count)
-
-
-def density(m: int, n: int) -> Fraction:
-    """Average order divided by the vertex count m*n, exact."""
-    return average_order(m, n) / (m * n)
 
 
 @dataclass(frozen=True, slots=True)

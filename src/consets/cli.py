@@ -14,7 +14,8 @@ verify
     grows the connected sets (O(N·v) for N sets); --graph runs it and the
     2^v flood census of oracle.census and compares their size counts.
     --oracle-cap bounds the vertex count of both routes (default 22,
-    ceiling 26).
+    ceiling 26); it applies only with --m/--n or --graph, since the
+    battery's grid stays within the default.
 charpoly
     The characteristic polynomial of the layer recurrence matrix, with
     its coefficient identities checked.
@@ -272,6 +273,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--m-max applies only with --charpoly")
     if args.precision is not None and args.graph is None:
         raise ValueError("--precision applies only with --graph")
+    if args.oracle_cap is not None and args.m is None and args.n is None and args.graph is None:
+        raise ValueError("--oracle-cap applies only with --m/--n or --graph")
     cap = oracle.resolve_cap(args.oracle_cap)
     checks: list[Check] = []
     scoped = False
@@ -303,7 +306,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
               f"D={report.density} (~{format_decimal(report.density, precision)})")
         checks.extend(graph_checks)
     if not scoped:
-        checks = verify.full_suite(cap)
+        checks = verify.full_suite()
     return _print_checks(checks)
 
 
@@ -360,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"significant digits for the --graph decimals "
                                f"(default {DEFAULT_PRECISION}, at most {MAX_PRECISION})")
     p_verify.add_argument("--oracle-cap", type=int, default=None,
-                          help=f"enumeration cap on vertices, for both census routes "
-                               f"(default {oracle.DEFAULT_CAP}, ceiling {oracle.MAX_CAP})")
+                          help=f"enumeration cap on vertices for --m/--n and --graph, "
+                               f"both census routes (default {oracle.DEFAULT_CAP}, "
+                               f"ceiling {oracle.MAX_CAP})")
     p_verify.set_defaults(func=cmd_verify)
 
     p_charpoly = commands.add_parser(

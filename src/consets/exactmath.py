@@ -56,13 +56,6 @@ class IntMatrix:
     def order(self) -> int:
         return len(self._rows)
 
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self._rows
-
-    def entry(self, i: int, j: int) -> int:
-        return self._rows[i][j]
-
     def _check_order(self, other: IntMatrix) -> None:
         if self.order != other.order:
             raise ValueError(f"matrix orders differ: {self.order} vs {other.order}")
@@ -276,12 +269,6 @@ class QuadInt:
     a: int
     b: int
 
-    def __add__(self, other: QuadInt) -> QuadInt:
-        return QuadInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: QuadInt) -> QuadInt:
-        return QuadInt(self.a - other.a, self.b - other.b)
-
     def __mul__(self, other: QuadInt) -> QuadInt:
         return QuadInt(self.a * other.a + 2 * self.b * other.b,
                        self.a * other.b + self.b * other.a)
@@ -297,13 +284,6 @@ class QuadInt:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def conjugate(self) -> QuadInt:
-        return QuadInt(self.a, -self.b)
-
-    def norm(self) -> int:
-        """a^2 - 2*b^2; multiplicative over the ring."""
-        return self.a * self.a - 2 * self.b * self.b
 
     def __repr__(self) -> str:
         return f"QuadInt({self.a}, {self.b})"

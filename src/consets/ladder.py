@@ -5,17 +5,19 @@ Pell numbers 1, 1, 3, 7, 17, 41, ... and the single-vertex-footprint
 counts are the Pell numbers 0, 1, 2, 5, 12, ...; both satisfy
 x(k) = 2 x(k-1) + x(k-2).  Both are read off one power of the unit
 u = 1 + sqrt(2): u^k = H(k) + P(k)·sqrt(2), with H the half-companion
-and P the Pell sequence.  Everything downstream (counts, averages,
-densities, and the published ladder formula they must match) reduces to
-the pair (H(n), P(n)): the shifted terms come by additions, since
+and P the Pell sequence.  The count and order sum of the n-rung ladder,
+and the published ladder formula they must match, reduce to the pair
+(H(n), P(n)): the shifted terms come by additions, since
 u^(k+1) = (H + 2P) + (H + P)·sqrt(2).
 
 A single n takes one power, O(log n) products, through QuadInt (exact,
 never floating point); ``row_stream`` walks the powers by additions
 only.  Both feed the same closed-form evaluator, which yields two
-integers, the count N and the order sum S, as every other route does;
-the CLI turns each (N, S) into an ``aggregate.ProductResult`` and its
-checks.  Nothing is cached.
+integers, the count N and the order sum S, as every other route does.
+A caller who wants the average and density builds one
+``aggregate.ProductResult`` from them, as the CLI does:
+``ProductResult.from_sums(2, n, *ladder_row(n))`` equals
+``aggregate.evaluate(2, n)``.  Nothing is cached.
 """
 
 from __future__ import annotations
@@ -34,26 +36,6 @@ def _unit_power(k: int) -> tuple[int, int]:
     return power.a, power.b
 
 
-def pell(k: int) -> int:
-    """k-th Pell number; equals the single-vertex-footprint count at horizon k."""
-    return _unit_power(k)[1]
-
-
-def half_companion(k: int) -> int:
-    """k-th half-companion Pell number (1, 1, 3, 7, 17, ...)."""
-    return _unit_power(k)[0]
-
-
-def layer_total(k: int) -> int:
-    """Two-layer-case total at horizon k, i.e. half_companion(k+1) = H(k) + 2 P(k).
-
-    Index 0 is the backwards extension (value 1), which the recurrence,
-    the prefix-sum identities, and the published ladder formula all need.
-    """
-    h, p = _unit_power(k)
-    return h + 2 * p
-
-
 def _check_rungs(n: int) -> None:
     if n < 1:
         raise ValueError("rung count must be at least 1")
@@ -62,10 +44,10 @@ def _check_rungs(n: int) -> None:
 def _row(n: int, h: int, p: int) -> tuple[int, int]:
     """(count, order sum) of the n-rung ladder from (H(n), P(n)).
 
-    Twice the count is layer_total(n+2) - 4n - 7, with
-    layer_total(n+2) = H(n+3) = 7H + 10P; four times the order sum is
-    (21n - 32) layer_total(n) + (19 - 12n) P(n) + 10n + 32.  Both
-    divisions are checked exact.
+    With T(k) = H(k+1) = H(k) + 2 P(k) the two-layer total at horizon k,
+    twice the count is T(n+2) - 4n - 7, with T(n+2) = H(n+3) = 7H + 10P;
+    four times the order sum is (21n - 32) T(n) + (19 - 12n) P(n)
+    + 10n + 32.  Both divisions are checked exact.
     """
     count, odd = divmod(7 * h + 10 * p - 4 * n - 7, 2)
     if odd:
@@ -90,22 +72,6 @@ def row_stream() -> Iterator[tuple[int, int]]:
         n, h, p = n + 1, h + 2 * p, h + p
 
 
-def ladder_count(n: int) -> int:
-    """Number of connected sets of the n-rung ladder."""
-    return ladder_row(n)[0]
-
-
-def ladder_total_order(n: int) -> int:
-    """Sum of the orders of all connected sets of the n-rung ladder."""
-    return ladder_row(n)[1]
-
-
-def ladder_average(n: int) -> Fraction:
-    """Average order of a connected set of the n-rung ladder, exact."""
-    count, total = ladder_row(n)
-    return Fraction(total, count)
-
-
 def vince_average(n: int) -> Fraction:
     """Average order via the independently published ladder formula,
     stated over the Pell and half-companion Pell sequences directly:
@@ -117,18 +83,13 @@ def vince_average(n: int) -> Fraction:
     return Fraction(numerator, 2 * (7 * beta + 10 * pell_n - 4 * n - 7))
 
 
-def ladder_density(n: int) -> Fraction:
-    """Average order divided by the 2n vertices, exact."""
-    return ladder_average(n) / (2 * n)
-
-
 def ladder_sum_identities(n: int) -> tuple[Check, ...]:
     """Check the five prefix-sum closed forms against direct summation.
 
     Every P and H value comes from one walk of u^k, k = 0..n+3.  Each
     comparison is cross-multiplied so a failing identity reports the
     two integers instead of raising on a non-exact halving.  The closed
-    form for the plain Pell-tail sum uses layer_total(n+2); the version
+    form for the plain Pell-tail sum uses total(n+2); the version
     with index n+3 fails direct summation already at n=1 (5 vs 17).
     """
     _check_rungs(n)

@@ -14,14 +14,12 @@ are footprint sizes i in 1..m.  Matrix indices stay 0-based.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
 
 from .exactmath import IntMatrix
 
 
-@lru_cache(maxsize=None)
 def pascal_row(m: int) -> tuple[int, ...]:
     """Row m of Pascal's triangle: (C(m,0), ..., C(m,m))."""
     if m < 0:
@@ -39,7 +37,6 @@ def footprint_weights(m: int) -> tuple[int, ...]:
     return pascal_row(m)[1:]
 
 
-@lru_cache(maxsize=None)
 def recurrence_matrix(m: int) -> IntMatrix:
     """The m x m matrix advancing footprint-class counts by one layer.
 

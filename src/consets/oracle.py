@@ -70,14 +70,6 @@ class SimpleGraph:
         self.vertex_count = vertex_count
         self.adjacency = tuple(adjacency)
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.vertex_count):
-            row = self.adjacency[u] >> (u + 1) << (u + 1)  # keep v > u only
-            while row:
-                low = row & -row
-                row ^= low
-                yield u, low.bit_length() - 1
-
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adjacency) // 2
@@ -100,13 +92,6 @@ class LayeredGraph:
         if not 1 <= layer <= self.n:
             raise ValueError(f"layer {layer} outside 1..{self.n}")
         return ((1 << self.m) - 1) << ((layer - 1) * self.m)
-
-    def vertex(self, layer: int, position: int) -> int:
-        if not 0 <= position < self.m:
-            raise ValueError(f"position {position} outside 0..{self.m - 1}")
-        if not 1 <= layer <= self.n:
-            raise ValueError(f"layer {layer} outside 1..{self.n}")
-        return (layer - 1) * self.m + position
 
 
 def complete_path_product(m: int, n: int, cap: int | None = None) -> LayeredGraph:
@@ -261,6 +246,25 @@ def _submasks(universe: int) -> Iterator[int]:
         sub = (sub - 1) & universe
 
 
+def _layer_family(adjacency: tuple[int, ...], layers: list[int],
+                  required: int) -> FamilyCensus:
+    """Count and order sum of the connected sets made of every vertex of
+    ``required`` and any vertices of the ``layers`` masks, meeting each of
+    those layers.  Callers pass a nonempty ``required`` or at least one
+    layer, which keeps the empty set out."""
+    universe = 0
+    for mask in layers:
+        universe |= mask
+    count = 0
+    order_sum = 0
+    for free in _submasks(universe):
+        subset = free | required
+        if all(subset & layer for layer in layers) and _connected_flood(adjacency, subset):
+            count += 1
+            order_sum += subset.bit_count()
+    return FamilyCensus(count=count, order_sum=order_sum)
+
+
 def footprint_census(layered: LayeredGraph, k: int,
                      footprint: Iterable[int], cap: int | None = None) -> FamilyCensus:
     """Census of connected sets meeting every layer before k, intersecting
@@ -281,20 +285,7 @@ def footprint_census(layered: LayeredGraph, k: int,
         raise ValueError("footprint must be nonempty")
 
     earlier = [layered.layer_mask(layer) for layer in range(1, k)]
-    universe = 0
-    for mask in earlier:
-        universe |= mask
-    adjacency = layered.graph.adjacency
-    count = 0
-    order_sum = 0
-    for free in _submasks(universe):
-        subset = free | footprint_mask
-        if any(not subset & layer for layer in earlier):
-            continue
-        if _connected_flood(adjacency, subset):
-            count += 1
-            order_sum += subset.bit_count()
-    return FamilyCensus(count=count, order_sum=order_sum)
+    return _layer_family(layered.graph.adjacency, earlier, footprint_mask)
 
 
 def span_census(layered: LayeredGraph, first: int, span: int,
@@ -307,19 +298,7 @@ def span_census(layered: LayeredGraph, first: int, span: int,
     if not 1 <= first <= layered.n - span + 1:
         raise ValueError(f"layers {first}..{first + span - 1} outside 1..{layered.n}")
     layer_masks = [layered.layer_mask(layer) for layer in range(first, first + span)]
-    universe = 0
-    for mask in layer_masks:
-        universe |= mask
-    adjacency = layered.graph.adjacency
-    count = 0
-    order_sum = 0
-    for subset in _submasks(universe):
-        if subset == 0 or any(not subset & layer for layer in layer_masks):
-            continue
-        if _connected_flood(adjacency, subset):
-            count += 1
-            order_sum += subset.bit_count()
-    return FamilyCensus(count=count, order_sum=order_sum)
+    return _layer_family(layered.graph.adjacency, layer_masks, 0)
 
 
 def parse_edge_list(text: str, cap: int | None = None) -> SimpleGraph:

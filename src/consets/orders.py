@@ -13,20 +13,11 @@ against each other.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice
 from typing import Sequence
 
 from .exactmath import IntMatrix
 from .layers import column_stream, footprint_weights, recurrence_matrix, weighted_sum
-
-
-@lru_cache(maxsize=None)
-def weight_matrix(m: int) -> IntMatrix:
-    """diag(1, 2, ..., m): each footprint class weighted by its size."""
-    if m < 1:
-        raise ValueError("layer size must be at least 1")
-    return IntMatrix.diagonal(tuple(range(1, m + 1)))
 
 
 def order_table(m: int, k_max: int) -> list[tuple[int, ...]]:
@@ -38,7 +29,8 @@ def order_table(m: int, k_max: int) -> list[tuple[int, ...]]:
 
 def order_column_direct(m: int, k: int) -> tuple[int, ...]:
     """Reference path: evaluate the order-sum column from the literal sum
-    of k matrix products A^(k-s-1) B A^s applied to all-ones, s = 0..k-1.
+    of k matrix products A^(k-s-1) B A^s applied to all-ones, s = 0..k-1,
+    with B = diag(1, ..., m) weighting each footprint class by its size.
 
     O(k^2 m^2) scalar work; meant for cross-validation at small k.
     """
@@ -47,14 +39,13 @@ def order_column_direct(m: int, k: int) -> tuple[int, ...]:
     if k < 1:
         raise ValueError("horizon must be at least 1")
     matrix = recurrence_matrix(m)
-    sizes = weight_matrix(m)
     ones = (1,) * m
     total = (0,) * m
     for s in range(k):
         vector = ones
         for _ in range(s):
             vector = matrix.apply(vector)
-        vector = sizes.apply(vector)
+        vector = tuple(i * v for i, v in enumerate(vector, start=1))
         for _ in range(k - s - 1):
             vector = matrix.apply(vector)
         total = tuple(t + v for t, v in zip(total, vector))

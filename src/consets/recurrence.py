@@ -37,13 +37,6 @@ class CoefficientReport:
     polynomial: IntPolynomial
     checks: tuple[Check, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(check.ok for check in self.checks)
-
-    def failures(self) -> list[Check]:
-        return [check for check in self.checks if not check.ok]
-
 
 def validate_coefficients(m: int) -> CoefficientReport:
     """Check the claimed closed forms for the top and constant coefficients.

@@ -54,11 +54,11 @@ def oracle_cell_checks(m: int, n: int, cap: int | None = None) -> list[Check]:
     ]
 
 
-def oracle_grid_checks(cap: int | None = None) -> list[Check]:
+def oracle_grid_checks() -> list[Check]:
     checks = []
     for m, n_top in ORACLE_GRID:
         for n in range(1, n_top + 1):
-            checks.extend(oracle_cell_checks(m, n, cap))
+            checks.extend(oracle_cell_checks(m, n))
     return checks
 
 
@@ -72,8 +72,9 @@ def ladder_checks(n_max: int = 200) -> list[Check]:
 
     Count and order sum come from the closed-form row walk that ``ladder
     --n-max`` prints, and are compared with the stream's; the published
-    formula and the density take one power of 1 + sqrt(2) per n, the
-    single-n path.
+    formula and the density, Fraction(S, N) / (2n) from ``ladder_row(n)``,
+    take one power of 1 + sqrt(2) per n, the single-n path, as do the
+    anchors.
     """
     count_bad, avg_bad, vince_bad, density_bad = [], [], [], []
     for n, sums, (closed_count, closed_total) in zip(
@@ -87,7 +88,8 @@ def ladder_checks(n_max: int = 200) -> list[Check]:
                            f"stream {average}")
         if ladder.vince_average(n) != average:
             vince_bad.append(f"n={n}: published {ladder.vince_average(n)}, stream {average}")
-        if ladder.ladder_density(n) != result.density:
+        single_count, single_total = ladder.ladder_row(n)
+        if Fraction(single_total, single_count) / (2 * n) != result.density:
             density_bad.append(f"n={n}")
     where = f"n=1..{n_max}"
     checks = [
@@ -96,12 +98,13 @@ def ladder_checks(n_max: int = 200) -> list[Check]:
         _swept("ladder average vs published formula", where, vince_bad),
         _swept("ladder density closed form", where, density_bad),
     ]
+    (count_1, total_1), (count_2, total_2), (count_3, _) = map(ladder.ladder_row, (1, 2, 3))
     anchors = [
-        ("ladder count anchor", 1, ladder.ladder_count(1), 3),
-        ("ladder count anchor", 2, ladder.ladder_count(2), 13),
-        ("ladder count anchor", 3, ladder.ladder_count(3), 40),
-        ("ladder average anchor", 1, ladder.ladder_average(1), Fraction(4, 3)),
-        ("ladder average anchor", 2, ladder.ladder_average(2), Fraction(28, 13)),
+        ("ladder count anchor", 1, count_1, 3),
+        ("ladder count anchor", 2, count_2, 13),
+        ("ladder count anchor", 3, count_3, 40),
+        ("ladder average anchor", 1, Fraction(total_1, count_1), Fraction(4, 3)),
+        ("ladder average anchor", 2, Fraction(total_2, count_2), Fraction(28, 13)),
     ]
     for name, n, got, expected in anchors:
         checks.append(Check(name, f"n={n}", got == expected,
@@ -199,10 +202,11 @@ def order_path_checks(m_max: int = 5, k_max: int = 10) -> list[Check]:
 
 def anchor_checks(m_max: int = 10, n_max: int = 50) -> list[Check]:
     """Closed-form averages of the two degenerate families."""
+    complete_averages = ((m, aggregate.evaluate(m, 1).average) for m in range(1, m_max + 1))
     complete_bad = [
-        f"m={m}: got {aggregate.average_order(m, 1)}"
-        for m in range(1, m_max + 1)
-        if aggregate.average_order(m, 1) != Fraction(m * 2 ** (m - 1), 2 ** m - 1)
+        f"m={m}: got {average}"
+        for m, average in complete_averages
+        if average != Fraction(m * 2 ** (m - 1), 2 ** m - 1)
     ]
     path_averages = (Fraction(total, count) for count, total in aggregate.cell_stream(1))
     path_bad = [
@@ -248,10 +252,10 @@ def graph_file_checks(graph: oracle.SimpleGraph, cap: int | None = None) -> tupl
     return checks, flood
 
 
-def full_suite(cap: int | None = None) -> list[Check]:
+def full_suite() -> list[Check]:
     """The whole desk-scale battery; the single verification entry point."""
     checks = []
-    checks.extend(oracle_grid_checks(cap))
+    checks.extend(oracle_grid_checks())
     checks.extend(ladder_checks(200))
     checks.extend(ladder_identity_checks(100))
     checks.extend(charpoly_checks(10))

@@ -9,8 +9,9 @@ Claims covered:
     - a deep cell holds O(m) integers, not every column
     - the recurrence jump equals the stream, on both sides of the engine
       crossover, and its annihilator holds on the streamed sums
-    - the package exports exactly the engine, ladder, census and
-      polynomial names, and each of them resolves
+    - verify.jump_checks fails, naming m and n, when the jump is wrong
+    - the package exports exactly the engine, census and polynomial
+      names, and each of them resolves
 """
 
 import tracemalloc
@@ -20,17 +21,14 @@ from itertools import islice
 import pytest
 
 import consets
+from consets import aggregate, verify
 from consets.aggregate import (
     STREAM_MAX_PER_LAYER,
     ProductResult,
     annihilator,
-    average_order,
     cell_stream,
-    count_connected_sets,
-    density,
     evaluate,
     jump_sums,
-    total_order,
 )
 from consets.layers import profile_table
 from consets.oracle import census, complete_path_product
@@ -38,36 +36,36 @@ from consets.orders import layer_order_sum_convolution
 
 
 def test_small_cell_anchors():
-    assert count_connected_sets(2, 2) == 13
-    assert total_order(2, 2) == 28
-    assert count_connected_sets(3, 2) == 51
-    assert total_order(3, 2) == 162
-    assert average_order(2, 1) == Fraction(4, 3)
-    assert average_order(3, 2) == Fraction(54, 17)
-    assert density(3, 2) == Fraction(9, 17)
-    assert density(2, 2) == Fraction(7, 13)
-    assert density(1, 1) == 1
+    assert (evaluate(2, 2).count, evaluate(2, 2).total) == (13, 28)
+    assert (evaluate(3, 2).count, evaluate(3, 2).total) == (51, 162)
+    assert evaluate(2, 1).average == Fraction(4, 3)
+    assert evaluate(3, 2).average == Fraction(54, 17)
+    assert evaluate(3, 2).density == Fraction(9, 17)
+    assert evaluate(2, 2).density == Fraction(7, 13)
+    assert evaluate(1, 1).density == 1
 
 
 def test_single_column_closed_forms():
     for n in range(1, 31):
-        assert count_connected_sets(1, n) == n * (n + 1) // 2
-        assert total_order(1, n) == n * (n + 1) * (n + 2) // 6
-        assert average_order(1, n) == Fraction(n + 2, 3)
+        result = evaluate(1, n)
+        assert result.count == n * (n + 1) // 2
+        assert result.total == n * (n + 1) * (n + 2) // 6
+        assert result.average == Fraction(n + 2, 3)
 
 
 def test_single_layer_closed_forms():
     for m in range(1, 11):
-        assert count_connected_sets(m, 1) == 2 ** m - 1
-        assert total_order(m, 1) == m * 2 ** (m - 1)
-        assert average_order(m, 1) == Fraction(m * 2 ** (m - 1), 2 ** m - 1)
+        result = evaluate(m, 1)
+        assert result.count == 2 ** m - 1
+        assert result.total == m * 2 ** (m - 1)
+        assert result.average == Fraction(m * 2 ** (m - 1), 2 ** m - 1)
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        count_connected_sets(0, 3)
+        evaluate(0, 3)
     with pytest.raises(ValueError):
-        total_order(3, 0)
+        evaluate(3, 0)
 
 
 def test_convolution_route_agrees():
@@ -78,13 +76,14 @@ def test_convolution_route_agrees():
             counts = profile_table(m, n)
             total = sum((n - k + 1) * layer_order_sum_convolution(m, k, counts)
                         for k in range(1, n + 1))
-            assert Fraction(total, count_connected_sets(m, n)) == average_order(m, n)
+            result = evaluate(m, n)
+            assert Fraction(total, result.count) == result.average
 
 
 def test_density_bounds():
     for m in range(1, 6):
         for n in range(1, 13):
-            d = density(m, n)
+            d = evaluate(m, n).density
             assert Fraction(1, m * n) <= d <= 1
 
 
@@ -166,6 +165,15 @@ def test_annihilator_holds_on_streamed_sums(m):
         assert sum(c * total for c, (_, total) in zip(q.coefficients, window)) == 0
 
 
+def test_jump_checks_report_a_wrong_jump(monkeypatch):
+    # verify.jump_checks reads the jumper from the engine, so a wrong jump
+    # fails the check and its detail names the first bad cell
+    monkeypatch.setattr(aggregate, "_jumper", lambda m: lambda n: (0, 0))
+    checks = verify.jump_checks(3, 40)
+    assert [check.ok for check in checks] == [False, False, False]
+    assert checks[2].detail.startswith("m=3 n=9: jump (0, 0), stream ")
+
+
 def test_jump_domain_errors():
     with pytest.raises(ValueError):
         jump_sums(3, 0)
@@ -175,13 +183,11 @@ def test_jump_domain_errors():
 
 def test_public_surface():
     assert sorted(consets.__all__) == sorted([
-        "evaluate", "ProductResult", "count_connected_sets", "total_order",
-        "average_order", "density", "cell_stream",
-        "ladder_count", "ladder_total_order", "ladder_average", "ladder_density",
+        "evaluate", "ProductResult", "cell_stream",
         "census", "complete_path_product", "parse_edge_list", "SimpleGraph",
         "CensusReport", "CapExceededError",
         "char_poly", "recurrence_matrix", "validate_coefficients",
     ])
-    assert len(consets.__all__) == 20
+    assert len(consets.__all__) == 12
     for name in consets.__all__:
         assert getattr(consets, name) is not None, name

@@ -19,7 +19,8 @@ Claims covered:
     - verify --graph refuses a graph past the cap before allocating it
     - charpoly computes the characteristic polynomial once and takes no
       rendering options; verify takes --precision but not --format
-    - the oracle cap is set by --oracle-cap alone; the environment is not read
+    - the oracle cap is set by --oracle-cap alone, which needs --m/--n or
+      --graph; the environment is not read
     - --precision above MAX_PRECISION is refused with exit 2 before any work
     - verify --m --n and verify --graph print exactly the lines the
       benchmark's output checker parses
@@ -365,9 +366,11 @@ def test_ladder_rows_equal_closed_forms(capsys):
     rows = out.strip().splitlines()[1:]
     assert len(rows) == 300
     for n, row in enumerate(rows, start=1):
-        average, density = ladder.ladder_average(n), ladder.ladder_density(n)
+        count, total = ladder.ladder_row(n)
+        average = Fraction(total, count)
+        density = average / (2 * n)
         assert row == ",".join(str(field) for field in (
-            2, n, ladder.ladder_count(n), ladder.ladder_total_order(n),
+            2, n, count, total,
             average.numerator, average.denominator, format_decimal(average),
             density.numerator, density.denominator, format_decimal(density)))
 
@@ -421,6 +424,16 @@ def test_verify_n_max_needs_ladder(capsys):
     assert code == 2
     assert out == ""
     assert "--n-max applies only with --ladder" in err
+
+
+@pytest.mark.parametrize("scope", [(), ("--ladder",), ("--charpoly",)])
+def test_verify_oracle_cap_needs_census_scope(scope, capsys):
+    # the battery's grid stays within the default cap, so the flag would
+    # change nothing there, or stop the battery partway below it
+    code, out, err = run_cli(capsys, "verify", *scope, "--oracle-cap", "10")
+    assert code == 2
+    assert out == ""
+    assert "--oracle-cap applies only with --m/--n or --graph" in err
 
 
 def test_verify_ladder_scope(capsys):
@@ -500,12 +513,19 @@ def test_verify_full_suite_reports_only_the_false_claim(capsys):
 
 # -- caps ------------------------------------------------------------------------
 
-def test_verify_oracle_cap_flag(capsys):
+def test_verify_oracle_cap_flag(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--m", "4", "--n", "4", "--oracle-cap", "10")
     assert code == 2
     assert "enumeration cap" in err
     code, _, err = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--oracle-cap", "99")
     assert code == 2
+    path = tmp_path / "square.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    code, _, _ = run_cli(capsys, "verify", "--graph", str(path), "--oracle-cap", "4")
+    assert code == 0
+    code, _, err = run_cli(capsys, "verify", "--graph", str(path), "--oracle-cap", "3")
+    assert code == 2
+    assert "enumeration cap is 3" in err
 
 
 def test_verify_graph_refused_before_allocation(tmp_path, capsys):

@@ -4,7 +4,8 @@ Claims covered:
     - the sequences read off powers of 1 + sqrt(2) satisfy their defining
       recurrences and anchors
     - the closed forms hold no growing state (tracemalloc peak)
-    - count/average/density closed forms match the general-m machinery
+    - the closed-form count and order sum, and the average and density
+      built from them, match the general-m machinery
     - the row stream and the single-n path yield the same (count, order
       sum) integers
     - the independently published ladder average gives the same fractions
@@ -20,21 +21,31 @@ from itertools import islice
 import pytest
 
 from consets import ladder
-from consets.aggregate import average_order, count_connected_sets, density, total_order
-from consets.ladder import (
-    half_companion,
-    ladder_average,
-    ladder_count,
-    ladder_density,
-    ladder_sum_identities,
-    ladder_total_order,
-    ladder_row,
-    layer_total,
-    pell,
-    vince_average,
-)
+from consets.aggregate import ProductResult, evaluate
+from consets.ladder import ladder_row, ladder_sum_identities, vince_average
 from consets.layers import weighted_sum
 from consets.orders import order_table
+
+
+def pell(k: int) -> int:
+    """P(k), the sqrt(2) part of (1 + sqrt(2))^k."""
+    return ladder._unit_power(k)[1]
+
+
+def half_companion(k: int) -> int:
+    """H(k), the rational part of (1 + sqrt(2))^k."""
+    return ladder._unit_power(k)[0]
+
+
+def layer_total(k: int) -> int:
+    """The two-layer total at horizon k, H(k+1) = H(k) + 2 P(k)."""
+    h, p = ladder._unit_power(k)
+    return h + 2 * p
+
+
+def ladder_average(n: int) -> Fraction:
+    count, total = ladder_row(n)
+    return Fraction(total, count)
 
 
 # -- sequences -----------------------------------------------------------------
@@ -79,20 +90,11 @@ def test_total_splits_into_previous_total_plus_two_pell():
         assert layer_total(k) == layer_total(k - 1) + 2 * pell(k)
 
 
-def test_negative_indices_rejected():
-    with pytest.raises(ValueError):
-        pell(-1)
-    with pytest.raises(ValueError):
-        half_companion(-1)
-    with pytest.raises(ValueError):
-        layer_total(-1)
-
-
 # -- counts, averages, densities -------------------------------------------------
 
 def test_count_anchors():
-    assert [ladder_count(n) for n in (1, 2, 3)] == [3, 13, 40]
-    assert ladder_count(3) == 3 * 3 + 2 * 7 + 1 * 17
+    assert [ladder_row(n)[0] for n in (1, 2, 3)] == [3, 13, 40]
+    assert ladder_row(3)[0] == 3 * 3 + 2 * 7 + 1 * 17
 
 
 def test_count_numerator_always_even():
@@ -103,7 +105,7 @@ def test_count_numerator_always_even():
 def test_average_anchors():
     assert ladder_average(1) == Fraction(4, 3)
     assert ladder_average(2) == Fraction(28, 13)
-    assert ladder_average(3) == Fraction(total_order(2, 3), ladder_count(3))
+    assert ladder_average(3) == Fraction(evaluate(2, 3).total, ladder_row(3)[0])
 
 
 def test_average_numerator_anchor():
@@ -113,7 +115,7 @@ def test_average_numerator_anchor():
 
 def test_total_order_closed_form():
     for n in range(1, 60):
-        assert ladder_total_order(n) == total_order(2, n)
+        assert ladder_row(n)[1] == evaluate(2, n).total
 
 
 def test_vince_average_examples():
@@ -123,30 +125,32 @@ def test_vince_average_examples():
 
 
 def test_density_examples():
-    assert ladder_density(1) == Fraction(2, 3)
-    assert ladder_density(2) == Fraction(7, 13)
-    assert ladder_density(10) == density(2, 10)
+    # the density of the closed-form row, as the CLI renders it
+    assert ProductResult.from_sums(2, 1, *ladder_row(1)).density == Fraction(2, 3)
+    assert ProductResult.from_sums(2, 2, *ladder_row(2)).density == Fraction(7, 13)
+    assert ProductResult.from_sums(2, 10, *ladder_row(10)) == evaluate(2, 10)
 
 
 def test_closed_forms_match_general_machinery():
     for n in range(1, 101):
-        assert ladder_count(n) == count_connected_sets(2, n)
-        average = average_order(2, n)
-        assert ladder_average(n) == average
-        assert vince_average(n) == average
-        assert ladder_density(n) == density(2, n)
+        result = evaluate(2, n)
+        closed = ProductResult.from_sums(2, n, *ladder_row(n))
+        assert closed.count == result.count
+        assert closed.average == result.average
+        assert vince_average(n) == result.average
+        assert closed.density == result.density
 
 
 def test_average_holds_no_growing_state():
     # one power of 1 + sqrt(2) and nothing kept, so memory stays O(n) bits
     tracemalloc.start()
     try:
-        average = ladder_average(20000)
+        count, total = ladder_row(20000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024
-    assert average == average_order(2, 20000)
+    assert Fraction(total, count) == evaluate(2, 20000).average
 
 
 def test_rows_are_count_and_order_sum():
@@ -154,7 +158,8 @@ def test_rows_are_count_and_order_sum():
     rows = list(islice(ladder.row_stream(), 80))
     assert rows[:3] == [(3, 4), (13, 28), (40, 126)]
     for n, row in enumerate(rows, start=1):
-        assert row == ladder_row(n) == (count_connected_sets(2, n), total_order(2, n))
+        result = evaluate(2, n)
+        assert row == ladder_row(n) == (result.count, result.total)
 
 
 def test_inexact_numerators_raise():
@@ -167,11 +172,9 @@ def test_inexact_numerators_raise():
 
 def test_rung_count_domain():
     with pytest.raises(ValueError):
-        ladder_count(0)
-    with pytest.raises(ValueError):
-        ladder_average(0)
-    with pytest.raises(ValueError):
         ladder_row(0)
+    with pytest.raises(ValueError):
+        vince_average(0)
 
 
 # -- summation identities ---------------------------------------------------------

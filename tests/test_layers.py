@@ -14,6 +14,7 @@ import math
 
 import pytest
 
+from consets.exactmath import IntMatrix
 from consets.layers import (
     column_stream,
     footprint_weights,
@@ -35,20 +36,18 @@ def test_pascal_row_matches_math_comb():
 
 
 def test_recurrence_matrix_small_cases():
-    assert recurrence_matrix(1).rows == ((1,),)
-    assert recurrence_matrix(2).rows == ((1, 1), (2, 1))
-    assert recurrence_matrix(3).rows == ((1, 2, 1), (2, 3, 1), (3, 3, 1))
+    assert recurrence_matrix(1) == IntMatrix([[1]])
+    assert recurrence_matrix(2) == IntMatrix([[1, 1], [2, 1]])
+    assert recurrence_matrix(3) == IntMatrix([[1, 2, 1], [2, 3, 1], [3, 3, 1]])
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_recurrence_matrix_entry_rule(m):
-    matrix = recurrence_matrix(m)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            expected = math.comb(m, j) - math.comb(m - i, j)
-            assert matrix.entry(i - 1, j - 1) == expected
-            assert matrix.entry(i - 1, j - 1) >= 0
-    assert matrix.rows[-1] == footprint_weights(m)
+    rows = [tuple(math.comb(m, j) - math.comb(m - i, j) for j in range(1, m + 1))
+            for i in range(1, m + 1)]
+    assert recurrence_matrix(m) == IntMatrix(rows)
+    assert all(entry >= 0 for row in rows for entry in row)
+    assert rows[-1] == footprint_weights(m)
 
 
 def test_zero_layer_size_rejected():
@@ -163,5 +162,5 @@ def test_counts_match_census_by_footprint(m):
         layered = complete_path_product(m, k)
         table = profile_table(m, k)
         for i in range(1, m + 1):
-            footprint = [layered.vertex(k, p) for p in range(i)]
+            footprint = [(k - 1) * m + p for p in range(i)]  # i vertices of layer k
             assert footprint_census(layered, k, footprint).count == table[k - 1][i - 1]

@@ -41,7 +41,8 @@ def test_four_cycle_construction():
     graph = layered.graph
     assert graph.vertex_count == 4
     assert graph.edge_count == 4
-    assert sorted(graph.edges()) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    # edges 0-1, 0-2, 1-3 and 2-3, as bitmask adjacency rows
+    assert graph.adjacency == (0b0110, 0b1001, 0b1001, 0b0110)
 
 
 def test_prism_and_figure_graph():
@@ -182,7 +183,7 @@ def test_footprint_families_depend_only_on_size():
     for m in range(2, 5):
         for k in range(1, 5):
             layered = complete_path_product(m, k)
-            vertices = [layered.vertex(k, p) for p in range(m)]
+            vertices = [(k - 1) * m + p for p in range(m)]  # layer k
             for size in range(1, m + 1):
                 results = {footprint_census(layered, k, fp)
                            for fp in combinations(vertices, size)}

@@ -17,12 +17,13 @@ from consets.orders import (
     layer_order_sum_convolution,
     order_column_direct,
     order_table,
-    weight_matrix,
 )
 
 
-def test_weight_matrix_is_size_diagonal():
-    assert weight_matrix(3).rows == ((1, 0, 0), (0, 2, 0), (0, 0, 3))
+def test_direct_column_weights_by_size():
+    # at k = 1 the literal sum is diag(1, ..., m) applied to all-ones
+    for m in range(1, 6):
+        assert order_column_direct(m, 1) == tuple(range(1, m + 1))
 
 
 def test_base_column_counts_vertices():
@@ -129,5 +130,5 @@ def test_order_sums_match_census(m):
         table = order_table(m, k)
         assert span_census(layered, 1, k).order_sum == weighted_sum(table[k - 1])
         for i in range(1, m + 1):
-            footprint = [layered.vertex(k, p) for p in range(i)]
+            footprint = [(k - 1) * m + p for p in range(i)]  # i vertices of layer k
             assert footprint_census(layered, k, footprint).order_sum == table[k - 1][i - 1]

@@ -1,0 +1,140 @@
+"""Every function, class and method of consets has a caller outside the tests.
+
+Claims covered:
+    - each top-level function and class, and each method, in src/consets is
+      named somewhere in src/consets or perfbench/ outside its own
+      definition, so code that only its own tests call fails here; the
+      reference routes kept for the tests alone are the listed exceptions
+    - the single-field views and the helpers only their own tests called
+      stay deleted
+
+A top-level function or class counts as used where the code reads its
+name (not a local variable of the same name) or reads it off its module
+(``aggregate._jumper``); a method, where the code reads it as an attribute.
+Spelling the name as a string also counts, as perfbench/probe.py does when
+it looks a function up.  Methods named by Python syntax (``__add__``,
+``__eq__`` and the like) are not checked.  The package ``__init__`` only
+re-exports, so its imports and ``__all__`` do not count as uses.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "consets"
+
+#: Reference routes that only the tests compare the engine against.
+TEST_ONLY_ROUTES = {
+    "oracle.footprint_census",
+    "oracle.span_census",
+    "orders.convolution_identity_holds",
+}
+
+#: (module, name) pairs removed because only their own tests called them, or
+#: because they re-ran a whole cell to return one field of ``evaluate``.
+DELETED = [
+    ("aggregate", "count_connected_sets"), ("aggregate", "total_order"),
+    ("aggregate", "average_order"), ("aggregate", "density"),
+    ("ladder", "ladder_count"), ("ladder", "ladder_total_order"),
+    ("ladder", "ladder_average"), ("ladder", "ladder_density"),
+    ("ladder", "pell"), ("ladder", "half_companion"), ("ladder", "layer_total"),
+    ("orders", "weight_matrix"),
+    ("exactmath", "QuadInt.__add__"), ("exactmath", "QuadInt.__sub__"),
+    ("exactmath", "QuadInt.conjugate"), ("exactmath", "QuadInt.norm"),
+    ("exactmath", "IntMatrix.entry"), ("exactmath", "IntMatrix.rows"),
+    ("oracle", "SimpleGraph.edges"), ("oracle", "LayeredGraph.vertex"),
+    ("recurrence", "CoefficientReport.passed"),
+    ("recurrence", "CoefficientReport.failures"),
+]
+
+
+def _definitions() -> dict[str, ast.AST]:
+    """'module.name' and 'module.Class.method' for every top-level function
+    and class and every method not named by syntax."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found[f"{module}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (isinstance(member, ast.FunctionDef)
+                            and not (member.name.startswith("__") and member.name.endswith("__"))):
+                        found[f"{module}.{node.name}.{member.name}"] = member
+    return found
+
+
+def _local_names(function: ast.AST) -> set[str]:
+    """Parameters and names bound anywhere inside a function or lambda."""
+    arguments = function.args
+    names = {argument.arg for argument in (*arguments.posonlyargs, *arguments.args,
+                                           *arguments.kwonlyargs, arguments.vararg,
+                                           arguments.kwarg) if argument}
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node is not function:
+            names.add(node.name)
+    return names
+
+
+def _uses(node: ast.AST, skip: ast.AST, shadowed: frozenset = frozenset()):
+    """Yield ("name", None, id) for a global name read, ("attr", base, attr)
+    for an attribute read off ``base`` (None unless a plain name), and
+    ("str", None, text) for a string, everywhere under node but in skip."""
+    if node is skip:
+        return
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        shadowed = shadowed | _local_names(node)
+    if isinstance(node, ast.Name):
+        if isinstance(node.ctx, ast.Load) and node.id not in shadowed:
+            yield "name", None, node.id
+    elif isinstance(node, ast.Attribute):
+        yield "attr", node.value.id if isinstance(node.value, ast.Name) else None, node.attr
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield "str", None, node.value
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, skip, shadowed)
+
+
+def _used(qualified: str, node: ast.AST, trees: list[ast.AST]) -> bool:
+    module, *owner, name = qualified.split(".")
+    for tree in trees:
+        for kind, base, found in _uses(tree, node):
+            if found != name:
+                continue
+            if kind == "str" or (kind == "attr" and (owner or base == module)):
+                return True
+            if kind == "name" and not owner:
+                return True
+    return False
+
+
+def _sources() -> list[Path]:
+    return [path for path in (*sorted(PACKAGE.glob("*.py")),
+                              *sorted((ROOT / "perfbench").glob("*.py")))
+            if path.name != "__init__.py"]
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in _sources()]
+    unused = [qualified for qualified, node in _definitions().items()
+              if qualified not in TEST_ONLY_ROUTES and not _used(qualified, node, trees)]
+    assert unused == []
+
+
+def test_test_only_routes_still_exist():
+    assert TEST_ONLY_ROUTES <= set(_definitions())
+
+
+@pytest.mark.parametrize("module, name", DELETED)
+def test_deleted_names_stay_gone(module, name):
+    owner = importlib.import_module(f"consets.{module}")
+    *outer, last = name.split(".")
+    for part in outer:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, last)
