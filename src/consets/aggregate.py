@@ -96,9 +96,9 @@ def jump_sums(m: int, n: int) -> tuple[int, int]:
 
 
 def _sums(m: int, n: int) -> tuple[int, int]:
-    _check_cell(m, n)
     if n > STREAM_MAX_PER_LAYER * m:
-        return jump_sums(m, n)
+        return jump_sums(m, n)  # checks the cell itself
+    _check_cell(m, n)
     return next(islice(cell_stream(m), n - 1, None))
 
 

@@ -218,7 +218,10 @@ def _print_checks(checks: Sequence[Check]) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value

@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: integer matrices, characteristic polynomials,
-and integers of the form a + b*sqrt(2).
+and powers of x modulo a monic integer polynomial.
 
 Integer scalars are plain ``int`` (arbitrary precision), rationals are
 ``fractions.Fraction`` (always reduced, positive denominator).  Nothing in
@@ -8,7 +8,6 @@ this package ever rounds: every count, sum, average, and density is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -73,20 +72,6 @@ class IntMatrix:
 
     def scale(self, c: int) -> IntMatrix:
         return IntMatrix([[c * entry for entry in row] for row in self._rows])
-
-    def __pow__(self, e: int) -> IntMatrix:
-        # Intended for small verification exponents; production paths iterate
-        # vector recurrences instead of materializing powers.
-        if e < 0:
-            raise ValueError("exponent must be non-negative")
-        result = IntMatrix.identity(self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base if e > 1 else base
-            e >>= 1
-        return result
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product M @ v."""
@@ -260,34 +245,3 @@ def x_power_mod(e: int, modulus: IntPolynomial) -> list[int]:
         if bit == "1":
             result = _reduce([0, *result], coefficients)
     return result
-
-
-@dataclass(frozen=True, slots=True)
-class QuadInt:
-    """Ring element a + b*sqrt(2) with exact integer parts."""
-
-    a: int
-    b: int
-
-    def __mul__(self, other: QuadInt) -> QuadInt:
-        return QuadInt(self.a * other.a + 2 * self.b * other.b,
-                       self.a * other.b + self.b * other.a)
-
-    def __pow__(self, e: int) -> QuadInt:
-        if e < 0:
-            raise ValueError("exponent must be non-negative")
-        result = QuadInt(1, 0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def __repr__(self) -> str:
-        return f"QuadInt({self.a}, {self.b})"
-
-
-#: The unit 1 + sqrt(2); its powers carry the Pell-family sequences.
-SILVER_UNIT = QuadInt(1, 1)

@@ -10,10 +10,12 @@ and the published ladder formula they must match, reduce to the pair
 (H(n), P(n)): the shifted terms come by additions, since
 u^(k+1) = (H + 2P) + (H + P)·sqrt(2).
 
-A single n takes one power, O(log n) products, through QuadInt (exact,
-never floating point); ``row_stream`` walks the powers by additions
-only.  Both feed the same closed-form evaluator, which yields two
-integers, the count N and the order sum S, as every other route does.
+u is a root of x^2 - 2x - 1, so x^k = a + b·x modulo that polynomial
+gives H(k) = a + b and P(k) = b.  A single n takes that remainder,
+O(log n) squarings through ``exactmath.x_power_mod`` (exact, never
+floating point); ``row_stream`` walks the powers by additions only.
+Both feed the same closed-form evaluator, which yields two integers,
+the count N and the order sum S, as every other route does.
 A caller who wants the average and density builds one
 ``aggregate.ProductResult`` from them, as the CLI does:
 ``ProductResult.from_sums(2, n, *ladder_row(n))`` equals
@@ -23,17 +25,29 @@ A caller who wants the average and density builds one
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator
 
-from .exactmath import SILVER_UNIT
+from .exactmath import IntPolynomial, x_power_mod
 from .reporting import Check
+
+#: x^2 - 2x - 1, the minimal polynomial of u = 1 + sqrt(2).
+SILVER_POLYNOMIAL = IntPolynomial((-1, -2, 1))
 
 
 def _unit_power(k: int) -> tuple[int, int]:
     """(H(k), P(k)), the rational and sqrt(2) parts of (1 + sqrt(2))^k;
     a negative k raises ValueError."""
-    power = SILVER_UNIT ** k
-    return power.a, power.b
+    a, b = x_power_mod(k, SILVER_POLYNOMIAL)
+    return a + b, b
+
+
+def _pell_walk() -> Iterator[tuple[int, int]]:
+    """(H(k), P(k)) for k = 0, 1, ..., stepping u^k -> u^(k+1) by additions."""
+    h, p = 1, 0
+    while True:
+        yield h, p
+        h, p = h + 2 * p, h + p
 
 
 def _check_rungs(n: int) -> None:
@@ -65,11 +79,9 @@ def ladder_row(n: int) -> tuple[int, int]:
 
 
 def row_stream() -> Iterator[tuple[int, int]]:
-    """``ladder_row(n)`` for n = 1, 2, ..., stepping u^n -> u^(n+1) by additions."""
-    n, h, p = 1, 1, 1
-    while True:
+    """``ladder_row(n)`` for n = 1, 2, ..., off the additions walk."""
+    for n, (h, p) in enumerate(islice(_pell_walk(), 1, None), start=1):
         yield _row(n, h, p)
-        n, h, p = n + 1, h + 2 * p, h + p
 
 
 def vince_average(n: int) -> Fraction:
@@ -94,17 +106,13 @@ def ladder_sum_identities(n: int) -> tuple[Check, ...]:
     """
     _check_rungs(n)
     where = f"n={n}"
-    halves, pells = [1], [0]
-    for _ in range(n + 3):
-        h, p = halves[-1], pells[-1]
-        halves.append(h + 2 * p)
-        pells.append(h + p)
+    powers = list(islice(_pell_walk(), n + 4))
 
     def total(k: int) -> int:
-        return halves[k + 1]
+        return powers[k + 1][0]
 
     def pell(k: int) -> int:
-        return pells[k]
+        return powers[k][1]
 
     sum_totals = sum(total(k) for k in range(1, n + 1))
     sum_k_totals = sum(k * total(k) for k in range(1, n + 1))

@@ -116,5 +116,8 @@ def weighted_power_symmetric(m: int, k: int) -> bool:
         raise ValueError("layer size must be at least 1")
     if k < 1:
         raise ValueError("power must be at least 1")
-    weighted = IntMatrix.diagonal(footprint_weights(m)) @ (recurrence_matrix(m) ** k)
+    matrix = recurrence_matrix(m)
+    weighted = IntMatrix.diagonal(footprint_weights(m))
+    for _ in range(k):
+        weighted = weighted @ matrix
     return weighted.is_symmetric

@@ -12,6 +12,7 @@ Claims covered:
     - a reader closing the pipe ends the CLI quietly with exit 141
     - verify exits 0 on clean scopes, 1 on mismatch, 2 on usage errors,
       and any other exception exits 3
+    - text that is not an integer is a usage error naming the flag
     - integers past CPython's 4300-digit str guard print in full
     - table rows equal the per-cell evaluation
     - ladder rows equal the closed-form average and density, and pass the
@@ -182,6 +183,22 @@ def test_compute_rejects_bad_arguments(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["compute", "--m", "2"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["compute", "--m", "2.5", "--n", "3"], "--m"),
+    (["table", "--m", "2", "--n-max", "x"], "--n-max"),
+    (["ladder", "--n", "1e3"], "--n"),
+    (["compute", "--m", "2", "--n", "3", "--precision", "abc"], "--precision"),
+], ids=["compute-m", "table-n-max", "ladder-n", "precision"])
+def test_non_integer_text_is_a_usage_error(argv, flag, capsys):
+    # the message names the flag, not the parser's private helper
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be an integer" in err
+    assert "_positive_int" not in err and "_precision" not in err
 
 
 # -- table ---------------------------------------------------------------------

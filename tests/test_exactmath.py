@@ -1,15 +1,13 @@
-"""Exact arithmetic substrate: matrices, characteristic polynomials, QuadInt.
+"""Exact arithmetic substrate: matrices, characteristic polynomials, x^e mod p.
 
 Claims covered:
-    - matrix product, power, apply, symmetry, trace behave exactly
+    - matrix product, apply, symmetry, trace behave exactly
     - Faddeev-LeVerrier characteristic polynomials match hand values, and
       an inexact trace division raises
     - every layer matrix annihilates its own characteristic polynomial
     - Bareiss determinant agrees with the charpoly constant term
     - polynomial products and x^e mod a monic polynomial are exact
     - Fraction construction always lands on the reduced canonical form
-    - QuadInt powers are exact, conjugation pairs halve evenly, and every
-      power of 1 + sqrt(2) is a unit (a^2 - 2b^2 = +-1)
 """
 
 import random
@@ -17,15 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from consets.exactmath import (
-    SILVER_UNIT,
-    IntMatrix,
-    IntPolynomial,
-    QuadInt,
-    char_poly,
-    poly_mul,
-    x_power_mod,
-)
+from consets.exactmath import IntMatrix, IntPolynomial, char_poly, poly_mul, x_power_mod
 from consets.layers import recurrence_matrix
 
 
@@ -58,7 +48,7 @@ def test_apply_and_power_agree():
     vector = (1, 1, 1)
     for _ in range(4):
         vector = a3.apply(vector)
-    assert (a3 ** 4).apply((1, 1, 1)) == vector
+    assert (a3 @ a3 @ a3 @ a3).apply((1, 1, 1)) == vector
 
 
 def test_matrix_validation():
@@ -167,38 +157,3 @@ def test_fraction_normalization_roundtrip():
         value = Fraction(p, q)
         assert value.denominator > 0
         assert value * Fraction(q, p) == 1
-
-
-# -- quadratic integers ------------------------------------------------------
-
-def test_quadint_powers():
-    assert SILVER_UNIT ** 0 == QuadInt(1, 0)
-    assert SILVER_UNIT ** 2 == QuadInt(3, 2)
-    assert SILVER_UNIT ** 3 == QuadInt(7, 5)
-
-
-def test_quadint_cube_conjugate_pair_gives_seven():
-    # (1 + sqrt(2))^3 + (1 - sqrt(2))^3 = 14
-    cube, conjugate = SILVER_UNIT ** 3, QuadInt(1, -1) ** 3
-    assert (cube.a + conjugate.a, cube.b + conjugate.b) == (14, 0)
-    assert cube.a == 7  # the two-layer total at horizon 2
-
-
-def test_quadint_negative_exponent_rejected():
-    with pytest.raises(ValueError):
-        SILVER_UNIT ** -1
-
-
-def test_quadint_conjugation_pairs_halve_evenly():
-    # the powers of 1 - sqrt(2) are the conjugates of those of 1 + sqrt(2)
-    for k in range(51):
-        power, conjugate = SILVER_UNIT ** (k + 1), QuadInt(1, -1) ** (k + 1)
-        assert power.b + conjugate.b == 0
-        assert (power.a + conjugate.a) % 2 == 0
-
-
-def test_quadint_norm_of_silver_unit_is_minus_one():
-    # a^2 - 2b^2 is multiplicative and -1 at 1 + sqrt(2), so (-1)^k at its k-th power
-    for k in range(31):
-        power = SILVER_UNIT ** k
-        assert power.a ** 2 - 2 * power.b ** 2 == (-1) ** k

@@ -1,8 +1,11 @@
 """Two-layer closed forms: Pell sequences, counts, averages, identities.
 
 Claims covered:
-    - the sequences read off powers of 1 + sqrt(2) satisfy their defining
-      recurrences and anchors
+    - the sequences read off x^k mod x^2 - 2x - 1 satisfy their defining
+      recurrences and anchors, every (H(k), P(k)) has H^2 - 2P^2 = (-1)^k,
+      and a negative exponent raises
+    - the single-k reading equals the additions walk for k = 0..300 and
+      at k = 4097, and ladder_row(5000) equals the row stream's item
     - the closed forms hold no growing state (tracemalloc peak)
     - the closed-form count and order sum, and the average and density
       built from them, match the general-m machinery
@@ -88,6 +91,29 @@ def test_closed_form_examples():
 def test_total_splits_into_previous_total_plus_two_pell():
     for k in range(1, 120):
         assert layer_total(k) == layer_total(k - 1) + 2 * pell(k)
+
+
+def test_unit_power_norm_alternates():
+    # H^2 - 2P^2 is multiplicative and -1 at 1 + sqrt(2), so (-1)^k at its k-th power
+    for k in range(31):
+        h, p = ladder._unit_power(k)
+        assert h * h - 2 * p * p == (-1) ** k
+
+
+def test_unit_power_negative_exponent_rejected():
+    with pytest.raises(ValueError):
+        ladder._unit_power(-1)
+
+
+def test_unit_power_equals_additions_walk():
+    # 4097 = 2^12 + 1: eleven squaring-only bits between two shifting ones
+    walk = list(islice(ladder._pell_walk(), 4098))
+    for k in (*range(301), 4097):
+        assert ladder._unit_power(k) == walk[k], k
+
+
+def test_single_row_equals_row_stream_far_out():
+    assert ladder_row(5000) == next(islice(ladder.row_stream(), 4999, None))
 
 
 # -- counts, averages, densities -------------------------------------------------

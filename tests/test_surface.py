@@ -5,8 +5,8 @@ Claims covered:
       named somewhere in src/consets or perfbench/ outside its own
       definition, so code that only its own tests call fails here; the
       reference routes kept for the tests alone are the listed exceptions
-    - the single-field views and the helpers only their own tests called
-      stay deleted
+    - the single-field views, the helpers only their own tests called and
+      the binary powerings that duplicated ``x_power_mod`` stay deleted
 
 A top-level function or class counts as used where the code reads its
 name (not a local variable of the same name) or reads it off its module
@@ -33,8 +33,9 @@ TEST_ONLY_ROUTES = {
     "orders.convolution_identity_holds",
 }
 
-#: (module, name) pairs removed because only their own tests called them, or
-#: because they re-ran a whole cell to return one field of ``evaluate``.
+#: (module, name) pairs removed because only their own tests called them,
+#: because they re-ran a whole cell to return one field of ``evaluate``, or
+#: because they repeated the binary powering of ``exactmath.x_power_mod``.
 DELETED = [
     ("aggregate", "count_connected_sets"), ("aggregate", "total_order"),
     ("aggregate", "average_order"), ("aggregate", "density"),
@@ -42,8 +43,8 @@ DELETED = [
     ("ladder", "ladder_average"), ("ladder", "ladder_density"),
     ("ladder", "pell"), ("ladder", "half_companion"), ("ladder", "layer_total"),
     ("orders", "weight_matrix"),
-    ("exactmath", "QuadInt.__add__"), ("exactmath", "QuadInt.__sub__"),
-    ("exactmath", "QuadInt.conjugate"), ("exactmath", "QuadInt.norm"),
+    ("exactmath", "QuadInt"), ("exactmath", "SILVER_UNIT"),
+    ("exactmath", "IntMatrix.__pow__"),
     ("exactmath", "IntMatrix.entry"), ("exactmath", "IntMatrix.rows"),
     ("oracle", "SimpleGraph.edges"), ("oracle", "LayeredGraph.vertex"),
     ("recurrence", "CoefficientReport.passed"),
