@@ -119,6 +119,16 @@ def test_x_power_mod_matches_repeated_shift():
             reference = [r - top * c for r, c in zip(reference, modulus.coefficients)]
 
 
+def test_quadint_powers():
+    # x^k = a + b x mod x^2 - 2x - 1 puts (1 + sqrt(2))^k at (a + b) + b sqrt(2)
+    silver = IntPolynomial((-1, -2, 1))
+    powers = {}
+    for k in (0, 2, 3):
+        a, b = x_power_mod(k, silver)
+        powers[k] = (a + b, b)
+    assert powers == {0: (1, 0), 2: (3, 2), 3: (7, 5)}
+
+
 @pytest.mark.parametrize("m", range(2, 13))
 def test_determinant_matches_charpoly_constant(m):
     matrix = recurrence_matrix(m)
