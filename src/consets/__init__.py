@@ -1,8 +1,9 @@
 """Exact counting of connected vertex sets in complete-layer/path products.
 
 The public surface has 12 names: the production engine (``evaluate``,
-whose ``ProductResult`` holds the count N, order total S, average and
-density of one cell, and ``cell_stream``, the stream of (N, S) along n),
+whose ``ProductResult`` holds the count N and order total S of one cell
+and the average and density it derives from them, and ``cell_stream``,
+the stream of (N, S) along n; every m, the ladder's m = 2 included),
 the census oracle (``census``, ``complete_path_product``,
 ``parse_edge_list``, ``SimpleGraph``, ``CensusReport``,
 ``CapExceededError``), and the layer matrix with its characteristic
@@ -10,8 +11,8 @@ polynomial (``recurrence_matrix``, ``char_poly``,
 ``validate_coefficients``).  Read one field off the one result:
 ``evaluate(6, 1000).average``.  The independent routes that cross-check
 the engine stay importable from their own modules: ``consets.orders``,
-``consets.oracle``, ``consets.ladder`` (the two-layer closed forms) and
-``consets.verify``.
+``consets.oracle``, ``consets.ladder`` (the two-layer closed forms,
+which only ``verify`` runs) and ``consets.verify``.
 """
 
 from .aggregate import ProductResult, cell_stream, evaluate

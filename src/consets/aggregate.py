@@ -4,8 +4,9 @@ Every connected set spans a contiguous block of layers, and blocks of
 equal length are interchangeable, so the graph-level count and order sum
 are triangular-weighted sums of the per-horizon layer quantities, which
 ``cell_stream`` keeps as running prefix sums.  ``evaluate`` returns all
-four quantities of one cell as one checked ``ProductResult``, the average
-order and density as exact reduced fractions.
+four quantities of one cell as one ``ProductResult``, which derives the
+average order and density from N and S as exact reduced fractions.  The
+CLI prints every row, ``ladder`` included, through this engine.
 
 One cell has two engines.  Up to n = STREAM_MAX_PER_LAYER * m it takes
 the n-th item of ``cell_stream``; above that, ``jump_sums`` reads N(n)
@@ -15,7 +16,7 @@ and S(n) off the first 2m+2 items through the linear recurrence that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
@@ -104,40 +105,26 @@ def _sums(m: int, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, slots=True)
 class ProductResult:
-    """All four headline quantities for one (m, n) cell."""
+    """All four headline quantities for one (m, n) cell: built from the
+    count N and order total S, it derives the average S/N and the density
+    S/(N·mn) once, as exact reduced fractions, so they always agree."""
 
     m: int
     n: int
     count: int
     total: int
-    average: Fraction
-    density: Fraction
-
-    @classmethod
-    def from_sums(cls, m: int, n: int, count: int, total: int) -> ProductResult:
-        """The cell's result from its count and order total."""
-        average = Fraction(total, count)
-        return cls(m=m, n=n, count=count, total=total,
-                   average=average, density=average / (m * n))
+    average: Fraction = field(init=False)
+    density: Fraction = field(init=False)
 
     def __post_init__(self):
-        # Cross-multiplied, with the reduced average's denominator divided
-        # out first: it divides count (and density's denominator) whenever
-        # the equality holds, and the short division left costs far less
-        # than the gcd or the full products of re-deriving the fractions.
-        average, density = self.average, self.density
-        scale, rest = divmod(self.count, average.denominator)
-        if rest or self.total != average.numerator * scale:
-            raise ValueError("average must equal total/count exactly")
-        scale, rest = divmod(density.denominator, average.denominator)
-        if rest or density.numerator * self.m * self.n != average.numerator * scale:
-            raise ValueError("density must equal average/(m*n) exactly")
-        if not 1 <= self.average <= self.m * self.n:
+        average = Fraction(self.total, self.count)
+        # 1 <= A <= mn also gives 0 < D <= 1.
+        if not 1 <= average <= self.m * self.n:
             raise ValueError("average outside [1, m*n]")
-        if not 0 < self.density <= 1:
-            raise ValueError("density outside (0, 1]")
+        object.__setattr__(self, "average", average)
+        object.__setattr__(self, "density", average / (self.m * self.n))
 
 
 def evaluate(m: int, n: int) -> ProductResult:
     """Count, total order, average, and density for one cell."""
-    return ProductResult.from_sums(m, n, *_sums(m, n))
+    return ProductResult(m, n, *_sums(m, n))

@@ -20,21 +20,23 @@ charpoly
     The characteristic polynomial of the layer recurrence matrix, with
     its coefficient identities checked.
 ladder
-    The two-layer closed forms at one n or for n = 1..n_max.
+    The two-layer cells (m = 2) at one n or for n = 1..n_max, from the
+    same engine as compute and table; verify --ladder checks them
+    against the ladder closed forms.
 
 compute, table and ladder take --format: plain (default), csv (fixed
 header), json (big integers as decimal strings).  Every printed row is
-one aggregate.ProductResult, built from the cell's count and order sum
-by ProductResult.from_sums and checked there; OutputRecord renders it.
-ladder takes --n or --n-max, not both.  Exact fractions are
-authoritative; decimal columns are renderings at --precision significant
-digits, round-half-even, which compute, table, ladder and verify --graph
-take.  --precision is refused above MAX_PRECISION (100000) before any
-work, since rendering time grows with its square.  Each decimal comes
-from one integer division, and each distinct integer of a row is
-converted to text once.  table and ladder --n-max print each csv or
-plain row as the engine yields it, so their memory does not grow with
-n_max; json collects the rows for one dump.
+one aggregate.ProductResult, built from the cell's count and order sum;
+it derives the average and density and checks that 1 <= A <= mn.
+OutputRecord renders it.  ladder takes exactly one of --n and --n-max.
+Exact fractions are authoritative; decimal columns are renderings at
+--precision significant digits, round-half-even, which compute, table,
+ladder and verify --graph take.  --precision is refused above
+MAX_PRECISION (100000) before any work, since rendering time grows with
+its square.  Each decimal comes from one integer division, and each
+distinct integer of a row is converted to text once.  table and ladder
+--n-max print each csv or plain row as the engine yields it, so their
+memory does not grow with n_max; json collects the rows for one dump.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3
 internal error (any other exception, reported on one stderr line), 141
@@ -54,7 +56,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from . import aggregate, ladder, oracle, verify
+from . import aggregate, oracle, verify
 from .exactmath import char_poly
 from .layers import recurrence_matrix
 from .recurrence import validate_coefficients
@@ -143,7 +145,7 @@ class OutputRecord:
 
     @classmethod
     def from_ladder(cls, n: int) -> OutputRecord:
-        return cls(aggregate.ProductResult.from_sums(2, n, *ladder.ladder_row(n)))
+        return cls(aggregate.evaluate(2, n))
 
     def _fields(self, precision: int) -> tuple[str, ...]:
         """Texts of N, S, A_num, A_den, A_dec, D_num, D_den, D_dec.
@@ -188,7 +190,7 @@ class OutputRecord:
 def _records(m: int, sums: Iterable[tuple[int, int]], n_max: int) -> Iterator[OutputRecord]:
     """The rows n = 1..n_max of layer size m from a stream of (N, S)."""
     for n, (count, total) in zip(range(1, n_max + 1), sums):
-        yield OutputRecord.from_result(aggregate.ProductResult.from_sums(m, n, count, total))
+        yield OutputRecord.from_result(aggregate.ProductResult(m, n, count, total))
 
 
 def emit_records(records: Iterable[OutputRecord], fmt: str, precision: int,
@@ -261,10 +263,8 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
 def cmd_ladder(args: argparse.Namespace) -> int:
     if args.n is not None:
         records = [OutputRecord.from_ladder(args.n)]
-    elif args.n_max is not None:
-        records = _records(2, ladder.row_stream(), args.n_max)
     else:
-        raise ValueError("ladder needs --n or --n-max")
+        records = _records(2, aggregate.cell_stream(2), args.n_max)
     emit_records(records, args.format, args.precision, single=args.n is not None)
     return 0
 
@@ -378,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_charpoly.set_defaults(func=cmd_charpoly)
 
     p_ladder = commands.add_parser(
-        "ladder", parents=rendered, help="two-layer closed forms")
-    rungs = p_ladder.add_mutually_exclusive_group()
+        "ladder", parents=rendered, help="two-layer cells, m = 2")
+    rungs = p_ladder.add_mutually_exclusive_group(required=True)
     rungs.add_argument("--n", type=_positive_int, help="single rung count")
     rungs.add_argument("--n-max", type=_positive_int, help="table of rung counts 1..n_max")
     p_ladder.set_defaults(func=cmd_ladder)

@@ -15,7 +15,7 @@ the detail (a 200-cell sweep should not print 200 lines).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 from . import aggregate, ladder, oracle, recurrence
 from .exactmath import char_poly
@@ -70,26 +70,29 @@ def _swept(name: str, where: str, mismatches: list[str]) -> Check:
 def ladder_checks(n_max: int = 200) -> list[Check]:
     """Ladder closed forms against the general-m machinery, n = 1..n_max.
 
-    Count and order sum come from the closed-form row walk that ``ladder
-    --n-max`` prints, and are compared with the stream's; the published
-    formula and the density, Fraction(S, N) / (2n) from ``ladder_row(n)``,
-    take one power of 1 + sqrt(2) per n, the single-n path, as do the
-    anchors.
+    One walk of the powers of 1 + sqrt(2) gives, for each n, the
+    closed-form count and order sum, their average and density
+    Fraction(S, N) / (2n), and the published average; each is compared
+    with the item of ``cell_stream(2)``, which ``ladder`` prints.  The
+    anchors at n = 1, 2, 3 are the walk's first rows, whatever n_max is.
     """
     count_bad, avg_bad, vince_bad, density_bad = [], [], [], []
-    for n, sums, (closed_count, closed_total) in zip(
-            range(1, n_max + 1), aggregate.cell_stream(2), ladder.row_stream()):
-        result = aggregate.ProductResult.from_sums(2, n, *sums)
+    closed = ((n, h, p, *ladder._row(n, h, p))
+              for n, (h, p) in enumerate(islice(ladder._pell_walk(), 1, None), start=1))
+    first_rows = list(islice(closed, 3))
+    for sums, (n, h, p, closed_count, closed_total) in zip(
+            islice(aggregate.cell_stream(2), n_max), chain(first_rows, closed)):
+        result = aggregate.ProductResult(2, n, *sums)
         count, average = result.count, result.average
         if closed_count != count:
             count_bad.append(f"n={n}: closed {closed_count}, stream {count}")
         if closed_total * count != result.total * closed_count:
             avg_bad.append(f"n={n}: closed {Fraction(closed_total, closed_count)}, "
                            f"stream {average}")
-        if ladder.vince_average(n) != average:
-            vince_bad.append(f"n={n}: published {ladder.vince_average(n)}, stream {average}")
-        single_count, single_total = ladder.ladder_row(n)
-        if Fraction(single_total, single_count) / (2 * n) != result.density:
+        published = ladder.vince_average(n, h, p)
+        if published != average:
+            vince_bad.append(f"n={n}: published {published}, stream {average}")
+        if Fraction(closed_total, closed_count) / (2 * n) != result.density:
             density_bad.append(f"n={n}")
     where = f"n=1..{n_max}"
     checks = [
@@ -98,7 +101,7 @@ def ladder_checks(n_max: int = 200) -> list[Check]:
         _swept("ladder average vs published formula", where, vince_bad),
         _swept("ladder density closed form", where, density_bad),
     ]
-    (count_1, total_1), (count_2, total_2), (count_3, _) = map(ladder.ladder_row, (1, 2, 3))
+    (*_, count_1, total_1), (*_, count_2, total_2), (*_, count_3, _) = first_rows
     anchors = [
         ("ladder count anchor", 1, count_1, 3),
         ("ladder count anchor", 2, count_2, 13),
@@ -113,18 +116,16 @@ def ladder_checks(n_max: int = 200) -> list[Check]:
 
 
 def ladder_identity_checks(n_max: int = 100) -> list[Check]:
-    """The five prefix-sum identities, folded to one check per identity."""
+    """The five prefix-sum identities for n = 1..n_max, off one walk,
+    folded to one check per identity."""
     failures: dict[str, list[str]] = {}
-    names: list[str] = []
-    for n in range(1, n_max + 1):
-        for check in ladder.ladder_sum_identities(n):
-            if check.name not in failures:
-                failures[check.name] = []
-                names.append(check.name)
-            if not check.ok:
-                failures[check.name].append(f"{check.where}: {check.detail}")
+    for n, identities in zip(range(1, n_max + 1), ladder.ladder_sum_identities()):
+        for name, direct, closed in identities:
+            bad = failures.setdefault(name, [])
+            if 2 * direct != closed:
+                bad.append(f"n={n}: 2*{direct} vs {closed}")
     where = f"n=1..{n_max}"
-    return [_swept(name, where, failures[name]) for name in names]
+    return [_swept(name, where, bad) for name, bad in failures.items()]
 
 
 def charpoly_checks(m_max: int = 10) -> list[Check]:

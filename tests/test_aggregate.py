@@ -5,7 +5,8 @@ Claims covered:
     - degenerate families have their closed-form counts and averages
     - the convolution route to the average agrees with the stream route
     - every desk-scale cell matches the census exactly
-    - result invariants (bounds, exact ratios) are enforced
+    - the average and density are derived from N and S, never passed
+      in, and the bound 1 <= A <= mn is enforced
     - a deep cell holds O(m) integers, not every column
     - the recurrence jump equals the stream, on both sides of the engine
       crossover, and its annihilator holds on the streamed sums
@@ -101,24 +102,16 @@ def test_census_equivalence_desk_scale():
 def test_result_invariants_enforced():
     good = evaluate(2, 3)
     assert good.average == Fraction(good.total, good.count)
-    with pytest.raises(ValueError, match="average"):
-        ProductResult(m=2, n=3, count=good.count, total=good.total + 1,
-                      average=good.average, density=good.density)
-    with pytest.raises(ValueError, match="density"):
+    assert good.density == good.average / 6
+    assert ProductResult(2, 3, good.count, good.total) == good
+    # A and D are derived, never passed in, so they cannot disagree with N and S.
+    with pytest.raises(TypeError, match="average"):
         ProductResult(m=2, n=3, count=good.count, total=good.total,
-                      average=good.average, density=good.density / 2)
-    # Denominators that do not divide the other side's, where the quotients
-    # alone would match.
-    with pytest.raises(ValueError, match="average must"):
-        ProductResult(m=1, n=1, count=3, total=1,
-                      average=Fraction(1, 2), density=Fraction(1, 2))
-    with pytest.raises(ValueError, match="density must"):
-        ProductResult(m=1, n=1, count=2, total=1,
-                      average=Fraction(1, 2), density=Fraction(1, 3))
+                      average=good.average, density=good.density)
     with pytest.raises(ValueError, match="average outside"):
-        ProductResult.from_sums(1, 2, 1, 5)
+        ProductResult(1, 2, 1, 5)
     with pytest.raises(ValueError, match="average outside"):
-        ProductResult.from_sums(1, 2, 2, 1)
+        ProductResult(1, 2, 2, 1)
 
 
 def test_deep_cell_memory_stays_flat():
@@ -146,11 +139,11 @@ def test_evaluate_across_the_engine_crossover(m):
     crossover = STREAM_MAX_PER_LAYER * m
     streamed = list(islice(cell_stream(m), crossover + 1))
     for n in (crossover, crossover + 1):
-        assert evaluate(m, n) == ProductResult.from_sums(m, n, *streamed[n - 1])
+        assert evaluate(m, n) == ProductResult(m, n, *streamed[n - 1])
 
 
 def test_deep_jump_equals_stream():
-    assert evaluate(3, 5000) == ProductResult.from_sums(
+    assert evaluate(3, 5000) == ProductResult(
         3, 5000, *next(islice(cell_stream(3), 4999, None)))
 
 

@@ -15,8 +15,9 @@ Claims covered:
     - text that is not an integer is a usage error naming the flag
     - integers past CPython's 4300-digit str guard print in full
     - table rows equal the per-cell evaluation
-    - ladder rows equal the closed-form average and density, and pass the
-      same result checks as table rows; --n and --n-max are exclusive
+    - ladder rows come from the engine at m = 2 and equal the closed-form
+      rows, average and density; they pass the same result checks as
+      table rows; exactly one of --n and --n-max is required
     - verify --graph refuses a graph past the cap before allocating it
     - charpoly computes the characteristic polynomial once and takes no
       rendering options; verify takes --precision but not --format
@@ -378,12 +379,12 @@ def test_ladder_table(capsys):
 
 
 def test_ladder_rows_equal_closed_forms(capsys):
+    # the engine's rows against the independent closed forms
     code, out, _ = run_cli(capsys, "ladder", "--n-max", "300", "--format", "csv")
     assert code == 0
     rows = out.strip().splitlines()[1:]
     assert len(rows) == 300
-    for n, row in enumerate(rows, start=1):
-        count, total = ladder.ladder_row(n)
+    for n, row, (count, total) in zip(range(1, 301), rows, ladder.row_stream()):
         average = Fraction(total, count)
         density = average / (2 * n)
         assert row == ",".join(str(field) for field in (
@@ -393,9 +394,10 @@ def test_ladder_rows_equal_closed_forms(capsys):
 
 
 def test_ladder_requires_scope(capsys):
-    code, _, err = run_cli(capsys, "ladder")
-    assert code == 2
-    assert "needs --n or --n-max" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["ladder"])
+    assert excinfo.value.code == 2
+    assert "one of the arguments --n --n-max is required" in capsys.readouterr().err
 
 
 def test_ladder_scopes_are_exclusive(capsys):
@@ -406,8 +408,8 @@ def test_ladder_scopes_are_exclusive(capsys):
 
 
 def test_ladder_rows_pass_the_result_invariants(monkeypatch, capsys):
-    # A closed form yielding an average above 2n stops the ladder at that row.
-    monkeypatch.setattr(ladder, "row_stream", lambda: iter([(3, 4), (1, 5)]))
+    # An engine yielding an average above 2n stops the ladder at that row.
+    monkeypatch.setattr(aggregate, "cell_stream", lambda m: iter([(3, 4), (1, 5)]))
     code, out, err = run_cli(capsys, "ladder", "--n-max", "2", "--format", "csv")
     assert code == 2
     assert out == f"{CSV_HEADER}\n2,1,3,4,4,3,1.33333333333,2,3,0.666666666667\n"

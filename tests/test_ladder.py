@@ -1,18 +1,18 @@
 """Two-layer closed forms: Pell sequences, counts, averages, identities.
 
 Claims covered:
-    - the sequences read off x^k mod x^2 - 2x - 1 satisfy their defining
-      recurrences and anchors, every (H(k), P(k)) has H^2 - 2P^2 = (-1)^k,
-      and a negative exponent raises
-    - the single-k reading equals the additions walk for k = 0..300 and
-      at k = 4097, and ladder_row(5000) equals the row stream's item
-    - the closed forms hold no growing state (tracemalloc peak)
+    - the sequences walked by additions satisfy their defining recurrences
+      and anchors, every (H(k), P(k)) has H^2 - 2P^2 = (-1)^k, and the
+      walk equals x^k mod x^2 - 2x - 1 read as (a + b, b), whose negative
+      exponent raises
+    - the engine's single cell at m = 2, the recurrence jump, equals the
+      row stream's item far out (n = 5000 and 20000) and holds no growing
+      state (tracemalloc peak)
     - the closed-form count and order sum, and the average and density
       built from them, match the general-m machinery
-    - the row stream and the single-n path yield the same (count, order
-      sum) integers
     - the independently published ladder average gives the same fractions
-    - the five prefix-sum identities hold against direct summation
+    - the five prefix-sum identities hold, and their running sums equal
+      direct summation
     - the count numerator is always even (the halving is exact), and an
       inexact halving or quartering raises
 """
@@ -25,30 +25,49 @@ import pytest
 
 from consets import ladder
 from consets.aggregate import ProductResult, evaluate
-from consets.ladder import ladder_row, ladder_sum_identities, vince_average
+from consets.exactmath import IntPolynomial, x_power_mod
+from consets.ladder import ladder_sum_identities, row_stream, vince_average
 from consets.layers import weighted_sum
 from consets.orders import order_table
+
+#: x^2 - 2x - 1, the minimal polynomial of u = 1 + sqrt(2).
+SILVER = IntPolynomial((-1, -2, 1))
+
+
+def unit_power(k: int) -> tuple[int, int]:
+    """(H(k), P(k)), the rational and sqrt(2) parts of (1 + sqrt(2))^k."""
+    return next(islice(ladder._pell_walk(), k, None))
 
 
 def pell(k: int) -> int:
     """P(k), the sqrt(2) part of (1 + sqrt(2))^k."""
-    return ladder._unit_power(k)[1]
+    return unit_power(k)[1]
 
 
 def half_companion(k: int) -> int:
     """H(k), the rational part of (1 + sqrt(2))^k."""
-    return ladder._unit_power(k)[0]
+    return unit_power(k)[0]
 
 
 def layer_total(k: int) -> int:
     """The two-layer total at horizon k, H(k+1) = H(k) + 2 P(k)."""
-    h, p = ladder._unit_power(k)
+    h, p = unit_power(k)
     return h + 2 * p
 
 
+def closed_row(n: int) -> tuple[int, int]:
+    """(count, order sum) of the n-rung ladder off the closed forms."""
+    return ladder._row(n, *unit_power(n))
+
+
 def ladder_average(n: int) -> Fraction:
-    count, total = ladder_row(n)
+    count, total = closed_row(n)
     return Fraction(total, count)
+
+
+def identities(n: int) -> tuple[tuple[str, int, int], ...]:
+    """The five (name, direct sum, closed form) triples at n."""
+    return next(islice(ladder_sum_identities(), n - 1, None))
 
 
 # -- sequences -----------------------------------------------------------------
@@ -95,32 +114,35 @@ def test_total_splits_into_previous_total_plus_two_pell():
 
 def test_unit_power_norm_alternates():
     # H^2 - 2P^2 is multiplicative and -1 at 1 + sqrt(2), so (-1)^k at its k-th power
-    for k in range(31):
-        h, p = ladder._unit_power(k)
+    for k, (h, p) in enumerate(islice(ladder._pell_walk(), 31)):
         assert h * h - 2 * p * p == (-1) ** k
 
 
 def test_unit_power_negative_exponent_rejected():
     with pytest.raises(ValueError):
-        ladder._unit_power(-1)
+        x_power_mod(-1, SILVER)
 
 
 def test_unit_power_equals_additions_walk():
+    # x^k = a + b x mod x^2 - 2x - 1 puts u^k at (a + b) + b sqrt(2);
     # 4097 = 2^12 + 1: eleven squaring-only bits between two shifting ones
     walk = list(islice(ladder._pell_walk(), 4098))
     for k in (*range(301), 4097):
-        assert ladder._unit_power(k) == walk[k], k
+        a, b = x_power_mod(k, SILVER)
+        assert (a + b, b) == walk[k], k
 
 
 def test_single_row_equals_row_stream_far_out():
-    assert ladder_row(5000) == next(islice(ladder.row_stream(), 4999, None))
+    # evaluate(2, 5000) jumps: the engine's large-n path against the closed forms
+    result = evaluate(2, 5000)
+    assert (result.count, result.total) == next(islice(row_stream(), 4999, None))
 
 
 # -- counts, averages, densities -------------------------------------------------
 
 def test_count_anchors():
-    assert [ladder_row(n)[0] for n in (1, 2, 3)] == [3, 13, 40]
-    assert ladder_row(3)[0] == 3 * 3 + 2 * 7 + 1 * 17
+    assert [closed_row(n)[0] for n in (1, 2, 3)] == [3, 13, 40]
+    assert closed_row(3)[0] == 3 * 3 + 2 * 7 + 1 * 17
 
 
 def test_count_numerator_always_even():
@@ -131,7 +153,7 @@ def test_count_numerator_always_even():
 def test_average_anchors():
     assert ladder_average(1) == Fraction(4, 3)
     assert ladder_average(2) == Fraction(28, 13)
-    assert ladder_average(3) == Fraction(evaluate(2, 3).total, ladder_row(3)[0])
+    assert ladder_average(3) == Fraction(evaluate(2, 3).total, closed_row(3)[0])
 
 
 def test_average_numerator_anchor():
@@ -141,51 +163,53 @@ def test_average_numerator_anchor():
 
 def test_total_order_closed_form():
     for n in range(1, 60):
-        assert ladder_row(n)[1] == evaluate(2, n).total
+        assert closed_row(n)[1] == evaluate(2, n).total
 
 
 def test_vince_average_examples():
-    assert vince_average(1) == Fraction(4, 3)
-    assert vince_average(2) == Fraction(28, 13)
-    assert vince_average(4) == ladder_average(4)
+    assert vince_average(1, *unit_power(1)) == Fraction(4, 3)
+    assert vince_average(2, *unit_power(2)) == Fraction(28, 13)
+    assert vince_average(4, *unit_power(4)) == ladder_average(4)
 
 
 def test_density_examples():
     # the density of the closed-form row, as the CLI renders it
-    assert ProductResult.from_sums(2, 1, *ladder_row(1)).density == Fraction(2, 3)
-    assert ProductResult.from_sums(2, 2, *ladder_row(2)).density == Fraction(7, 13)
-    assert ProductResult.from_sums(2, 10, *ladder_row(10)) == evaluate(2, 10)
+    assert ProductResult(2, 1, *closed_row(1)).density == Fraction(2, 3)
+    assert ProductResult(2, 2, *closed_row(2)).density == Fraction(7, 13)
+    assert ProductResult(2, 10, *closed_row(10)) == evaluate(2, 10)
 
 
 def test_closed_forms_match_general_machinery():
-    for n in range(1, 101):
+    walk = islice(ladder._pell_walk(), 1, None)
+    for n, (h, p), row in zip(range(1, 101), walk, row_stream()):
         result = evaluate(2, n)
-        closed = ProductResult.from_sums(2, n, *ladder_row(n))
+        closed = ProductResult(2, n, *row)
         assert closed.count == result.count
         assert closed.average == result.average
-        assert vince_average(n) == result.average
+        assert vince_average(n, h, p) == result.average
         assert closed.density == result.density
 
 
 def test_average_holds_no_growing_state():
-    # one power of 1 + sqrt(2) and nothing kept, so memory stays O(n) bits
+    # the jump at m = 2 keeps O(1) integers of O(n) bits, not every column
     tracemalloc.start()
     try:
-        count, total = ladder_row(20000)
+        result = evaluate(2, 20000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024
-    assert Fraction(total, count) == evaluate(2, 20000).average
+    count, total = next(islice(row_stream(), 19999, None))
+    assert result.average == Fraction(total, count)
 
 
 def test_rows_are_count_and_order_sum():
-    # the stream and the single-n path yield the same two integers per n
-    rows = list(islice(ladder.row_stream(), 80))
+    # the stream and the engine yield the same two integers per n
+    rows = list(islice(row_stream(), 80))
     assert rows[:3] == [(3, 4), (13, 28), (40, 126)]
     for n, row in enumerate(rows, start=1):
         result = evaluate(2, n)
-        assert row == ladder_row(n) == (result.count, result.total)
+        assert row == closed_row(n) == (result.count, result.total)
 
 
 def test_inexact_numerators_raise():
@@ -197,24 +221,26 @@ def test_inexact_numerators_raise():
 
 
 def test_rung_count_domain():
+    # the ladder's rows come from the engine, which refuses zero rungs
     with pytest.raises(ValueError):
-        ladder_row(0)
-    with pytest.raises(ValueError):
-        vince_average(0)
+        evaluate(2, 0)
+    # and the published formula is undefined there: u^0 = 1 makes it 0/0
+    with pytest.raises(ZeroDivisionError):
+        vince_average(0, *unit_power(0))
 
 
 # -- summation identities ---------------------------------------------------------
 
 def test_identity_report_names_and_results():
-    checks = ladder_sum_identities(3)
-    assert [c.name for c in checks] == [
+    triples = identities(3)
+    assert [name for name, _, _ in triples] == [
         "prefix sum of totals",
         "weighted prefix sum of totals",
         "prefix sum of shifted pell",
         "weighted prefix sum of shifted pell",
         "square-weighted prefix sum of totals",
     ]
-    assert all(c.ok for c in checks)
+    assert all(2 * direct == closed for _, direct, closed in triples)
 
 
 def test_prefix_sum_identity_arithmetic():
@@ -228,8 +254,21 @@ def test_weighted_prefix_sum_identity_at_one():
 
 
 def test_identities_hold_over_range():
-    for n in range(1, 101):
-        assert all(check.ok for check in ladder_sum_identities(n))
+    for n, triples in zip(range(1, 101), ladder_sum_identities()):
+        assert all(2 * direct == closed for _, direct, closed in triples), n
+
+
+def test_identity_sums_equal_direct_summation():
+    # the running sums against sums written out over the test's own sequences
+    for n, triples in zip(range(1, 41), ladder_sum_identities()):
+        ks = range(1, n + 1)
+        assert [direct for _, direct, _ in triples] == [
+            sum(layer_total(k) for k in ks),
+            sum(k * layer_total(k) for k in ks),
+            sum(pell(k + 2) for k in ks),
+            sum(k * pell(k + 2) for k in ks),
+            sum(k * k * layer_total(k) for k in ks),
+        ], n
 
 
 def test_shifted_pell_sum_uses_horizon_plus_two():

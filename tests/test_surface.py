@@ -6,7 +6,11 @@ Claims covered:
       definition, so code that only its own tests call fails here; the
       reference routes kept for the tests alone are the listed exceptions
     - the single-field views, the helpers only their own tests called and
-      the binary powerings that duplicated ``x_power_mod`` stay deleted
+      the binary powerings that duplicated ``x_power_mod`` stay deleted,
+      as do the ladder's single-n closed-form path and the constructor
+      that took A and D from its caller
+    - no module but ``verify`` imports ``consets.ladder``: the closed
+      forms check the engine and never print a row
 
 A top-level function or class counts as used where the code reads its
 name (not a local variable of the same name) or reads it off its module
@@ -28,6 +32,7 @@ PACKAGE = ROOT / "src" / "consets"
 
 #: Reference routes that only the tests compare the engine against.
 TEST_ONLY_ROUTES = {
+    "ladder.row_stream",
     "oracle.footprint_census",
     "oracle.span_census",
     "orders.convolution_identity_holds",
@@ -35,10 +40,13 @@ TEST_ONLY_ROUTES = {
 
 #: (module, name) pairs removed because only their own tests called them,
 #: because they re-ran a whole cell to return one field of ``evaluate``, or
-#: because they repeated the binary powering of ``exactmath.x_power_mod``.
+#: because they repeated the binary powering of ``exactmath.x_power_mod``,
+#: or because the engine now gives what they gave.
 DELETED = [
     ("aggregate", "count_connected_sets"), ("aggregate", "total_order"),
     ("aggregate", "average_order"), ("aggregate", "density"),
+    ("aggregate", "ProductResult.from_sums"),
+    ("ladder", "ladder_row"), ("ladder", "_unit_power"), ("ladder", "SILVER_POLYNOMIAL"),
     ("ladder", "ladder_count"), ("ladder", "ladder_total_order"),
     ("ladder", "ladder_average"), ("ladder", "ladder_density"),
     ("ladder", "pell"), ("ladder", "half_companion"), ("ladder", "layer_total"),
@@ -143,3 +151,19 @@ def test_deleted_names_stay_gone(module, name):
             return  # the enclosing class is gone, and its members with it
         owner = getattr(owner, part)
     assert not hasattr(owner, last)
+
+
+def _imports_ladder(tree: ast.AST) -> bool:
+    """Whether a module imports ``ladder`` or a name from it, in any form."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            if any("ladder" in name.split(".") for name in names):
+                return True
+    return False
+
+
+def test_only_verify_imports_the_ladder_closed_forms():
+    importers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+                 if _imports_ladder(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importers == ["verify"]
