@@ -21,16 +21,18 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
 
-from .exactmath import IntPolynomial, char_poly, poly_mul, x_power_mod
-from .layers import column_stream, footprint_weights, recurrence_matrix
+from .exactmath import IntPolynomial, poly_mul, x_power_mod
+from .layers import column_stream, footprint_weights, layer_polynomial
 
 #: Above n = STREAM_MAX_PER_LAYER * m a single cell jumps instead of
-#: streaming.  This is the measured crossover: best of 7 in-process runs,
-#: Python 3.11 on a 2-vCPU Xeon VM, stream against jump at n = 8m were
-#: 12.9 / 12.5 ms at m = 16, 45.9 / 45.9 ms at m = 20, 0.30 / 0.27 s at
-#: m = 30; at n = 6m the stream wins from m = 10 up (0.20 / 0.25 s at
-#: m = 30, where char_poly alone takes 0.13 s), at n = 10m the jump wins.
-STREAM_MAX_PER_LAYER = 8
+#: streaming.  This is the measured crossover: best of 5-7 alternating
+#: in-process runs, Python 3.11 on a 2-vCPU Xeon VM, stream against jump
+#: at n = 4m were 8.9 / 10.3 ms at m = 16, 39 / 38 ms at m = 24, 59 / 55 ms
+#: at m = 30, 0.27 / 0.19 s at m = 40 and 0.78 / 0.48 s at m = 50; at
+#: n = 5m the jump wins from m = 16 up.  Below m = 16 the stream wins up to
+#: n = 5-8m, by at most 2 ms a cell.  The jump's fixed cost is p off 2m
+#: streamed totals plus 2m+2 seed items, and the stream's grows with n^2.
+STREAM_MAX_PER_LAYER = 4
 
 
 def _check_cell(m: int, n: int) -> None:
@@ -66,9 +68,12 @@ def annihilator(m: int) -> IntPolynomial:
     [[A, D A], [0, A]] with D = diag(1..m), whose characteristic polynomial
     is p^2, so the order totals obey p^2.  Each running prefix sum adds a
     factor x - 1.  Q, monic of degree 2m+2, thus annihilates N and S from
-    n = 1 on.
+    n = 1 on.  p comes from ``layers.layer_polynomial``, which reads it
+    off the streamed totals by multi-modular Berlekamp-Massey with an
+    exact certificate; ``verify.jump_checks`` holds the jump against the
+    stream, and ``verify.charpoly_checks`` holds p against Faddeev-LeVerrier.
     """
-    p = char_poly(recurrence_matrix(m)).coefficients
+    p = layer_polynomial(m).coefficients
     return IntPolynomial(poly_mul(poly_mul(p, p), (1, -2, 1)))
 
 

@@ -18,7 +18,10 @@ verify
     battery's grid stays within the default.
 charpoly
     The characteristic polynomial of the layer recurrence matrix, with
-    its coefficient identities checked.
+    its coefficient identities checked.  It comes from
+    layers.layer_polynomial (Berlekamp-Massey on the streamed totals,
+    certified exactly), the p the recurrence jump takes; verify
+    --charpoly compares it with Faddeev-LeVerrier.
 ladder
     The two-layer cells (m = 2) at one n or for n = 1..n_max, from the
     same engine as compute and table; verify --ladder checks them
@@ -57,8 +60,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import aggregate, oracle, verify
-from .exactmath import char_poly
-from .layers import recurrence_matrix
+from .layers import layer_polynomial
 from .recurrence import validate_coefficients
 from .reporting import Check
 
@@ -252,7 +254,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_charpoly(args: argparse.Namespace) -> int:
     if args.m < 2:
-        print(f"m={args.m}: {char_poly(recurrence_matrix(args.m))}")
+        print(f"m={args.m}: {layer_polynomial(args.m)}")
         print("coefficient identities apply from m=2 upward; nothing to check")
         return 0
     report = validate_coefficients(args.m)

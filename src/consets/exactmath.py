@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: integer matrices, characteristic polynomials,
-and powers of x modulo a monic integer polynomial.
+the certified annihilator of an integer sequence, and powers of x modulo a
+monic integer polynomial.
 
 Integer scalars are plain ``int`` (arbitrary precision), rationals are
 ``fractions.Fraction`` (always reduced, positive denominator).  Nothing in
@@ -8,7 +9,7 @@ this package ever rounds: every count, sum, average, and density is exact.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class IntMatrix:
@@ -193,6 +194,105 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
             raise ArithmeticError(f"non-integral characteristic coefficient at step {k}")
         coefficients[n - k] = c
     return IntPolynomial(coefficients)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases 2..37, deterministic for odd
+    n from 39 up to 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if any(n % a == 0 for a in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes() -> Iterator[int]:
+    """The primes below 2^61, largest first: 2^61 - 1, 2^61 - 31, ..."""
+    candidate = 2 ** 61 - 1
+    while True:
+        if _is_prime(candidate):
+            yield candidate
+        candidate -= 2
+
+
+def _linear_complexity(terms: Sequence[int], q: int) -> tuple[int, list[int]]:
+    """Berlekamp-Massey over Z/qZ, q prime: the length L of the shortest
+    linear recurrence of the terms, and its connection polynomial
+    C = 1 + c_1 x + ... + c_L x^L, so that sum_i c_i t(n-i) = 0 mod q for
+    every n from L on (Massey, IEEE Trans. Inf. Theory 1969)."""
+    connection, previous = [1], [1]
+    length, shift, last = 0, 1, 1
+    for n, term in enumerate(terms):
+        discrepancy = (term + sum(c * t for c, t in zip(connection[1:],
+                                                        reversed(terms[:n])))) % q
+        if not discrepancy:
+            shift += 1
+            continue
+        factor = discrepancy * pow(last, -1, q) % q
+        update = connection[:]
+        update += [0] * (len(previous) + shift - len(update))
+        for i, b in enumerate(previous):
+            update[i + shift] = (update[i + shift] - factor * b) % q
+        if 2 * length <= n:
+            previous, last, length, shift = connection, discrepancy, n + 1 - length, 1
+        else:
+            shift += 1
+        connection = update
+    return length, connection + [0] * (length + 1 - len(connection))
+
+
+def sequence_annihilator(terms: Sequence[int]) -> IntPolynomial | None:
+    """The monic degree-d polynomial p with sum_j p_j t(k+j) = 0 for every
+    window of the 2d terms, or None where it is not certified unique.
+
+    Berlekamp-Massey runs modulo 61-bit primes, generated downward from
+    2^61 - 1, and the Chinese remainder theorem rebuilds the coefficients
+    in symmetric range.  Primes are added until that reconstruction stops
+    changing; the candidate is then certified over Z on every window, and
+    more primes are added if that fails.  Linear complexity d at a prime
+    makes the d x d Hankel matrix of the terms nonsingular (Massey's
+    uniqueness theorem, N = 2L), so a certified candidate is the only
+    monic degree-d annihilator over Q.  Any other complexity means no
+    unique one exists, and the answer is None; so is a sequence whose
+    rational annihilator is not integral, once the primes multiply past
+    the Hadamard bound on its Cramer numerators.
+    """
+    if not terms or len(terms) % 2:
+        raise ValueError("need 2d terms, d >= 1")
+    d = len(terms) // 2
+    # |Cramer numerator| <= (sqrt(d) * 2^b)^d with every |t| < 2^b.
+    bits = max(t.bit_length() for t in terms)
+    bound = 1 << (d * (bits + d.bit_length()) + 1)
+    residues, modulus, candidate = [0] * d, 1, None
+    for q in _primes():
+        length, connection = _linear_complexity([t % q for t in terms], q)
+        if length != d:
+            return None
+        inverse = pow(modulus, -1, q)
+        residues = [r + modulus * ((connection[d - j] - r) * inverse % q)
+                    for j, r in enumerate(residues)]
+        modulus *= q
+        previous = candidate
+        candidate = [r - modulus if 2 * r > modulus else r for r in residues] + [1]
+        if candidate != previous and modulus <= bound:
+            continue
+        if all(sum(p * t for p, t in zip(candidate, terms[k:k + d + 1])) == 0
+               for k in range(d)):
+            return IntPolynomial(candidate)
+        if modulus > bound:
+            return None
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

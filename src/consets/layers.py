@@ -6,7 +6,8 @@ set that touches layers 1..k is classified by its footprint in layer k
 size matters.  The m counts per layer advance by one integer matrix, so
 the whole count grid unrolls as a vector recurrence; the order sums ride
 along in the same step.  ``column_stream`` is that recurrence, and the one
-place it is written.
+place it is written; ``layer_polynomial`` reads the matrix's
+characteristic polynomial off its totals.
 
 Indices follow the combinatorics: layers and horizons k are 1-based, as
 are footprint sizes i in 1..m.  Matrix indices stay 0-based.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .exactmath import IntMatrix
+from .exactmath import IntMatrix, IntPolynomial, char_poly, sequence_annihilator
 
 
 def pascal_row(m: int) -> tuple[int, ...]:
@@ -74,6 +75,23 @@ def column_stream(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         counts = matrix.apply(counts)
         orders = tuple(s + i * c for i, (s, c)
                        in enumerate(zip(matrix.apply(orders), counts), start=1))
+
+
+def layer_polynomial(m: int) -> IntPolynomial:
+    """The characteristic polynomial p of ``recurrence_matrix(m)``, read
+    off the per-horizon totals T(1..2m) of one ``column_stream`` walk.
+
+    T(k) is the weight row times A^(k-1) times the ones column, so p
+    annihilates the totals (Cayley-Hamilton).  ``sequence_annihilator``
+    certifies the monic degree-m annihilator of T(1..2m) unique, which
+    makes it p; where it cannot, p comes from ``char_poly`` of the
+    literal matrix (Faddeev-LeVerrier).
+    """
+    weights = footprint_weights(m)
+    totals = [sum(w * c for w, c in zip(weights, counts))
+              for counts, _ in islice(column_stream(m), 2 * m)]
+    polynomial = sequence_annihilator(totals)
+    return polynomial if polynomial is not None else char_poly(recurrence_matrix(m))
 
 
 def profile_table(m: int, k_max: int) -> list[tuple[int, ...]]:

@@ -5,17 +5,21 @@ of the layer matrix, ``validate_coefficients`` checks two claimed closed
 forms for its coefficients against independent matrix-side quantities:
 the top coefficient (through the trace, against Fibonacci numbers) holds
 for every m, while the unit-constant-term claim is true only for
-m = 0, 3 (mod 4) and is reported honestly where it fails.  The engine
-uses p itself through ``aggregate.annihilator``; that p annihilates the
-per-horizon totals is checked by ``verify.stream_checks``.
+m = 0, 3 (mod 4) and is reported honestly where it fails.  p comes from
+``layers.layer_polynomial``, the route the engine's jump takes through
+``aggregate.annihilator`` and ``charpoly`` prints: Berlekamp-Massey on
+the streamed totals, certified exactly.  The trace and determinant are
+read off the literal matrix; ``verify.charpoly_checks`` compares p with
+Faddeev-LeVerrier (``exactmath.char_poly``), and ``verify.stream_checks``
+checks that the latter annihilates the per-horizon totals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmath import IntPolynomial, char_poly
-from .layers import recurrence_matrix
+from .exactmath import IntPolynomial
+from .layers import layer_polynomial, recurrence_matrix
 from .reporting import Check
 
 
@@ -52,21 +56,24 @@ def validate_coefficients(m: int) -> CoefficientReport:
     if m < 2:
         raise ValueError("coefficient identities need layer size at least 2")
     matrix = recurrence_matrix(m)
-    polynomial = char_poly(matrix)
+    polynomial = layer_polynomial(m)
     where = f"m={m}"
     top = polynomial[m - 1]
     constant = polynomial[0]
     expected_top = fibonacci(m + 1) - 2 ** m
     expected_constant = 1 if m >= 3 else -1
+    trace = matrix.trace()
+    determinant = matrix.determinant()
+    expected_trace = -expected_top
+    expected_determinant = (-1) ** m * constant
     checks = (
         Check("charpoly top coefficient", where, top == expected_top,
               f"got {top}, expected {expected_top}"),
         Check("charpoly constant term", where, constant == expected_constant,
               f"got {constant}, expected {expected_constant}"),
-        Check("matrix trace identity", where, matrix.trace() == 2 ** m - fibonacci(m + 1),
-              f"trace {matrix.trace()}, expected {2 ** m - fibonacci(m + 1)}"),
-        Check("determinant sign identity", where,
-              matrix.determinant() == (-1) ** m * constant,
-              f"det {matrix.determinant()}, expected {(-1) ** m * constant}"),
+        Check("matrix trace identity", where, trace == expected_trace,
+              f"trace {trace}, expected {expected_trace}"),
+        Check("determinant sign identity", where, determinant == expected_determinant,
+              f"det {determinant}, expected {expected_determinant}"),
     )
     return CoefficientReport(m=m, polynomial=polynomial, checks=checks)

@@ -129,9 +129,16 @@ def ladder_identity_checks(n_max: int = 100) -> list[Check]:
 
 
 def charpoly_checks(m_max: int = 10) -> list[Check]:
+    """The coefficient identities, and p from the streamed totals against
+    Faddeev-LeVerrier on the literal matrix, for m = 2..m_max."""
     checks: list[Check] = []
     for m in range(2, m_max + 1):
-        checks.extend(recurrence.validate_coefficients(m).checks)
+        report = recurrence.validate_coefficients(m)
+        matrix_side = char_poly(recurrence_matrix(m))
+        checks.extend(report.checks)
+        checks.append(Check("charpoly routes agree", f"m={m}",
+                            report.polynomial == matrix_side,
+                            f"stream {report.polynomial}, matrix {matrix_side}"))
     return checks
 
 

@@ -9,7 +9,8 @@ Claims covered:
       in, and the bound 1 <= A <= mn is enforced
     - a deep cell holds O(m) integers, not every column
     - the recurrence jump equals the stream, on both sides of the engine
-      crossover, and its annihilator holds on the streamed sums
+      crossover, and its annihilator holds on the streamed sums; it takes
+      p from the streamed totals and never by Faddeev-LeVerrier, m <= 60
     - verify.jump_checks fails, naming m and n, when the jump is wrong
     - the package exports exactly the engine, census and polynomial
       names, and each of them resolves
@@ -22,7 +23,7 @@ from itertools import islice
 import pytest
 
 import consets
-from consets import aggregate, verify
+from consets import aggregate, exactmath, layers, verify
 from consets.aggregate import (
     STREAM_MAX_PER_LAYER,
     ProductResult,
@@ -156,6 +157,16 @@ def test_annihilator_holds_on_streamed_sums(m):
         window = streamed[start:start + q.degree + 1]
         assert sum(c * count for c, (count, _) in zip(q.coefficients, window)) == 0
         assert sum(c * total for c, (_, total) in zip(q.coefficients, window)) == 0
+
+
+def test_annihilator_never_takes_faddeev_leverrier(monkeypatch):
+    def refused(matrix):
+        raise AssertionError(f"char_poly called at m={matrix.order}")
+
+    monkeypatch.setattr(exactmath, "char_poly", refused)
+    monkeypatch.setattr(layers, "char_poly", refused)
+    for m in range(1, 61):
+        assert annihilator(m).degree == 2 * m + 2
 
 
 def test_jump_checks_report_a_wrong_jump(monkeypatch):

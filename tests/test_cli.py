@@ -19,7 +19,8 @@ Claims covered:
       rows, average and density; they pass the same result checks as
       table rows; exactly one of --n and --n-max is required
     - verify --graph refuses a graph past the cap before allocating it
-    - charpoly computes the characteristic polynomial once and takes no
+    - charpoly computes the characteristic polynomial once, from the
+      streamed totals and never by Faddeev-LeVerrier, and takes no
       rendering options; verify takes --precision but not --format
     - the oracle cap is set by --oracle-cap alone, which needs --m/--n or
       --graph; the environment is not read
@@ -46,7 +47,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from consets import aggregate, cli, ladder, oracle, recurrence, verify
+from consets import aggregate, cli, exactmath, ladder, layers, oracle, recurrence, verify
 from consets.cli import CSV_HEADER, format_decimal, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -326,17 +327,24 @@ def test_charpoly_printout(capsys):
 
 
 def test_charpoly_computes_polynomial_once(monkeypatch, capsys):
-    calls = []
-    original = cli.char_poly
+    calls, matrix_side = [], []
+    original = cli.layer_polynomial
 
-    def counted(matrix):
-        calls.append(matrix)
-        return original(matrix)
+    def counted(m):
+        calls.append(m)
+        return original(m)
 
-    monkeypatch.setattr(cli, "char_poly", counted)
-    monkeypatch.setattr(recurrence, "char_poly", counted)
+    def refused(matrix):
+        matrix_side.append(matrix)
+        return exactmath.IntPolynomial([0] * matrix.order + [1])
+
+    monkeypatch.setattr(cli, "layer_polynomial", counted)
+    monkeypatch.setattr(recurrence, "layer_polynomial", counted)
+    monkeypatch.setattr(exactmath, "char_poly", refused)
+    monkeypatch.setattr(layers, "char_poly", refused)
     code, out, _ = run_cli(capsys, "charpoly", "--m", "6")
-    assert len(calls) == 1
+    assert calls == [6]
+    assert matrix_side == []  # Faddeev-LeVerrier is never on this path
     assert code == 1
     assert out == (
         "m=6: λ^6 - 51λ^5 - 207λ^4 + 248λ^3 + 103λ^2 - 13λ - 1\n"
@@ -345,6 +353,10 @@ def test_charpoly_computes_polynomial_once(monkeypatch, capsys):
         "PASS  matrix trace identity  [m=6]\n"
         "PASS  determinant sign identity  [m=6]\n"
         "1 of 4 checks FAILED\n")
+    code, out, _ = run_cli(capsys, "charpoly", "--m", "1")  # the unchecked branch
+    assert (code, out.splitlines()[0]) == (0, "m=1: λ - 1")
+    assert calls == [6, 1]
+    assert matrix_side == []
 
 
 def test_charpoly_and_verify_refuse_unread_options(capsys):

@@ -5,7 +5,12 @@ Claims covered:
     - Faddeev-LeVerrier characteristic polynomials match hand values, and
       an inexact trace division raises
     - every layer matrix annihilates its own characteristic polynomial
-    - Bareiss determinant agrees with the charpoly constant term
+    - Bareiss determinant agrees with the charpoly constant term, and with
+      cofactor expansion on matrices whose pivots are not +-1, a row swap
+      included
+    - the multi-modular Berlekamp-Massey annihilator returns exactly the
+      recurrence of a sequence, and None where the degree-d annihilator is
+      not unique or not integral
     - polynomial products and x^e mod a monic polynomial are exact
     - Fraction construction always lands on the reduced canonical form
 """
@@ -14,8 +19,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from consets.exactmath import IntMatrix, IntPolynomial, char_poly, poly_mul, x_power_mod
+from consets.exactmath import (
+    IntMatrix,
+    IntPolynomial,
+    char_poly,
+    poly_mul,
+    sequence_annihilator,
+    x_power_mod,
+)
 from consets.layers import recurrence_matrix
 
 
@@ -142,6 +156,77 @@ def test_layer_matrix_determinant_sign_law(m):
     # row-difference reduction leaves stacked binomial rows whose reversal
     # is unitriangular; the reversal contributes C(m,2) inversions
     assert recurrence_matrix(m).determinant() == (-1) ** (m * (m - 1) // 2)
+
+
+def _cofactor_determinant(rows):
+    """Laplace expansion along the first row: the reference, no division."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * entry * _cofactor_determinant([row[:j] + row[j + 1:]
+                                                         for row in rows[1:]])
+               for j, entry in enumerate(rows[0]) if entry)
+
+
+def test_determinant_matches_cofactor_expansion():
+    # Pivots other than +-1 make the exact division by the previous pivot
+    # matter; the first matrix needs a row swap at its first pivot.
+    fixed = [
+        [[0, 2, 1], [3, 1, 4], [5, 9, 2]],
+        [[2, 1, 3, 4], [4, 5, 1, 2], [6, 2, 7, 1], [3, 8, 2, 5]],
+        [[3, 0, 0, 0], [1, 5, 0, 0], [2, 7, -4, 0], [9, 1, 6, 2]],
+    ]
+    rng = random.Random(1978)
+    drawn = [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+             for n in range(1, 7) for _ in range(20)]
+    for rows in fixed + drawn:
+        assert IntMatrix(rows).determinant() == _cofactor_determinant(rows), rows
+    assert _cofactor_determinant(fixed[0]) == 50  # by hand: -2(6 - 20) + (27 - 5)
+
+
+def _recurrence_terms(coefficients, seeds, count):
+    """Extend the seeds by t(k+d) = -sum_j p_j t(k+j) to ``count`` terms."""
+    terms = list(seeds)
+    while len(terms) < count:
+        terms.append(-sum(c * t for c, t in zip(coefficients, terms[-len(seeds):])))
+    return terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(-10 ** 200, 10 ** 200), min_size=d, max_size=d),
+    st.lists(st.integers(-50, 50), min_size=d, max_size=d))))
+def test_sequence_annihilator_recovers_the_recurrence(drawn):
+    coefficients, seeds = drawn
+    d = len(seeds)
+    terms = _recurrence_terms(coefficients, seeds, 2 * d)
+    hankel = IntMatrix([terms[i:i + d] for i in range(d)])
+    # A singular Hankel matrix leaves the degree-d annihilator not unique.
+    # A nonsingular one whose determinant the first 61-bit prime divides
+    # would also give None, but hypothesis draws such seeds with
+    # probability about 2^-61.
+    assume(hankel.determinant() != 0)
+    assert sequence_annihilator(terms) == IntPolynomial([*coefficients, 1])
+
+
+def test_sequence_annihilator_needs_several_primes():
+    # 200-digit coefficients cannot be read off one 61-bit prime
+    coefficients = [10 ** 200 + 7, -(10 ** 199) - 3, 1]
+    terms = _recurrence_terms(coefficients, [0, 0, 1], 6)
+    assert sequence_annihilator(terms) == IntPolynomial([*coefficients, 1])
+
+
+def test_sequence_annihilator_refuses_what_is_not_unique_or_integral():
+    powers = [2 ** k for k in range(6)]
+    assert sequence_annihilator(powers) is None  # complexity 1 below d = 3
+    assert sequence_annihilator([0, 0, 0, 0]) is None  # complexity 0
+    assert sequence_annihilator([0, 1]) is None  # complexity 2 above d = 1
+    assert sequence_annihilator([2, 1]) is None  # x - 1/2 is not integral
+    assert sequence_annihilator([1, 0, 3, 1]) is None  # nor x^2 - x/3 - 3
+    assert sequence_annihilator(powers[:2]) == IntPolynomial((-2, 1))
+    with pytest.raises(ValueError, match="2d terms"):
+        sequence_annihilator([1, 2, 3])
+    with pytest.raises(ValueError, match="2d terms"):
+        sequence_annihilator([])
 
 
 def test_polynomial_must_be_monic():

@@ -8,16 +8,22 @@ Claims covered:
     - weighted column sums through matrix powers match table counts
     - the binomial-weighted matrix powers are symmetric
     - counts agree with the exhaustive census footprint by footprint
+    - the layer matrix factors as L R (prefix sums after a row-reversed
+      Pascal matrix), so its determinant is (-1)^(m(m-1)/2)
+    - the characteristic polynomial read off the streamed totals equals
+      Faddeev-LeVerrier's, and falls back to it when the certificate fails
 """
 
 import math
 
 import pytest
 
-from consets.exactmath import IntMatrix
+from consets import layers
+from consets.exactmath import IntMatrix, char_poly
 from consets.layers import (
     column_stream,
     footprint_weights,
+    layer_polynomial,
     pascal_row,
     profile_table,
     recurrence_matrix,
@@ -164,3 +170,42 @@ def test_counts_match_census_by_footprint(m):
         for i in range(1, m + 1):
             footprint = [(k - 1) * m + p for p in range(i)]  # i vertices of layer k
             assert footprint_census(layered, k, footprint).count == table[k - 1][i - 1]
+
+
+# -- the factorisation and the characteristic polynomial ---------------------
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_layer_matrix_factors(m):
+    # C(m, j) - C(m-i, j) = sum_{t=1..i} C(m-t, j-1) (hockey stick): A = L R
+    # with L the lower triangle of ones and R(t, j) = C(m-t, j-1), a Pascal
+    # matrix with its rows reversed; det L = 1, and reversing m rows gives
+    # det R = (-1)^(m(m-1)/2).
+    ones = IntMatrix([[int(j <= i) for j in range(m)] for i in range(m)])
+    pascal = IntMatrix([[math.comb(m - t, j - 1) for j in range(1, m + 1)]
+                        for t in range(1, m + 1)])
+    matrix = recurrence_matrix(m)
+    assert ones @ pascal == matrix
+    sign = (-1) ** (m * (m - 1) // 2)
+    assert (ones.determinant(), pascal.determinant(), matrix.determinant()) == (1, sign, sign)
+
+
+@pytest.mark.parametrize("m", [*range(1, 13), 20, 30, 40, 50])
+def test_layer_polynomial_equals_faddeev_leverrier(m):
+    assert layer_polynomial(m) == char_poly(recurrence_matrix(m))
+
+
+def test_layer_polynomial_falls_back_to_the_literal_matrix(monkeypatch):
+    refused, matrix_side = [], []
+
+    def uncertified(terms):
+        refused.append(len(terms))
+        return None
+
+    def counted(matrix):
+        matrix_side.append(matrix.order)
+        return char_poly(matrix)
+
+    monkeypatch.setattr(layers, "sequence_annihilator", uncertified)
+    monkeypatch.setattr(layers, "char_poly", counted)
+    assert str(layer_polynomial(3)) == "λ^3 - 5λ^2 - 3λ + 1"
+    assert (refused, matrix_side) == ([6], [3])
