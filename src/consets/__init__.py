@@ -13,20 +13,15 @@ polynomial (``recurrence_matrix``, ``char_poly``,
 the engine stay importable from their own modules: ``consets.orders``,
 ``consets.oracle``, ``consets.ladder`` (the two-layer closed forms,
 which only ``verify`` runs) and ``consets.verify``.
+
+Importing the package loads none of its modules.  Each of the 12 names
+is resolved on first use by the module ``__getattr__`` (PEP 562), which
+imports only the module that defines it: ``from consets import
+evaluate`` loads the engine and never the census or the verification
+suites, and the command line pays only for the command that runs.
 """
 
-from .aggregate import ProductResult, cell_stream, evaluate
-from .exactmath import char_poly
-from .layers import recurrence_matrix
-from .oracle import (
-    CapExceededError,
-    CensusReport,
-    SimpleGraph,
-    census,
-    complete_path_product,
-    parse_edge_list,
-)
-from .recurrence import validate_coefficients
+import importlib
 
 __version__ = "0.1.0"
 
@@ -44,3 +39,32 @@ __all__ = [
     "recurrence_matrix",
     "validate_coefficients",
 ]
+
+#: The module that defines each public name.
+_HOMES = {
+    "CapExceededError": "oracle",
+    "CensusReport": "oracle",
+    "ProductResult": "aggregate",
+    "SimpleGraph": "oracle",
+    "cell_stream": "aggregate",
+    "census": "oracle",
+    "char_poly": "exactmath",
+    "complete_path_product": "oracle",
+    "evaluate": "aggregate",
+    "parse_edge_list": "oracle",
+    "recurrence_matrix": "layers",
+    "validate_coefficients": "recurrence",
+}
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -16,13 +16,13 @@ and S(n) off the first 2m+2 items through the linear recurrence that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
 
 from .exactmath import IntPolynomial, poly_mul, x_power_mod
 from .layers import column_stream, footprint_weights, layer_polynomial
+from .records import FrozenRecord
 
 #: Above n = STREAM_MAX_PER_LAYER * m a single cell jumps instead of
 #: streaming.  This is the measured crossover: best of 5-7 alternating
@@ -108,26 +108,24 @@ def _sums(m: int, n: int) -> tuple[int, int]:
     return next(islice(cell_stream(m), n - 1, None))
 
 
-@dataclass(frozen=True, slots=True)
-class ProductResult:
+class ProductResult(FrozenRecord):
     """All four headline quantities for one (m, n) cell: built from the
     count N and order total S, it derives the average S/N and the density
     S/(N·mn) once, as exact reduced fractions, so they always agree."""
 
-    m: int
-    n: int
-    count: int
-    total: int
-    average: Fraction = field(init=False)
-    density: Fraction = field(init=False)
+    __slots__ = ("m", "n", "count", "total", "average", "density")
 
-    def __post_init__(self):
-        average = Fraction(self.total, self.count)
+    def __init__(self, m: int, n: int, count: int, total: int):
+        average = Fraction(total, count)
         # 1 <= A <= mn also gives 0 < D <= 1.
-        if not 1 <= average <= self.m * self.n:
+        if not 1 <= average <= m * n:
             raise ValueError("average outside [1, m*n]")
-        object.__setattr__(self, "average", average)
-        object.__setattr__(self, "density", average / (self.m * self.n))
+        for name, value in zip(self.__slots__,
+                               (m, n, count, total, average, average / (m * n))):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), (self.m, self.n, self.count, self.total)
 
 
 def evaluate(m: int, n: int) -> ProductResult:

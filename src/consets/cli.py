@@ -41,6 +41,11 @@ distinct integer of a row is converted to text once.  table and ladder
 --n-max print each csv or plain row as the engine yields it, so their
 memory does not grow with n_max; json collects the rows for one dump.
 
+compute, table and ladder load only the engine (aggregate, layers,
+exactmath); verify and charpoly import the census, the suites and the
+coefficient checks when they run, and json is imported for json output
+alone, so a process pays only for the command it runs.
+
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3
 internal error (any other exception, reported on one stderr line), 141
 output pipe closed by its reader (128 + SIGPIPE; nothing on stderr).
@@ -51,18 +56,17 @@ exit from them may follow rows already printed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from . import aggregate, oracle, verify
+from . import aggregate
 from .layers import layer_polynomial
-from .recurrence import validate_coefficients
-from .reporting import Check
+from .records import FrozenRecord
+
+if TYPE_CHECKING:
+    from .reporting import Check
 
 CSV_HEADER = "m,n,N,S,A_num,A_den,A_dec,D_num,D_den,D_dec"
 DEFAULT_PRECISION = 12
@@ -135,11 +139,13 @@ def _exact_text(num: str, den: str) -> str:
     return num if den == "1" else f"{num}/{den}"
 
 
-@dataclass(frozen=True, slots=True)
-class OutputRecord:
+class OutputRecord(FrozenRecord):
     """One printed row: the rendering of one cell's result."""
 
-    result: aggregate.ProductResult
+    __slots__ = ("result",)
+
+    def __init__(self, result: aggregate.ProductResult):
+        object.__setattr__(self, "result", result)
 
     @classmethod
     def from_result(cls, result: aggregate.ProductResult) -> OutputRecord:
@@ -199,6 +205,8 @@ def emit_records(records: Iterable[OutputRecord], fmt: str, precision: int,
                  single: bool) -> None:
     """Print the records; csv and plain print each one as it arrives."""
     if fmt == "json":
+        import json
+
         objects = [record.json_object(precision) for record in records]
         print(json.dumps(objects[0] if single else objects, indent=2))
     elif fmt == "csv":
@@ -257,6 +265,8 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
         print(f"m={args.m}: {layer_polynomial(args.m)}")
         print("coefficient identities apply from m=2 upward; nothing to check")
         return 0
+    from .recurrence import validate_coefficients
+
     report = validate_coefficients(args.m)
     print(f"m={args.m}: {report.polynomial}")
     return _print_checks(report.checks)
@@ -272,6 +282,10 @@ def cmd_ladder(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from . import oracle, verify
+
     if args.n_max is not None and not args.ladder:
         raise ValueError("--n-max applies only with --ladder")
     if args.m_max is not None and not args.charpoly:
@@ -367,10 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--precision", type=_precision,
                           help=f"significant digits for the --graph decimals "
                                f"(default {DEFAULT_PRECISION}, at most {MAX_PRECISION})")
+    # oracle.DEFAULT_CAP and oracle.MAX_CAP, written out so that parsing
+    # never imports the census; the tests hold the text to the constants.
     p_verify.add_argument("--oracle-cap", type=int, default=None,
-                          help=f"enumeration cap on vertices for --m/--n and --graph, "
-                               f"both census routes (default {oracle.DEFAULT_CAP}, "
-                               f"ceiling {oracle.MAX_CAP})")
+                          help="enumeration cap on vertices for --m/--n and --graph, "
+                               "both census routes (default 22, ceiling 26)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_charpoly = commands.add_parser(

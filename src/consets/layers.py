@@ -5,9 +5,10 @@ set that touches layers 1..k is classified by its footprint in layer k
 (its intersection with that layer), and by symmetry only the footprint
 size matters.  The m counts per layer advance by one integer matrix, so
 the whole count grid unrolls as a vector recurrence; the order sums ride
-along in the same step.  ``column_stream`` is that recurrence, and the one
-place it is written; ``layer_polynomial`` reads the matrix's
-characteristic polynomial off its totals.
+along in the same step.  ``count_columns`` is the count step, and the one
+place it is written; ``column_stream`` adds the order step to it.
+``layer_polynomial`` and ``profile_table`` read count columns only, so
+they walk ``count_columns`` and never advance an order column.
 
 Indices follow the combinatorics: layers and horizons k are 1-based, as
 are footprint sizes i in 1..m.  Matrix indices stay 0-based.
@@ -56,6 +57,16 @@ def recurrence_matrix(m: int) -> IntMatrix:
     return IntMatrix(rows)
 
 
+def count_columns(matrix: IntMatrix) -> Iterator[tuple[int, ...]]:
+    """Yield the count column for horizons k = 1, 2, ...: all ones at
+    k = 1, then c <- A c with A = ``matrix``.  Only the current column is
+    held."""
+    counts = (1,) * matrix.order
+    while True:
+        yield counts
+        counts = matrix.apply(counts)
+
+
 def column_stream(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Yield the (count column, order column) pair for horizons k = 1, 2, ...
 
@@ -63,23 +74,21 @@ def column_stream(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     connected sets of the k-layer product that meet every one of the first
     k-1 layers and occupy one fixed i-vertex footprint in layer k; the
     order column holds their summed orders.  At k = 1 they are all ones
-    and (1, 2, ..., m).  Each step applies the recurrence matrix A to both
-    (c <- A c; s <- A s + i c, the i c term counting the vertices layer k
-    itself contributes).  Only the current pair is held.
+    and (1, 2, ..., m).  The counts step by ``count_columns``; the orders
+    by s <- A s + i c, from s = 0 before horizon 1, the i c term counting
+    the vertices layer k itself contributes.  Only the current pair is held.
     """
     matrix = recurrence_matrix(m)
-    counts = (1,) * m
-    orders = tuple(range(1, m + 1))
-    while True:
-        yield counts, orders
-        counts = matrix.apply(counts)
+    orders = (0,) * m
+    for counts in count_columns(matrix):
         orders = tuple(s + i * c for i, (s, c)
                        in enumerate(zip(matrix.apply(orders), counts), start=1))
+        yield counts, orders
 
 
 def layer_polynomial(m: int) -> IntPolynomial:
     """The characteristic polynomial p of ``recurrence_matrix(m)``, read
-    off the per-horizon totals T(1..2m) of one ``column_stream`` walk.
+    off the per-horizon totals T(1..2m) of one ``count_columns`` walk.
 
     T(k) is the weight row times A^(k-1) times the ones column, so p
     annihilates the totals (Cayley-Hamilton).  ``sequence_annihilator``
@@ -87,18 +96,19 @@ def layer_polynomial(m: int) -> IntPolynomial:
     makes it p; where it cannot, p comes from ``char_poly`` of the
     literal matrix (Faddeev-LeVerrier).
     """
+    matrix = recurrence_matrix(m)
     weights = footprint_weights(m)
     totals = [sum(w * c for w, c in zip(weights, counts))
-              for counts, _ in islice(column_stream(m), 2 * m)]
+              for counts in islice(count_columns(matrix), 2 * m)]
     polynomial = sequence_annihilator(totals)
-    return polynomial if polynomial is not None else char_poly(recurrence_matrix(m))
+    return polynomial if polynomial is not None else char_poly(matrix)
 
 
 def profile_table(m: int, k_max: int) -> list[tuple[int, ...]]:
     """The count columns for horizons 1..k_max (index k-1 holds horizon k)."""
     if k_max < 1:
         raise ValueError("horizon must be at least 1")
-    return [counts for counts, _ in islice(column_stream(m), k_max)]
+    return list(islice(count_columns(recurrence_matrix(m)), k_max))
 
 
 def weighted_sum(column: Sequence[int]) -> int:

@@ -21,9 +21,10 @@ CPython 3.11).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
+
+from .records import FrozenRecord
 
 DEFAULT_CAP = 22
 MAX_CAP = 26
@@ -75,8 +76,7 @@ class SimpleGraph:
         return sum(row.bit_count() for row in self.adjacency) // 2
 
 
-@dataclass(frozen=True, slots=True)
-class LayeredGraph:
+class LayeredGraph(NamedTuple):
     """A SimpleGraph whose vertices are arranged in n complete layers of
     size m, consecutive layers joined position-to-position.
 
@@ -160,11 +160,15 @@ def _connected_union_find(adjacency: tuple[int, ...], mask: int) -> bool:
 _CHECKERS = {"flood": _connected_flood, "union-find": _connected_union_find}
 
 
-@dataclass(frozen=True, slots=True)
-class CensusReport:
-    """Connected-set counts of one graph, bucketed by set size."""
+class CensusReport(FrozenRecord):
+    """Connected-set counts of one graph, bucketed by set size.
 
-    size_counts: tuple[int, ...]
+    Not a NamedTuple: its ``count`` would shadow ``tuple.count``."""
+
+    __slots__ = ("size_counts",)
+
+    def __init__(self, size_counts: tuple[int, ...]):
+        object.__setattr__(self, "size_counts", size_counts)
 
     @property
     def vertex_count(self) -> int:

@@ -16,7 +16,7 @@ checks that the latter annihilates the per-horizon totals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactmath import IntPolynomial
 from .layers import layer_polynomial, recurrence_matrix
@@ -33,8 +33,7 @@ def fibonacci(n: int) -> int:
     return a
 
 
-@dataclass(frozen=True, slots=True)
-class CoefficientReport:
+class CoefficientReport(NamedTuple):
     """Outcome of checking the characteristic coefficients of one layer size."""
 
     m: int

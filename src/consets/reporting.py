@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class Check:
+class Check(NamedTuple):
     """One named verification with the cell it was exercised at."""
 
     name: str

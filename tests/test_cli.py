@@ -23,7 +23,8 @@ Claims covered:
       streamed totals and never by Faddeev-LeVerrier, and takes no
       rendering options; verify takes --precision but not --format
     - the oracle cap is set by --oracle-cap alone, which needs --m/--n or
-      --graph; the environment is not read
+      --graph; the environment is not read; its help states the census's
+      default and ceiling
     - --precision above MAX_PRECISION is refused with exit 2 before any work
     - verify --m --n and verify --graph print exactly the lines the
       benchmark's output checker parses
@@ -557,6 +558,15 @@ def test_verify_oracle_cap_flag(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--graph", str(path), "--oracle-cap", "3")
     assert code == 2
     assert "enumeration cap is 3" in err
+
+
+def test_oracle_cap_help_states_the_census_constants(capsys):
+    # build_parser writes the numbers out rather than import the census
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert (f"(default {oracle.DEFAULT_CAP}, ceiling {oracle.MAX_CAP})"
+            in text)
 
 
 def test_verify_graph_refused_before_allocation(tmp_path, capsys):

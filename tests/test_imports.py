@@ -1,0 +1,150 @@
+"""Each command loads only what it runs; the package surface is lazy.
+
+Claims covered:
+    - compute, table and ladder --n-max, run in a fresh interpreter, never
+      import the census, the verification suites, the scalar recurrence,
+      the order reference routes, the ladder closed forms, ``dataclasses``
+      or ``inspect`` (beyond what a bare interpreter already holds, so a
+      site hook that loads one of them does not count)
+    - ``import consets`` loads none of its modules, and ``from consets
+      import evaluate`` none of those above
+    - every name in ``consets.__all__`` resolves to the object its module
+      defines; ``from consets import *`` binds exactly those names;
+      ``dir(consets)`` lists them; an unknown name raises an
+      ``AttributeError`` that names it
+    - the result records (``ProductResult``, ``cli.OutputRecord``,
+      ``CensusReport``) are values: equal and hashed by their fields,
+      immutable, with a dataclass-style repr, and they pickle and copy
+"""
+
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import consets
+from consets import CensusReport, ProductResult
+from consets.cli import OutputRecord
+
+ROOT = Path(__file__).resolve().parents[1]
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+#: Modules that no rendering command needs.
+GUARDED = {"consets.oracle", "consets.verify", "consets.recurrence", "consets.reporting",
+           "consets.orders", "consets.ladder", "dataclasses", "inspect"}
+
+#: Runs ``consets.cli`` as ``python -m`` does, with the argv in sys.argv[1],
+#: and prints its exit code and every module loaded by then.
+RUN_CLI = """
+import json, os, runpy, sys
+sys.argv = ["consets", *json.loads(sys.argv[1])]
+sys.stdout = open(os.devnull, "w")
+try:
+    runpy.run_module("consets.cli", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as stop:
+    code = stop.code
+sys.stdout = sys.__stdout__
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+REPORT = "import json, sys; print(json.dumps({'code': 0, 'modules': sorted(sys.modules)}))"
+
+
+def _loaded(code: str, *argv: str) -> set[str]:
+    completed = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                               text=True, env=ENV, timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    report = json.loads(completed.stdout.splitlines()[-1])
+    assert report["code"] == 0, completed.stderr
+    return set(report["modules"])
+
+
+@pytest.fixture(scope="module")
+def bare() -> set[str]:
+    """The modules a bare interpreter already holds."""
+    return _loaded(REPORT)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--m", "3", "--n", "40", "--format", "json"],  # the jump
+    ["compute", "--m", "3", "--n", "5", "--format", "json"],  # the stream
+    ["table", "--m", "3", "--n-max", "12", "--format", "csv"],
+    ["ladder", "--n-max", "12", "--format", "csv"],
+])
+def test_rendering_commands_load_no_verification_module(bare, argv):
+    loaded = _loaded(RUN_CLI, json.dumps(argv))
+    assert "consets.aggregate" in loaded  # the command ran
+    assert (GUARDED & loaded) - bare == set()
+
+
+def test_importing_the_package_loads_no_module(bare):
+    loaded = _loaded("import consets\n" + REPORT)
+    assert {name for name in loaded if name.startswith("consets.")} == set()
+    loaded = _loaded("from consets import evaluate\n" + REPORT)
+    assert "consets.aggregate" in loaded
+    assert (GUARDED & loaded) - bare == set()
+
+
+def test_every_public_name_resolves_to_its_definition():
+    for name in consets.__all__:
+        value = getattr(consets, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert value.__module__.startswith("consets."), name
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from consets import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(consets.__all__)
+    assert len(consets.__all__) == 12
+
+
+def test_dir_lists_the_public_names():
+    assert set(consets.__all__) <= set(dir(consets))
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        consets.no_such_name
+    assert not hasattr(consets, "verify_everything")
+
+
+#: (record, an equal record built apart, a record that differs, its repr prefix)
+RECORDS = [
+    (lambda: ProductResult(3, 2, 51, 162), lambda: ProductResult(2, 3, 47, 152),
+     "ProductResult(m=3, n=2, count=51, total=162, average=Fraction(54, 17), "
+     "density=Fraction(9, 17))"),
+    (lambda: OutputRecord(ProductResult(3, 2, 51, 162)),
+     lambda: OutputRecord(ProductResult(2, 3, 47, 152)),
+     "OutputRecord(result=ProductResult(m=3, n=2, "),
+    (lambda: CensusReport((4, 4, 4, 1)), lambda: CensusReport((4, 4, 4, 0)),
+     "CensusReport(size_counts=(4, 4, 4, 1))"),
+]
+
+
+@pytest.mark.parametrize("make, make_other, shown", RECORDS,
+                         ids=["ProductResult", "OutputRecord", "CensusReport"])
+def test_records_are_immutable_values(make, make_other, shown):
+    record, twin, other = make(), make(), make_other()
+    assert record == twin and hash(record) == hash(twin)
+    fields = tuple(getattr(record, name) for name in type(record).__slots__)
+    assert record != other and record != fields
+    assert len({record, twin, other}) == 2
+    assert repr(record).startswith(shown)
+    for name in type(record).__slots__:
+        with pytest.raises(AttributeError, match=name):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == make()  # nothing above changed it
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.copy(record) == record == copy.deepcopy(record)

@@ -3,7 +3,8 @@
 Claims covered:
     - recurrence matrix entries follow the binomial-difference rule
     - the column stream's count columns reproduce the known two- and
-      three-layer sequences
+      three-layer sequences, and the count-only walk gives the same columns
+      and totals
     - the last footprint class at horizon k equals the total at k-1
     - weighted column sums through matrix powers match table counts
     - the binomial-weighted matrix powers are symmetric
@@ -15,6 +16,7 @@ Claims covered:
 """
 
 import math
+from itertools import islice
 
 import pytest
 
@@ -22,6 +24,7 @@ from consets import layers
 from consets.exactmath import IntMatrix, char_poly
 from consets.layers import (
     column_stream,
+    count_columns,
     footprint_weights,
     layer_polynomial,
     pascal_row,
@@ -113,6 +116,16 @@ def test_out_of_range_accessors():
     assert len(profile_table(3, 3)) == 3
     with pytest.raises(ValueError, match="horizon"):
         profile_table(3, 0)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_count_walk_matches_column_stream(m):
+    # profile_table and layer_polynomial walk the counts alone; equal
+    # columns give layer_polynomial the same totals T(1..2m)
+    k_max = 2 * m + 5
+    streamed = [counts for counts, _ in islice(column_stream(m), k_max)]
+    assert list(islice(count_columns(recurrence_matrix(m)), k_max)) == streamed
+    assert profile_table(m, k_max) == streamed
 
 
 def test_stream_pairs_count_and_order_columns():

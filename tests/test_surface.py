@@ -16,9 +16,11 @@ A top-level function or class counts as used where the code reads its
 name (not a local variable of the same name) or reads it off its module
 (``aggregate._jumper``); a method, where the code reads it as an attribute.
 Spelling the name as a string also counts, as perfbench/probe.py does when
-it looks a function up.  Methods named by Python syntax (``__add__``,
-``__eq__`` and the like) are not checked.  The package ``__init__`` only
-re-exports, so its imports and ``__all__`` do not count as uses.
+it looks a function up.  Functions and methods named by Python syntax
+(``__add__``, ``__eq__`` and the like, and the module-level
+``__getattr__`` and ``__dir__`` of PEP 562) are not checked: the
+interpreter calls them.  The package ``__init__`` only re-exports, so its
+table of names and ``__all__`` do not count as uses.
 """
 
 import ast
@@ -62,19 +64,22 @@ DELETED = [
 ]
 
 
+def _by_syntax(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions() -> dict[str, ast.AST]:
     """'module.name' and 'module.Class.method' for every top-level function
-    and class and every method not named by syntax."""
+    and class and every method that is not named by syntax."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _by_syntax(node.name):
                 found[f"{module}.{node.name}"] = node
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
-                    if (isinstance(member, ast.FunctionDef)
-                            and not (member.name.startswith("__") and member.name.endswith("__"))):
+                    if isinstance(member, ast.FunctionDef) and not _by_syntax(member.name):
                         found[f"{module}.{node.name}.{member.name}"] = member
     return found
 
