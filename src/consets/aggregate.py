@@ -8,10 +8,11 @@ four quantities of one cell as one ``ProductResult``, which derives the
 average order and density from N and S as exact reduced fractions.  The
 CLI prints every row, ``ladder`` included, through this engine.
 
-One cell has two engines.  Up to n = STREAM_MAX_PER_LAYER * m it takes
-the n-th item of ``cell_stream``; above that, ``jump_sums`` reads N(n)
-and S(n) off the first 2m+2 items through the linear recurrence that
-``annihilator`` gives both sequences, in O(log n) polynomial squarings.
+One cell has two engines, split where the recurrence itself splits
+them.  ``annihilator`` gives N and S one linear recurrence of degree
+2m+2, so for n <= 2m+2 the answer is the n-th item of ``cell_stream``, a
+seed of that recurrence; above that, ``_jumper`` reads N(n) and S(n) off
+those seeds in O(log n) polynomial squarings.
 """
 
 from __future__ import annotations
@@ -20,26 +21,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator
 
-from .exactmath import IntPolynomial, poly_mul, x_power_mod
+from .exactmath import IntPolynomial, poly_mul, sequence_annihilator, x_power_mod
 from .layers import column_stream, footprint_weights, layer_polynomial
 from .records import FrozenRecord
-
-#: Above n = STREAM_MAX_PER_LAYER * m a single cell jumps instead of
-#: streaming.  This is the measured crossover: best of 5-7 alternating
-#: in-process runs, Python 3.11 on a 2-vCPU Xeon VM, stream against jump
-#: at n = 4m were 8.9 / 10.3 ms at m = 16, 39 / 38 ms at m = 24, 59 / 55 ms
-#: at m = 30, 0.27 / 0.19 s at m = 40 and 0.78 / 0.48 s at m = 50; at
-#: n = 5m the jump wins from m = 16 up.  Below m = 16 the stream wins up to
-#: n = 5-8m, by at most 2 ms a cell.  The jump's fixed cost is p off 2m
-#: streamed totals plus 2m+2 seed items, and the stream's grows with n^2.
-STREAM_MAX_PER_LAYER = 4
-
-
-def _check_cell(m: int, n: int) -> None:
-    if m < 1:
-        raise ValueError("layer size m must be at least 1")
-    if n < 1:
-        raise ValueError("path length n must be at least 1")
 
 
 def cell_stream(m: int) -> Iterator[tuple[int, int]]:
@@ -60,32 +44,37 @@ def cell_stream(m: int) -> Iterator[tuple[int, int]]:
         yield count, total
 
 
-def annihilator(m: int) -> IntPolynomial:
-    """Q = p^2 (x-1)^2, p the characteristic polynomial of the layer matrix.
+def annihilator(p: IntPolynomial) -> IntPolynomial:
+    """Q = p^2 (x-1)^2, for p the characteristic polynomial of the layer
+    matrix.
 
     The count columns obey p (Cayley-Hamilton), so the per-horizon count
     totals do; the (order, count) column pair advances by the block matrix
     [[A, D A], [0, A]] with D = diag(1..m), whose characteristic polynomial
     is p^2, so the order totals obey p^2.  Each running prefix sum adds a
     factor x - 1.  Q, monic of degree 2m+2, thus annihilates N and S from
-    n = 1 on.  p comes from ``layers.layer_polynomial``, which reads it
-    off the streamed totals by multi-modular Berlekamp-Massey with an
-    exact certificate; ``verify.jump_checks`` holds the jump against the
-    stream, and ``verify.charpoly_checks`` holds p against Faddeev-LeVerrier.
+    n = 1 on.  ``verify.jump_checks`` holds the jump against the stream,
+    and ``verify.charpoly_checks`` holds p against Faddeev-LeVerrier.
     """
-    p = layer_polynomial(m).coefficients
-    return IntPolynomial(poly_mul(poly_mul(p, p), (1, -2, 1)))
+    square = poly_mul(p.coefficients, p.coefficients)
+    return IntPolynomial(poly_mul(square, (1, -2, 1)))
 
 
 def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
-    """n -> (N(n), S(n)) by the recurrence jump, with Q and its deg Q
-    seed items of ``cell_stream`` computed once for this m.
+    """n -> (N(n), S(n)) by the recurrence jump, off one walk of the first
+    2m+2 items of ``cell_stream``.
 
+    Those items are the seeds, and the per-horizon totals are the second
+    differences of their counts, T(k) = N(k) - 2N(k-1) + N(k-2) with
+    N(0) = N(-1) = 0.  p is the certified Berlekamp-Massey annihilator of
+    T(1..2m), or ``layers.layer_polynomial`` where that certificate fails.
     With x^(n-1) = sum_j r_j x^j mod Q, a sequence a annihilated by Q
     has a(n) = sum_j r_j a(j+1); one powering serves both sums.
     """
-    modulus = annihilator(m)
-    seeds = list(islice(cell_stream(m), modulus.degree))
+    seeds = list(islice(cell_stream(m), 2 * m + 2))
+    counts = [0, 0, *(count for count, _ in seeds[:2 * m])]
+    totals = [a - 2 * b + c for a, b, c in zip(counts[2:], counts[1:], counts)]
+    modulus = annihilator(sequence_annihilator(totals) or layer_polynomial(m))
 
     def jump(n: int) -> tuple[int, int]:
         remainder = x_power_mod(n - 1, modulus)
@@ -95,23 +84,12 @@ def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
     return jump
 
 
-def jump_sums(m: int, n: int) -> tuple[int, int]:
-    """(N(n), S(n)) from the first deg Q items of ``cell_stream``."""
-    _check_cell(m, n)
-    return _jumper(m)(n)
-
-
-def _sums(m: int, n: int) -> tuple[int, int]:
-    if n > STREAM_MAX_PER_LAYER * m:
-        return jump_sums(m, n)  # checks the cell itself
-    _check_cell(m, n)
-    return next(islice(cell_stream(m), n - 1, None))
-
-
 class ProductResult(FrozenRecord):
     """All four headline quantities for one (m, n) cell: built from the
     count N and order total S, it derives the average S/N and the density
-    S/(N·mn) once, as exact reduced fractions, so they always agree."""
+    S/(N·mn) once, as exact reduced fractions, so they always agree.  An
+    average outside [1, mn] is an engine fault, so it raises
+    ArithmeticError, not the ValueError of a bad argument."""
 
     __slots__ = ("m", "n", "count", "total", "average", "density")
 
@@ -119,7 +97,7 @@ class ProductResult(FrozenRecord):
         average = Fraction(total, count)
         # 1 <= A <= mn also gives 0 < D <= 1.
         if not 1 <= average <= m * n:
-            raise ValueError("average outside [1, m*n]")
+            raise ArithmeticError("average outside [1, m*n]")
         for name, value in zip(self.__slots__,
                                (m, n, count, total, average, average / (m * n))):
             object.__setattr__(self, name, value)
@@ -129,5 +107,12 @@ class ProductResult(FrozenRecord):
 
 
 def evaluate(m: int, n: int) -> ProductResult:
-    """Count, total order, average, and density for one cell."""
-    return ProductResult(m, n, *_sums(m, n))
+    """Count, total order, average, and density for one cell: the n-th
+    stream item up to n = 2m+2, where it is a seed, and the jump above."""
+    if m < 1:
+        raise ValueError("layer size m must be at least 1")
+    if n < 1:
+        raise ValueError("path length n must be at least 1")
+    if n > 2 * m + 2:
+        return ProductResult(m, n, *_jumper(m)(n))
+    return ProductResult(m, n, *next(islice(cell_stream(m), n - 1, None)))

@@ -47,7 +47,8 @@ coefficient checks when they run, and json is imported for json output
 alone, so a process pays only for the command it runs.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3
-internal error (any other exception, reported on one stderr line), 141
+internal error (any other exception, an engine cell outside
+1 <= A <= mn among them, reported on one stderr line), 141
 output pipe closed by its reader (128 + SIGPIPE; nothing on stderr).
 Since table and ladder --n-max stream csv and plain rows, a nonzero
 exit from them may follow rows already printed.

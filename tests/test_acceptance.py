@@ -4,9 +4,9 @@ All comparisons are exact (tolerance zero); the stated runtime budgets
 are asserted as well.  Criteria 1, 2, 4-8 and 10 run the matching
 ``consets.verify`` suite with the arguments ``verify.full_suite`` passes,
 so the battery has one source of truth.  Criterion 10 holds the
-recurrence jump that ``evaluate`` takes above n = 4m against one stream
-walk per m, for m = 1..8 and n up to 200.  Run with ``pytest tests/test_acceptance.py -s``
-to see the per-criterion lines.
+recurrence jump that ``evaluate`` takes above its 2m+2 seeds against one
+stream walk per m, for m = 1..8 and n up to 200.  Run with
+``pytest tests/test_acceptance.py -s`` to see the per-criterion lines.
 
 Criterion 3 is known red: it asserts a unit constant term for the
 characteristic polynomial at every m in 3..10, but that claimed identity

@@ -8,9 +8,13 @@ Claims covered:
     - the average and density are derived from N and S, never passed
       in, and the bound 1 <= A <= mn is enforced
     - a deep cell holds O(m) integers, not every column
-    - the recurrence jump equals the stream, on both sides of the engine
-      crossover, and its annihilator holds on the streamed sums; it takes
-      p from the streamed totals and never by Faddeev-LeVerrier, m <= 60
+    - the recurrence jump equals the stream, and ``evaluate`` equals it
+      on both sides of the seed boundary n = 2m+2; the annihilator holds
+      on the streamed sums
+    - a jump walks the first 2m+2 columns once: its seeds give the
+      per-horizon totals as second differences, and p comes off them,
+      never by Faddeev-LeVerrier for m <= 60, and through
+      ``layer_polynomial`` where Berlekamp-Massey is not certified
     - verify.jump_checks fails, naming m and n, when the jump is wrong
     - the package exports exactly the engine, census and polynomial
       names, and each of them resolves
@@ -24,15 +28,8 @@ import pytest
 
 import consets
 from consets import aggregate, exactmath, layers, verify
-from consets.aggregate import (
-    STREAM_MAX_PER_LAYER,
-    ProductResult,
-    annihilator,
-    cell_stream,
-    evaluate,
-    jump_sums,
-)
-from consets.layers import profile_table
+from consets.aggregate import ProductResult, _jumper, annihilator, cell_stream, evaluate
+from consets.layers import layer_polynomial, profile_table, weighted_sum
 from consets.oracle import census, complete_path_product
 from consets.orders import layer_order_sum_convolution
 
@@ -109,9 +106,10 @@ def test_result_invariants_enforced():
     with pytest.raises(TypeError, match="average"):
         ProductResult(m=2, n=3, count=good.count, total=good.total,
                       average=good.average, density=good.density)
-    with pytest.raises(ValueError, match="average outside"):
+    # an out-of-range average is an engine fault, not a bad argument
+    with pytest.raises(ArithmeticError, match="average outside"):
         ProductResult(1, 2, 1, 5)
-    with pytest.raises(ValueError, match="average outside"):
+    with pytest.raises(ArithmeticError, match="average outside"):
         ProductResult(1, 2, 2, 1)
 
 
@@ -130,17 +128,63 @@ def test_deep_cell_memory_stays_flat():
 def test_jump_equals_stream(m):
     degree = 2 * m + 2
     streamed = list(islice(cell_stream(m), 500))
+    jump = _jumper(m)
     for n in [*range(1, 3 * degree + 1), 500]:
-        assert jump_sums(m, n) == streamed[n - 1], n
+        assert jump(n) == streamed[n - 1], n
+        assert evaluate(m, n) == ProductResult(m, n, *streamed[n - 1]), n
 
 
 @pytest.mark.parametrize("m", range(1, 11))
-def test_evaluate_across_the_engine_crossover(m):
-    # n = crossover streams, n = crossover + 1 jumps
-    crossover = STREAM_MAX_PER_LAYER * m
-    streamed = list(islice(cell_stream(m), crossover + 1))
-    for n in (crossover, crossover + 1):
-        assert evaluate(m, n) == ProductResult(m, n, *streamed[n - 1])
+def test_evaluate_across_the_engine_crossover(m, monkeypatch):
+    # n = 2m+2 is the last seed and streams; n = 2m+3 jumps
+    degree = 2 * m + 2
+    streamed = list(islice(cell_stream(m), degree + 1))
+    jumped = []
+    monkeypatch.setattr(aggregate, "_jumper", lambda m: jumped.append(m) or _jumper(m))
+    assert evaluate(m, degree) == ProductResult(m, degree, *streamed[degree - 1])
+    assert jumped == []
+    assert evaluate(m, degree + 1) == ProductResult(m, degree + 1, *streamed[degree])
+    assert jumped == [m]
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 12])
+def test_a_jump_walks_the_columns_once(m, monkeypatch):
+    walks, columns = [], []
+    real = layers.count_columns
+
+    def counted(matrix):
+        walks.append(matrix.order)
+        for column in real(matrix):
+            columns.append(column)
+            yield column
+
+    monkeypatch.setattr(layers, "count_columns", counted)
+    jump = _jumper(m)
+    assert walks == [m]
+    assert len(columns) == 2 * m + 2
+    assert jump(4 * m + 5) == next(islice(cell_stream(m), 4 * m + 4, None))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_count_totals_are_second_differences_of_the_stream(m):
+    weighted = [weighted_sum(column) for column
+                in islice(layers.count_columns(layers.recurrence_matrix(m)), 2 * m + 2)]
+    counts = [0, 0, *(count for count, _ in islice(cell_stream(m), 2 * m + 2))]
+    assert [a - 2 * b + c for a, b, c in zip(counts[2:], counts[1:], counts)] == weighted
+
+
+@pytest.mark.parametrize("m", [1, 3, 7])
+def test_jump_falls_back_to_layer_polynomial(m, monkeypatch):
+    # an uncertified Berlekamp-Massey answer sends p to layers alone
+    taken = []
+    monkeypatch.setattr(aggregate, "sequence_annihilator", lambda terms: None)
+    monkeypatch.setattr(aggregate, "layer_polynomial",
+                        lambda m: taken.append(m) or layer_polynomial(m))
+    jump = _jumper(m)
+    assert taken == [m]
+    streamed = list(islice(cell_stream(m), 6 * m + 6))
+    for n in range(2 * m + 3, 6 * m + 7):
+        assert jump(n) == streamed[n - 1], n
 
 
 def test_deep_jump_equals_stream():
@@ -150,7 +194,7 @@ def test_deep_jump_equals_stream():
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_annihilator_holds_on_streamed_sums(m):
-    q = annihilator(m)
+    q = annihilator(layer_polynomial(m))
     assert q.degree == 2 * m + 2
     streamed = list(islice(cell_stream(m), 100))
     for start in range(len(streamed) - q.degree):
@@ -160,13 +204,24 @@ def test_annihilator_holds_on_streamed_sums(m):
 
 
 def test_annihilator_never_takes_faddeev_leverrier(monkeypatch):
+    # p off the seeds' second differences is certified for every m <= 60
     def refused(matrix):
         raise AssertionError(f"char_poly called at m={matrix.order}")
 
+    found = []
+
+    def recorded(terms):
+        found.append(exactmath.sequence_annihilator(terms))
+        return found[-1]
+
     monkeypatch.setattr(exactmath, "char_poly", refused)
     monkeypatch.setattr(layers, "char_poly", refused)
+    monkeypatch.setattr(aggregate, "layer_polynomial",
+                        lambda m: pytest.fail(f"layer_polynomial called at m={m}"))
+    monkeypatch.setattr(aggregate, "sequence_annihilator", recorded)
     for m in range(1, 61):
-        assert annihilator(m).degree == 2 * m + 2
+        _jumper(m)
+        assert found[-1] is not None and found[-1].degree == m
 
 
 def test_jump_checks_report_a_wrong_jump(monkeypatch):
@@ -180,9 +235,13 @@ def test_jump_checks_report_a_wrong_jump(monkeypatch):
 
 def test_jump_domain_errors():
     with pytest.raises(ValueError):
-        jump_sums(3, 0)
+        _jumper(3)(0)
     with pytest.raises(ValueError):
-        jump_sums(0, 3)
+        _jumper(0)
+    with pytest.raises(ValueError):
+        evaluate(3, 0)
+    with pytest.raises(ValueError):
+        evaluate(0, 3)
 
 
 def test_public_surface():

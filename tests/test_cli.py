@@ -229,12 +229,13 @@ def test_table_rows_equal_evaluate(capsys):
 
 
 def test_table_rows_pass_the_result_invariants(monkeypatch, capsys):
-    # An engine yielding an out-of-range cell stops the table at that row.
+    # An engine yielding an out-of-range cell stops the table at that row
+    # with an internal error: the fault is the engine's, not the caller's.
     monkeypatch.setattr(aggregate, "cell_stream", lambda m: iter([(1, 1), (1, 5)]))
     code, out, err = run_cli(capsys, "table", "--m", "1", "--n-max", "2", "--format", "csv")
-    assert code == 2
+    assert code == 3
     assert out == f"{CSV_HEADER}\n1,1,1,1,1,1,1,1,1,1\n"
-    assert "average outside" in err
+    assert err == "internal error: ArithmeticError: average outside [1, m*n]\n"
 
 
 def _reference_table(m: int, n_max: int, fmt: str, precision: int) -> str:
@@ -421,12 +422,13 @@ def test_ladder_scopes_are_exclusive(capsys):
 
 
 def test_ladder_rows_pass_the_result_invariants(monkeypatch, capsys):
-    # An engine yielding an average above 2n stops the ladder at that row.
+    # An engine yielding an average above 2n stops the ladder at that row
+    # with an internal error.
     monkeypatch.setattr(aggregate, "cell_stream", lambda m: iter([(3, 4), (1, 5)]))
     code, out, err = run_cli(capsys, "ladder", "--n-max", "2", "--format", "csv")
-    assert code == 2
+    assert code == 3
     assert out == f"{CSV_HEADER}\n2,1,3,4,4,3,1.33333333333,2,3,0.666666666667\n"
-    assert "average outside" in err
+    assert err == "internal error: ArithmeticError: average outside [1, m*n]\n"
 
 
 # -- verify --------------------------------------------------------------------

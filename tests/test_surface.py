@@ -7,8 +7,8 @@ Claims covered:
       reference routes kept for the tests alone are the listed exceptions
     - the single-field views, the helpers only their own tests called and
       the binary powerings that duplicated ``x_power_mod`` stay deleted,
-      as do the ladder's single-n closed-form path and the constructor
-      that took A and D from its caller
+      as do the ladder's single-n closed-form path, the constructor
+      that took A and D from its caller, and the tuned engine crossover
     - no module but ``verify`` imports ``consets.ladder``: the closed
       forms check the engine and never print a row
 
@@ -43,11 +43,14 @@ TEST_ONLY_ROUTES = {
 #: (module, name) pairs removed because only their own tests called them,
 #: because they re-ran a whole cell to return one field of ``evaluate``, or
 #: because they repeated the binary powering of ``exactmath.x_power_mod``,
-#: or because the engine now gives what they gave.
+#: or because the engine now gives what they gave, or because ``evaluate``
+#: now splits its two engines at the seed boundary n = 2m+2 and no longer
+#: by a tuned crossover.
 DELETED = [
     ("aggregate", "count_connected_sets"), ("aggregate", "total_order"),
     ("aggregate", "average_order"), ("aggregate", "density"),
     ("aggregate", "ProductResult.from_sums"),
+    ("aggregate", "jump_sums"), ("aggregate", "STREAM_MAX_PER_LAYER"), ("aggregate", "_sums"),
     ("ladder", "ladder_row"), ("ladder", "_unit_power"), ("ladder", "SILVER_POLYNOMIAL"),
     ("ladder", "ladder_count"), ("ladder", "ladder_total_order"),
     ("ladder", "ladder_average"), ("ladder", "ladder_density"),
