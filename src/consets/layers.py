@@ -3,12 +3,18 @@
 The product graph is a path of n complete layers of size m.  A connected
 set that touches layers 1..k is classified by its footprint in layer k
 (its intersection with that layer), and by symmetry only the footprint
-size matters.  The m counts per layer advance by one integer matrix, so
+size matters.  The m counts per layer advance by one integer matrix A, so
 the whole count grid unrolls as a vector recurrence; the order sums ride
-along in the same step.  ``count_columns`` is the count step, and the one
-place it is written; ``column_stream`` adds the order step to it.
+along in the same step.  A factors as L R, prefix sums after a Pascal
+matrix with its rows reversed, so ``layer_step`` applies it by additions
+alone and the production walks never build it.  ``count_columns`` is the
+count walk; ``column_stream`` adds the order step to it.
 ``layer_polynomial`` and ``profile_table`` read count columns only, so
 they walk ``count_columns`` and never advance an order column.
+
+``recurrence_matrix`` writes A out entry by entry.  It is the independent
+route: ``verify`` holds the walks against it, and it feeds
+Faddeev-LeVerrier, the weighted powers and the order-sum reference sum.
 
 Indices follow the combinatorics: layers and horizons k are 1-based, as
 are footprint sizes i in 1..m.  Matrix indices stay 0-based.
@@ -16,7 +22,8 @@ are footprint sizes i in 1..m.  Matrix indices stay 0-based.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, islice
+from operator import add
 from typing import Iterator, Sequence
 
 from .exactmath import IntMatrix, IntPolynomial, char_poly, sequence_annihilator
@@ -57,14 +64,34 @@ def recurrence_matrix(m: int) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def count_columns(matrix: IntMatrix) -> Iterator[tuple[int, ...]]:
+def layer_step(column: Sequence[int]) -> tuple[int, ...]:
+    """A c for the layer matrix A of order m = len(c), by additions only.
+
+    C(m,j) - C(m-i,j) = sum_{t=1..i} C(m-t,j-1) (hockey stick), so A = L R
+    with L the lower triangle of ones and R(t, j) = C(m-t, j-1), a Pascal
+    matrix with its rows reversed.  R c is the binomial transform
+    b_r = sum_k C(r,k) c_(k+1) read backwards, (R c)_t = b_(m-t); b_r leads
+    the r-th row of the difference table that adds neighbouring entries,
+    m(m-1)/2 additions in all.  L then takes prefix sums.
+    """
+    row = list(column)
+    transformed = []
+    while row:
+        transformed.append(row[0])
+        row = list(map(add, row, row[1:]))
+    return tuple(accumulate(reversed(transformed)))
+
+
+def count_columns(m: int) -> Iterator[tuple[int, ...]]:
     """Yield the count column for horizons k = 1, 2, ...: all ones at
-    k = 1, then c <- A c with A = ``matrix``.  Only the current column is
+    k = 1, then c <- A c by ``layer_step``.  Only the current column is
     held."""
-    counts = (1,) * matrix.order
+    if m < 1:
+        raise ValueError("layer size must be at least 1")
+    counts = (1,) * m
     while True:
         yield counts
-        counts = matrix.apply(counts)
+        counts = layer_step(counts)
 
 
 def column_stream(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -78,17 +105,16 @@ def column_stream(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     by s <- A s + i c, from s = 0 before horizon 1, the i c term counting
     the vertices layer k itself contributes.  Only the current pair is held.
     """
-    matrix = recurrence_matrix(m)
     orders = (0,) * m
-    for counts in count_columns(matrix):
+    for counts in count_columns(m):
         orders = tuple(s + i * c for i, (s, c)
-                       in enumerate(zip(matrix.apply(orders), counts), start=1))
+                       in enumerate(zip(layer_step(orders), counts), start=1))
         yield counts, orders
 
 
 def layer_polynomial(m: int) -> IntPolynomial:
-    """The characteristic polynomial p of ``recurrence_matrix(m)``, read
-    off the per-horizon totals T(1..2m) of one ``count_columns`` walk.
+    """The characteristic polynomial p of the layer matrix A, read off the
+    per-horizon totals T(1..2m) of one ``count_columns`` walk.
 
     T(k) is the weight row times A^(k-1) times the ones column, so p
     annihilates the totals (Cayley-Hamilton).  ``sequence_annihilator``
@@ -96,19 +122,18 @@ def layer_polynomial(m: int) -> IntPolynomial:
     makes it p; where it cannot, p comes from ``char_poly`` of the
     literal matrix (Faddeev-LeVerrier).
     """
-    matrix = recurrence_matrix(m)
     weights = footprint_weights(m)
     totals = [sum(w * c for w, c in zip(weights, counts))
-              for counts in islice(count_columns(matrix), 2 * m)]
+              for counts in islice(count_columns(m), 2 * m)]
     polynomial = sequence_annihilator(totals)
-    return polynomial if polynomial is not None else char_poly(matrix)
+    return polynomial if polynomial is not None else char_poly(recurrence_matrix(m))
 
 
 def profile_table(m: int, k_max: int) -> list[tuple[int, ...]]:
     """The count columns for horizons 1..k_max (index k-1 holds horizon k)."""
     if k_max < 1:
         raise ValueError("horizon must be at least 1")
-    return list(islice(count_columns(recurrence_matrix(m)), k_max))
+    return list(islice(count_columns(m), k_max))
 
 
 def weighted_sum(column: Sequence[int]) -> int:
@@ -117,35 +142,30 @@ def weighted_sum(column: Sequence[int]) -> int:
     return sum(w * c for w, c in zip(footprint_weights(len(column)), column))
 
 
-def weighted_profile_sum(m: int, i: int, k: int) -> int:
-    """Binomial row dotted with the i-th column of the (k-1)-th matrix power.
+def weighted_profile_sums(m: int) -> Iterator[tuple[int, ...]]:
+    """For horizons k = 1, 2, ...: the binomial row dotted with each column
+    i = 1..m of the (k-1)-th power of the literal matrix.
 
-    Equals C(m,i) times the size-i footprint count at horizon k; the matrix
-    power is never materialized, only a basis vector is advanced k-1 times.
+    By the symmetry of ``weighted_powers`` entry i equals C(m,i) times the
+    size-i footprint count at horizon k.  The power is never materialized:
+    each basis vector advances once per horizon.
     """
-    if not 1 <= i <= m:
-        raise ValueError(f"footprint size {i} outside 1..{m}")
-    if k < 1:
-        raise ValueError("horizon must be at least 1")
     matrix = recurrence_matrix(m)
-    vector = tuple(int(j == i - 1) for j in range(m))
-    for _ in range(k - 1):
-        vector = matrix.apply(vector)
-    return weighted_sum(vector)
+    basis = [tuple(int(j == i) for j in range(m)) for i in range(m)]
+    while True:
+        yield tuple(weighted_sum(vector) for vector in basis)
+        basis = [matrix.apply(vector) for vector in basis]
 
 
-def weighted_power_symmetric(m: int, k: int) -> bool:
-    """Whether diag(C(m,1)..C(m,m)) times the k-th matrix power is symmetric.
+def weighted_powers(m: int) -> Iterator[IntMatrix]:
+    """diag(C(m,1)..C(m,m)) times the k-th power of the literal matrix, for
+    k = 1, 2, ..., one matrix product each.
 
-    This symmetry is what lets per-size counts stand in for per-footprint
-    counts; it is checked on materialized powers, so keep k small.
+    Their symmetry is what lets per-size counts stand in for per-footprint
+    counts; the powers are materialized, so keep k small.
     """
-    if m < 1:
-        raise ValueError("layer size must be at least 1")
-    if k < 1:
-        raise ValueError("power must be at least 1")
     matrix = recurrence_matrix(m)
     weighted = IntMatrix.diagonal(footprint_weights(m))
-    for _ in range(k):
+    while True:
         weighted = weighted @ matrix
-    return weighted.is_symmetric
+        yield weighted

@@ -3,7 +3,8 @@
 Three independent evaluation paths are kept on purpose:
 
 * the recursive step of ``layers.column_stream`` (production path,
-  O(k m^2) scalar multiplies), listed by ``order_table``,
+  O(k m^2) additions by the factored layer step), listed by
+  ``order_table``,
 * the literal matrix-sum formula it unrolls (reference path),
 * a convolution over the count columns (no order column at all).
 

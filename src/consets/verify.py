@@ -24,8 +24,8 @@ from .layers import (
     footprint_weights,
     profile_table,
     recurrence_matrix,
-    weighted_power_symmetric,
-    weighted_profile_sum,
+    weighted_powers,
+    weighted_profile_sums,
     weighted_sum,
 )
 from .orders import layer_order_sum_convolution, order_column_direct
@@ -142,13 +142,34 @@ def charpoly_checks(m_max: int = 10) -> list[Check]:
     return checks
 
 
+def layer_step_checks(m_max: int = 12) -> list[Check]:
+    """The factored walk against the literal matrix, for m = 1..m_max over
+    the first 2m+2 horizons (the jump's seeds): each count column of
+    ``column_stream`` is A times the one before, and each order column A
+    times the one before plus i times the new counts.  One check in all,
+    carrying the first horizon where the walk departs."""
+    bad = []
+    for m in range(1, m_max + 1):
+        matrix = recurrence_matrix(m)
+        pairs = list(islice(column_stream(m), 2 * m + 2))
+        for k, ((counts, orders), walked) in enumerate(zip(pairs, pairs[1:]), start=2):
+            stepped = matrix.apply(counts)
+            expected = (stepped, tuple(s + i * c for i, (s, c)
+                                       in enumerate(zip(matrix.apply(orders), stepped), start=1)))
+            if walked != expected:
+                bad.append(f"m={m} k={k}: walk {walked}, matrix {expected}")
+                break
+    return [_swept("layer step vs literal matrix", f"m=1..{m_max} k=1..2m+2", bad)]
+
+
 def stream_checks(m_max: int = 6, k_max: int = 200) -> list[Check]:
-    """The characteristic polynomial p of the layer matrix annihilates the
-    matrix-path totals: sum_j p_j T(k-m+j) = 0 for every k = m+1..k_max.
+    """Faddeev-LeVerrier's p, from the literal matrix, annihilates the
+    totals of the factored count walk: sum_j p_j T(k-m+j) = 0 for every
+    k = m+1..k_max.
 
     By induction on k this is the scalar recurrence seeded with T(1..m)
     reproducing T(1..k_max); a failure names the first horizon k where
-    the recurrence departs from the matrix path.
+    the recurrence departs from the walk.
     """
     checks = []
     for m in range(2, m_max + 1):
@@ -167,18 +188,18 @@ def stream_checks(m_max: int = 6, k_max: int = 200) -> list[Check]:
 
 
 def symmetry_checks(m_max: int = 6, k_max: int = 12) -> list[Check]:
-    """Weighted power symmetry and the weighted column sums it implies."""
+    """Weighted power symmetry and the weighted column sums it implies,
+    each power and each basis vector advanced once per horizon."""
     checks = []
     for m in range(2, m_max + 1):
-        counts = profile_table(m, k_max)
         weights = footprint_weights(m)
-        sym_bad = [f"m={m} k={k}" for k in range(1, k_max + 1)
-                   if not weighted_power_symmetric(m, k)]
-        sum_bad = []
-        for k in range(1, k_max + 1):
-            for i in range(1, m + 1):
-                expected = weights[i - 1] * counts[k - 1][i - 1]
-                got = weighted_profile_sum(m, i, k)
+        sym_bad, sum_bad = [], []
+        for k, counts, power, sums in zip(range(1, k_max + 1), profile_table(m, k_max),
+                                          weighted_powers(m), weighted_profile_sums(m)):
+            if not power.is_symmetric:
+                sym_bad.append(f"m={m} k={k}")
+            for i, (weight, count, got) in enumerate(zip(weights, counts, sums), start=1):
+                expected = weight * count
                 if got != expected:
                     sum_bad.append(f"m={m} i={i} k={k}: got {got}, expected {expected}")
         where = f"m={m} k=1..{k_max}"
@@ -266,6 +287,7 @@ def full_suite() -> list[Check]:
     checks.extend(ladder_checks(200))
     checks.extend(ladder_identity_checks(100))
     checks.extend(charpoly_checks(10))
+    checks.extend(layer_step_checks(12))
     checks.extend(stream_checks(6, 200))
     checks.extend(symmetry_checks(6, 12))
     checks.extend(order_path_checks(5, 10))

@@ -1,11 +1,12 @@
 """Acceptance battery: one test per criterion, one printed line each.
 
 All comparisons are exact (tolerance zero); the stated runtime budgets
-are asserted as well.  Criteria 1, 2, 4-8 and 10 run the matching
+are asserted as well.  Criteria 1, 2, 4-8, 10 and 11 run the matching
 ``consets.verify`` suite with the arguments ``verify.full_suite`` passes,
 so the battery has one source of truth.  Criterion 10 holds the
 recurrence jump that ``evaluate`` takes above its 2m+2 seeds against one
-stream walk per m, for m = 1..8 and n up to 200.  Run with
+stream walk per m, for m = 1..8 and n up to 200.  Criterion 11 holds
+the additions-only layer step against the literal matrix.  Run with
 ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines.
 
 Criterion 3 is known red: it asserts a unit constant term for the
@@ -148,5 +149,12 @@ def test_criterion_9_performance_floor():
 def test_criterion_10_recurrence_jump_matches_stream():
     failures, elapsed = _suite(10, "recurrence jump equals stream for m=1..8, n<=200",
                                verify.jump_checks, 8, 200)
+    assert not failures
+    assert elapsed < 2
+
+
+def test_criterion_11_layer_step_matches_literal_matrix():
+    failures, elapsed = _suite(11, "factored layer step equals literal matrix for m=1..12",
+                               verify.layer_step_checks, 12)
     assert not failures
     assert elapsed < 2

@@ -11,6 +11,7 @@ Claims covered:
     - the recurrence jump equals the stream, and ``evaluate`` equals it
       on both sides of the seed boundary n = 2m+2; the annihilator holds
       on the streamed sums
+    - no production path builds the literal layer matrix or applies it
     - a jump walks the first 2m+2 columns once: its seeds give the
       per-horizon totals as second differences, and p comes off them,
       never by Faddeev-LeVerrier for m <= 60, and through
@@ -152,9 +153,9 @@ def test_a_jump_walks_the_columns_once(m, monkeypatch):
     walks, columns = [], []
     real = layers.count_columns
 
-    def counted(matrix):
-        walks.append(matrix.order)
-        for column in real(matrix):
+    def counted(m):
+        walks.append(m)
+        for column in real(m):
             columns.append(column)
             yield column
 
@@ -165,10 +166,32 @@ def test_a_jump_walks_the_columns_once(m, monkeypatch):
     assert jump(4 * m + 5) == next(islice(cell_stream(m), 4 * m + 4, None))
 
 
+def test_production_paths_never_build_the_literal_matrix(monkeypatch):
+    # the engine steps by the factored layer matrix; the literal one is
+    # left to verify, and to layer_polynomial's fallback, which m <= 60
+    # never takes
+    expected = {m: list(islice(cell_stream(m), 4 * m + 5)) for m in range(1, 13)}
+    polynomials = {m: layer_polynomial(m) for m in range(1, 13)}
+
+    def refused(*args):
+        raise AssertionError("the literal layer matrix was used")
+
+    monkeypatch.setattr(layers, "recurrence_matrix", refused)
+    monkeypatch.setattr(exactmath.IntMatrix, "apply", refused)
+    for m, streamed in expected.items():
+        seeds = 2 * m + 2
+        assert list(islice(cell_stream(m), 4 * m + 5)) == streamed
+        assert profile_table(m, seeds) == list(islice(layers.count_columns(m), seeds))
+        for n in (seeds, seeds + 1):
+            assert evaluate(m, n) == ProductResult(m, n, *streamed[n - 1])
+        assert _jumper(m)(4 * m + 5) == streamed[-1]
+        assert layer_polynomial(m) == polynomials[m]
+
+
 @pytest.mark.parametrize("m", range(1, 13))
 def test_count_totals_are_second_differences_of_the_stream(m):
     weighted = [weighted_sum(column) for column
-                in islice(layers.count_columns(layers.recurrence_matrix(m)), 2 * m + 2)]
+                in islice(layers.count_columns(m), 2 * m + 2)]
     counts = [0, 0, *(count for count, _ in islice(cell_stream(m), 2 * m + 2))]
     assert [a - 2 * b + c for a, b, c in zip(counts[2:], counts[1:], counts)] == weighted
 

@@ -6,6 +6,9 @@ Claims covered:
       three-layer sequences, and the count-only walk gives the same columns
       and totals
     - the last footprint class at horizon k equals the total at k-1
+    - the additions-only step equals the literal matrix on any column; a
+      corrupted step fails the battery's step check and its
+      scalar-recurrence checks
     - weighted column sums through matrix powers match table counts
     - the binomial-weighted matrix powers are symmetric
     - counts agree with the exhaustive census footprint by footprint
@@ -16,22 +19,24 @@ Claims covered:
 """
 
 import math
-from itertools import islice
+import random
+from itertools import accumulate, islice
 
 import pytest
 
-from consets import layers
+from consets import layers, verify
 from consets.exactmath import IntMatrix, char_poly
 from consets.layers import (
     column_stream,
     count_columns,
     footprint_weights,
     layer_polynomial,
+    layer_step,
     pascal_row,
     profile_table,
     recurrence_matrix,
-    weighted_power_symmetric,
-    weighted_profile_sum,
+    weighted_powers,
+    weighted_profile_sums,
     weighted_sum,
 )
 from consets.oracle import complete_path_product, footprint_census
@@ -124,7 +129,7 @@ def test_count_walk_matches_column_stream(m):
     # columns give layer_polynomial the same totals T(1..2m)
     k_max = 2 * m + 5
     streamed = [counts for counts, _ in islice(column_stream(m), k_max)]
-    assert list(islice(count_columns(recurrence_matrix(m)), k_max)) == streamed
+    assert list(islice(count_columns(m), k_max)) == streamed
     assert profile_table(m, k_max) == streamed
 
 
@@ -138,39 +143,35 @@ def test_stream_pairs_count_and_order_columns():
 # -- weighted sums and symmetry ------------------------------------------------
 
 def test_weighted_profile_sum_examples():
-    assert weighted_profile_sum(2, 1, 2) == 4  # 2 * count(1, 2)
-    assert weighted_profile_sum(3, 2, 3) == 99  # 3 * count(2, 3)
+    assert list(islice(weighted_profile_sums(2), 2))[1][0] == 4  # 2 * count(1, 2)
+    assert list(islice(weighted_profile_sums(3), 3))[2][1] == 99  # 3 * count(2, 3)
 
 
 def test_weighted_profile_sum_at_horizon_one_is_binomial():
     for m in range(1, 7):
-        for i in range(1, m + 1):
-            assert weighted_profile_sum(m, i, 1) == math.comb(m, i)
+        assert next(weighted_profile_sums(m)) == tuple(math.comb(m, i) for i in range(1, m + 1))
 
 
 def test_weighted_profile_sum_matches_table():
     for m in range(2, 7):
-        table = profile_table(m, 12)
         weights = footprint_weights(m)
-        for k in range(1, 13):
-            for i in range(1, m + 1):
-                assert weighted_profile_sum(m, i, k) == weights[i - 1] * table[k - 1][i - 1]
+        for column, sums in zip(profile_table(m, 12), weighted_profile_sums(m)):
+            assert sums == tuple(w * c for w, c in zip(weights, column))
 
 
-def test_weighted_profile_sum_index_errors():
+def test_weighted_walks_reject_zero_layer_size():
     with pytest.raises(ValueError):
-        weighted_profile_sum(3, 0, 1)
+        next(weighted_profile_sums(0))
     with pytest.raises(ValueError):
-        weighted_profile_sum(3, 4, 1)
+        next(weighted_powers(0))
 
 
 def test_weighted_power_symmetric_sweep():
-    assert weighted_power_symmetric(1, 5)
-    assert weighted_power_symmetric(2, 1)
-    assert weighted_power_symmetric(5, 7)
-    for m in range(2, 7):
-        for k in range(1, 13):
-            assert weighted_power_symmetric(m, k)
+    for m in range(1, 7):
+        powers = list(islice(weighted_powers(m), 12))
+        assert all(power.is_symmetric for power in powers)
+        # one product per power: the k-th is diag(weights) A^k
+        assert powers[0] == IntMatrix.diagonal(footprint_weights(m)) @ recurrence_matrix(m)
 
 
 # -- census equivalence --------------------------------------------------------
@@ -200,6 +201,43 @@ def test_layer_matrix_factors(m):
     assert ones @ pascal == matrix
     sign = (-1) ** (m * (m - 1) // 2)
     assert (ones.determinant(), pascal.determinant(), matrix.determinant()) == (1, sign, sign)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 12, 30])
+def test_layer_step_equals_the_literal_matrix(m):
+    # any integer column, negative and large entries included
+    rng = random.Random(m)
+    matrix = recurrence_matrix(m)
+    for _ in range(20):
+        column = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(m)]
+        assert layer_step(column) == matrix.apply(column)
+    assert layer_step([0] * m) == (0,) * m
+
+
+def _unreversed_step(column):
+    # prefix sums of the binomial transform taken in the wrong order
+    row, transformed = list(column), []
+    while row:
+        transformed.append(row[0])
+        row = [a + b for a, b in zip(row, row[1:])]
+    return tuple(accumulate(transformed))
+
+
+def _off_by_one_step(column):
+    *head, last = layer_step(column)
+    return (*head, last + 1)
+
+
+@pytest.mark.parametrize("corrupted", [_unreversed_step, _off_by_one_step])
+def test_battery_catches_a_corrupted_step(corrupted, monkeypatch):
+    assert all(check.ok for check in verify.layer_step_checks(12))
+    monkeypatch.setattr(layers, "layer_step", corrupted)
+    (step_check,) = verify.layer_step_checks(12)
+    assert not step_check.ok
+    assert step_check.detail.startswith("m=")
+    # a drift of one in the last class is invisible to p at m = 4 alone,
+    # where the weight row is orthogonal to (A - I)^-1 e_m
+    assert not all(check.ok for check in verify.stream_checks(6, 200))
 
 
 @pytest.mark.parametrize("m", [*range(1, 13), 20, 30, 40, 50])

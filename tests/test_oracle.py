@@ -7,6 +7,9 @@ Claims covered:
       on random graphs of 1-12 vertices, disconnected ones included, and
       equals the engine's (N, S) at cells past the battery's grid
     - the two connectivity checkers agree on random subsets
+    - the flood's half tables hold the union of every subset of rows, and
+      its census equals the union-find census and the enumerator at odd v
+      and with isolated top vertices
     - footprint families of equal size have equal counts and order sums
     - the census decomposes over layer spans, independent of position
     - census output is invariant under vertex relabeling
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 from consets.aggregate import evaluate
 from consets.oracle import (
     _CHECKERS,
+    _union_table,
     CapExceededError,
     SimpleGraph,
     census,
@@ -114,9 +118,17 @@ def test_connectivity_checkers_agree_on_random_subsets():
         edges = [(i, j) for i in range(v) for j in range(i + 1, v)
                  if rng.random() < 0.3]
         graph = SimpleGraph(v, edges)
+        flooded, joined = flood(graph.adjacency), union_find(graph.adjacency)
         for _ in range(100):
             mask = rng.randint(1, (1 << v) - 1)
-            assert flood(graph.adjacency, mask) == union_find(graph.adjacency, mask)
+            assert flooded(mask) == joined(mask)
+
+
+def test_union_table_holds_every_subset_union():
+    assert _union_table(()) == [0]
+    assert _union_table((1, 2, 4)) == list(range(8))
+    rows = (0b0110, 0b1001, 0b0000)
+    assert _union_table(rows) == [0, 0b0110, 0b1001, 0b1111, 0, 0b0110, 0b1001, 0b1111]
 
 
 def test_census_deterministic_under_relabeling():
@@ -144,9 +156,11 @@ def test_enumerated_census_hand_listings():
 @st.composite
 def small_graphs(draw) -> SimpleGraph:
     """Any simple graph on 1..12 vertices, sparse ones (hence disconnected
-    ones and isolated vertices) included."""
+    ones and isolated vertices) included; its top 0..v-1 vertices may have
+    no edge at all, so the flood's high table may hold only empty rows."""
     v = draw(st.integers(1, 12))
-    pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
+    core = v - draw(st.integers(0, v - 1))
+    pairs = [(i, j) for i in range(core) for j in range(i + 1, core)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return SimpleGraph(v, edges)
 
@@ -156,7 +170,14 @@ def small_graphs(draw) -> SimpleGraph:
 @example(graph=SimpleGraph(1, []))
 @example(graph=SimpleGraph(6, []))
 @example(graph=SimpleGraph(8, [(0, 1), (1, 2), (4, 5), (5, 6), (4, 6)]))
+@example(graph=SimpleGraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]))
+@example(graph=SimpleGraph(9, [(0, 8), (1, 7), (2, 6)]))
+@example(graph=SimpleGraph(5, [(0, 1), (1, 2), (2, 3)]))
+@example(graph=SimpleGraph(11, [(i, j) for i in range(10) for j in range(i + 1, 10)]))
 def test_enumerated_census_equals_both_checkers(graph):
+    # the flood splits odd v into halves of (v+1)/2 and (v-1)/2; the last
+    # four examples are a path across the halves, three edges joining them
+    # only, an isolated top vertex and a clique beside one
     grown = enumerated_census(graph).size_counts
     assert grown == census(graph, connectivity="flood").size_counts
     assert grown == census(graph, connectivity="union-find").size_counts

@@ -8,7 +8,9 @@ Claims covered:
     - the single-field views, the helpers only their own tests called and
       the binary powerings that duplicated ``x_power_mod`` stay deleted,
       as do the ladder's single-n closed-form path, the constructor
-      that took A and D from its caller, and the tuned engine crossover
+      that took A and D from its caller, the tuned engine crossover,
+      the symmetry helpers that rebuilt every power and the
+      vertex-at-a-time flood
     - no module but ``verify`` imports ``consets.ladder``: the closed
       forms check the engine and never print a row
 
@@ -45,7 +47,9 @@ TEST_ONLY_ROUTES = {
 #: because they repeated the binary powering of ``exactmath.x_power_mod``,
 #: or because the engine now gives what they gave, or because ``evaluate``
 #: now splits its two engines at the seed boundary n = 2m+2 and no longer
-#: by a tuned crossover.
+#: by a tuned crossover, or because the symmetry checks walk the weighted
+#: powers once instead of rebuilding each, or because the census floods
+#: through per-graph tables.
 DELETED = [
     ("aggregate", "count_connected_sets"), ("aggregate", "total_order"),
     ("aggregate", "average_order"), ("aggregate", "density"),
@@ -56,6 +60,8 @@ DELETED = [
     ("ladder", "ladder_average"), ("ladder", "ladder_density"),
     ("ladder", "pell"), ("ladder", "half_companion"), ("ladder", "layer_total"),
     ("orders", "weight_matrix"),
+    ("layers", "weighted_profile_sum"), ("layers", "weighted_power_symmetric"),
+    ("oracle", "_connected_flood"),
     ("exactmath", "QuadInt"), ("exactmath", "SILVER_UNIT"),
     ("exactmath", "QuadInt.__add__"), ("exactmath", "QuadInt.__sub__"),
     ("exactmath", "QuadInt.conjugate"), ("exactmath", "QuadInt.norm"),
