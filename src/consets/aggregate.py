@@ -18,11 +18,11 @@ those seeds in O(log n) polynomial squarings.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, pairwise
 from typing import Callable, Iterator
 
 from .exactmath import IntPolynomial, poly_mul, sequence_annihilator, x_power_mod
-from .layers import column_stream, footprint_weights, layer_polynomial
+from .layers import column_stream, layer_polynomial
 from .records import FrozenRecord
 
 
@@ -31,14 +31,17 @@ def cell_stream(m: int) -> Iterator[tuple[int, int]]:
 
     With T(k) and U(k) the count and order sum of the sets spanning
     exactly k given layers, N(n) = sum_k (n+1-k) T(k), so
-    N(n) = N(n-1) + sum_{k<=n} T(k); likewise S with U.  Running prefix
-    sums make each step O(m) big-integer additions past the column step.
+    N(n) = N(n-1) + sum_{k<=n} T(k); likewise S with U.  The last row of
+    the layer matrix is the weight row (C(m,1), ..., C(m,m)), so the next
+    column pair holds both totals in its last entries: T(k) = c_(k+1)[m]
+    and U(k) = s_(k+1)[m] - m c_(k+1)[m], the order step's i c term at
+    i = m taken back out.  Past the column step, each item costs O(1)
+    big-integer additions and one small multiple.
     """
-    weights = footprint_weights(m)
     count = total = span_count = span_total = 0
-    for counts, orders in column_stream(m):
-        span_count += sum(w * c for w, c in zip(weights, counts))
-        span_total += sum(w * s for w, s in zip(weights, orders))
+    for _, (counts, orders) in pairwise(column_stream(m)):
+        span_count += counts[-1]
+        span_total += orders[-1] - m * counts[-1]
         count += span_count
         total += span_total
         yield count, total

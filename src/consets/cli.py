@@ -23,9 +23,8 @@ charpoly
     certified exactly), the p the recurrence jump takes; verify
     --charpoly compares it with Faddeev-LeVerrier.
 ladder
-    The two-layer cells (m = 2) at one n or for n = 1..n_max, from the
-    same engine as compute and table; verify --ladder checks them
-    against the ladder closed forms.
+    The two-layer cells: compute (--n) or table (--n-max) at m = 2;
+    verify --ladder checks them against the ladder closed forms.
 
 compute, table and ladder take --format: plain (default), csv (fixed
 header), json (big integers as decimal strings).  Every printed row is
@@ -60,7 +59,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import aggregate
 from .layers import layer_polynomial
@@ -196,12 +195,6 @@ class OutputRecord(FrozenRecord):
                 f"D={_exact_text(d_num, d_den)} (~{d_dec})")
 
 
-def _records(m: int, sums: Iterable[tuple[int, int]], n_max: int) -> Iterator[OutputRecord]:
-    """The rows n = 1..n_max of layer size m from a stream of (N, S)."""
-    for n, (count, total) in zip(range(1, n_max + 1), sums):
-        yield OutputRecord.from_result(aggregate.ProductResult(m, n, count, total))
-
-
 def emit_records(records: Iterable[OutputRecord], fmt: str, precision: int,
                  single: bool) -> None:
     """Print the records; csv and plain print each one as it arrives."""
@@ -256,8 +249,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    emit_records(_records(args.m, aggregate.cell_stream(args.m), args.n_max),
-                 args.format, args.precision, single=False)
+    cells = zip(range(1, args.n_max + 1), aggregate.cell_stream(args.m))
+    records = (OutputRecord.from_result(aggregate.ProductResult(args.m, n, count, total))
+               for n, (count, total) in cells)
+    emit_records(records, args.format, args.precision, single=False)
     return 0
 
 
@@ -274,12 +269,7 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
 
 
 def cmd_ladder(args: argparse.Namespace) -> int:
-    if args.n is not None:
-        records = [OutputRecord.from_ladder(args.n)]
-    else:
-        records = _records(2, aggregate.cell_stream(2), args.n_max)
-    emit_records(records, args.format, args.precision, single=args.n is not None)
-    return 0
+    return cmd_compute(args) if args.n is not None else cmd_table(args)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -400,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     rungs = p_ladder.add_mutually_exclusive_group(required=True)
     rungs.add_argument("--n", type=_positive_int, help="single rung count")
     rungs.add_argument("--n-max", type=_positive_int, help="table of rung counts 1..n_max")
-    p_ladder.set_defaults(func=cmd_ladder)
+    p_ladder.set_defaults(func=cmd_ladder, m=2)
 
     return parser
 

@@ -15,6 +15,9 @@ they walk ``count_columns`` and never advance an order column.
 ``recurrence_matrix`` writes A out entry by entry.  It is the independent
 route: ``verify`` holds the walks against it, and it feeds
 Faddeev-LeVerrier, the weighted powers and the order-sum reference sum.
+Likewise ``weighted_sum`` weights a column by the binomial row, which the
+engine never does: that row is A's last, so a column's total is the last
+entry of the next column.
 
 Indices follow the combinatorics: layers and horizons k are 1-based, as
 are footprint sizes i in 1..m.  Matrix indices stay 0-based.
@@ -116,15 +119,14 @@ def layer_polynomial(m: int) -> IntPolynomial:
     """The characteristic polynomial p of the layer matrix A, read off the
     per-horizon totals T(1..2m) of one ``count_columns`` walk.
 
-    T(k) is the weight row times A^(k-1) times the ones column, so p
-    annihilates the totals (Cayley-Hamilton).  ``sequence_annihilator``
-    certifies the monic degree-m annihilator of T(1..2m) unique, which
-    makes it p; where it cannot, p comes from ``char_poly`` of the
-    literal matrix (Faddeev-LeVerrier).
+    T(k) is the weight row times A^(k-1) times the ones column.  The last
+    row of A is that weight row, so T(k) is the last entry of column k+1,
+    and p annihilates the totals (Cayley-Hamilton).
+    ``sequence_annihilator`` certifies the monic degree-m annihilator of
+    T(1..2m) unique, which makes it p; where it cannot, p comes from
+    ``char_poly`` of the literal matrix (Faddeev-LeVerrier).
     """
-    weights = footprint_weights(m)
-    totals = [sum(w * c for w, c in zip(weights, counts))
-              for counts in islice(count_columns(m), 2 * m)]
+    totals = [counts[-1] for counts in islice(count_columns(m), 1, 2 * m + 1)]
     polynomial = sequence_annihilator(totals)
     return polynomial if polynomial is not None else char_poly(recurrence_matrix(m))
 

@@ -11,14 +11,17 @@ Claims covered:
     - the recurrence jump equals the stream, and ``evaluate`` equals it
       on both sides of the seed boundary n = 2m+2; the annihilator holds
       on the streamed sums
-    - no production path builds the literal layer matrix or applies it
-    - a jump walks the first 2m+2 columns once: its seeds give the
+    - no production path builds the literal layer matrix, applies it or
+      takes the binomial weights
+    - the stream's second differences equal the weighted count and order
+      columns
+    - a jump walks the first 2m+3 columns once: its seeds give the
       per-horizon totals as second differences, and p comes off them,
       never by Faddeev-LeVerrier for m <= 60, and through
       ``layer_polynomial`` where Berlekamp-Massey is not certified
     - verify.jump_checks fails, naming m and n, when the jump is wrong
-    - the package exports exactly the engine, census and polynomial
-      names, and each of them resolves
+    - the package exports exactly the engine's three names; the census
+      and the polynomial resolve from their own modules only
 """
 
 import tracemalloc
@@ -162,21 +165,24 @@ def test_a_jump_walks_the_columns_once(m, monkeypatch):
     monkeypatch.setattr(layers, "count_columns", counted)
     jump = _jumper(m)
     assert walks == [m]
-    assert len(columns) == 2 * m + 2
+    # 2m+2 seeds; the last one's totals are read off one more column
+    assert len(columns) == 2 * m + 3
     assert jump(4 * m + 5) == next(islice(cell_stream(m), 4 * m + 4, None))
 
 
 def test_production_paths_never_build_the_literal_matrix(monkeypatch):
-    # the engine steps by the factored layer matrix; the literal one is
+    # the engine steps by the factored layer matrix and reads the totals
+    # off its last row; the literal matrix and the binomial weights are
     # left to verify, and to layer_polynomial's fallback, which m <= 60
     # never takes
     expected = {m: list(islice(cell_stream(m), 4 * m + 5)) for m in range(1, 13)}
     polynomials = {m: layer_polynomial(m) for m in range(1, 13)}
 
     def refused(*args):
-        raise AssertionError("the literal layer matrix was used")
+        raise AssertionError("a reference route was used")
 
     monkeypatch.setattr(layers, "recurrence_matrix", refused)
+    monkeypatch.setattr(layers, "footprint_weights", refused)
     monkeypatch.setattr(exactmath.IntMatrix, "apply", refused)
     for m, streamed in expected.items():
         seeds = 2 * m + 2
@@ -190,10 +196,14 @@ def test_production_paths_never_build_the_literal_matrix(monkeypatch):
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_count_totals_are_second_differences_of_the_stream(m):
-    weighted = [weighted_sum(column) for column
-                in islice(layers.count_columns(m), 2 * m + 2)]
-    counts = [0, 0, *(count for count, _ in islice(cell_stream(m), 2 * m + 2))]
-    assert [a - 2 * b + c for a, b, c in zip(counts[2:], counts[1:], counts)] == weighted
+    # the stream reads T and U off the last entries of the next columns;
+    # the binomial weights give them independently
+    pairs = list(islice(layers.column_stream(m), 2 * m + 2))
+    sums = [(0, 0), (0, 0), *islice(cell_stream(m), 2 * m + 2)]
+    for side in (0, 1):  # counts, then orders
+        weighted = [weighted_sum(pair[side]) for pair in pairs]
+        values = [item[side] for item in sums]
+        assert [a - 2 * b + c for a, b, c in zip(values[2:], values[1:], values)] == weighted
 
 
 @pytest.mark.parametrize("m", [1, 3, 7])
@@ -268,12 +278,12 @@ def test_jump_domain_errors():
 
 
 def test_public_surface():
-    assert sorted(consets.__all__) == sorted([
-        "evaluate", "ProductResult", "cell_stream",
-        "census", "complete_path_product", "parse_edge_list", "SimpleGraph",
-        "CensusReport", "CapExceededError",
-        "char_poly", "recurrence_matrix", "validate_coefficients",
-    ])
-    assert len(consets.__all__) == 12
+    assert consets.__all__ == ["ProductResult", "cell_stream", "evaluate"]
     for name in consets.__all__:
-        assert getattr(consets, name) is not None, name
+        assert getattr(consets, name) is getattr(aggregate, name), name
+    # the reference routes live in their own modules only
+    for name in ("census", "char_poly"):
+        with pytest.raises(AttributeError, match=repr(name)):
+            getattr(consets, name)
+    assert consets.oracle.census is census
+    assert consets.exactmath.char_poly is exactmath.char_poly

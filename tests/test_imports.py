@@ -28,8 +28,9 @@ from pathlib import Path
 import pytest
 
 import consets
-from consets import CensusReport, ProductResult
+from consets import ProductResult
 from consets.cli import OutputRecord
+from consets.oracle import CensusReport
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -103,7 +104,6 @@ def test_star_import_binds_the_public_names():
     namespace = {}
     exec("from consets import *", namespace)
     assert {name for name in namespace if name != "__builtins__"} == set(consets.__all__)
-    assert len(consets.__all__) == 12
 
 
 def test_dir_lists_the_public_names():

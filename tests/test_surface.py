@@ -49,12 +49,14 @@ TEST_ONLY_ROUTES = {
 #: now splits its two engines at the seed boundary n = 2m+2 and no longer
 #: by a tuned crossover, or because the symmetry checks walk the weighted
 #: powers once instead of rebuilding each, or because the census floods
-#: through per-graph tables.
+#: through per-graph tables, or because the engine reads the span totals
+#: off the layer step's last row instead of weighting each column.
 DELETED = [
     ("aggregate", "count_connected_sets"), ("aggregate", "total_order"),
     ("aggregate", "average_order"), ("aggregate", "density"),
     ("aggregate", "ProductResult.from_sums"),
     ("aggregate", "jump_sums"), ("aggregate", "STREAM_MAX_PER_LAYER"), ("aggregate", "_sums"),
+    ("aggregate", "footprint_weights"),
     ("ladder", "ladder_row"), ("ladder", "_unit_power"), ("ladder", "SILVER_POLYNOMIAL"),
     ("ladder", "ladder_count"), ("ladder", "ladder_total_order"),
     ("ladder", "ladder_average"), ("ladder", "ladder_density"),
