@@ -26,7 +26,7 @@ from .layers import column_stream, layer_polynomial
 from .records import FrozenRecord
 
 
-def cell_stream(m: int) -> Iterator[tuple[int, int]]:
+def cell_stream(m: int, one=1) -> Iterator[tuple]:
     """Yield (N(n), S(n)), the count and order total, for n = 1, 2, ...
 
     With T(k) and U(k) the count and order sum of the sets spanning
@@ -36,10 +36,11 @@ def cell_stream(m: int) -> Iterator[tuple[int, int]]:
     column pair holds both totals in its last entries: T(k) = c_(k+1)[m]
     and U(k) = s_(k+1)[m] - m c_(k+1)[m], the order step's i c term at
     i = m taken back out.  Past the column step, each item costs O(1)
-    big-integer additions and one small multiple.
+    big-integer additions and one small multiple.  The items have the type
+    of ``one``: Decimal(1), in an exact context, gives the CLI's Decimal twin.
     """
     count = total = span_count = span_total = 0
-    for _, (counts, orders) in pairwise(column_stream(m)):
+    for _, (counts, orders) in pairwise(column_stream(m, one)):
         span_count += counts[-1]
         span_total += orders[-1] - m * counts[-1]
         count += span_count

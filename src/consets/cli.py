@@ -33,12 +33,15 @@ it derives the average and density and checks that 1 <= A <= mn.
 OutputRecord renders it.  ladder takes exactly one of --n and --n-max.
 Exact fractions are authoritative; decimal columns are renderings at
 --precision significant digits, round-half-even, which compute, table,
-ladder and verify --graph take.  --precision is refused above
-MAX_PRECISION (100000) before any work, since rendering time grows with
-its square.  Each decimal comes from one integer division, and each
-distinct integer of a row is converted to text once.  table and ladder
---n-max print each csv or plain row as the engine yields it, so their
-memory does not grow with n_max; json collects the rows for one dump.
+ladder and verify --graph take; --precision is refused above
+MAX_PRECISION (100000) before any work.  A row's integers get their text
+from libmpdec, linear where int.__str__ is quadratic: table and ladder
+--n-max step a Decimal twin of the stream in the exact context EXACT,
+compute converts N and S by divide and conquer, and a row prints only if
+they equal the checked ints modulo 2^61 - 1.  Each decimal column is one
+libmpdec division.  table and ladder --n-max print each csv or plain row
+as the engine yields it, so their memory does not grow with n_max; json
+collects the rows for one dump.
 
 compute, table and ladder load only the engine (aggregate, layers,
 exactmath); verify and charpoly import the census, the suites and the
@@ -56,8 +59,10 @@ exit from them may follow rows already printed.
 from __future__ import annotations
 
 import argparse
+import decimal
 import os
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -70,68 +75,53 @@ if TYPE_CHECKING:
 
 CSV_HEADER = "m,n,N,S,A_num,A_den,A_dec,D_num,D_den,D_dec"
 DEFAULT_PRECISION = 12
-#: Largest --precision: rendering time grows with the square of the digits
-#: (CPython's int division and str are schoolbook at these sizes).
+#: Largest --precision: it bounds the digits of each decimal column, and
+#: with them its text, time and memory, which libmpdec keeps linear.
 MAX_PRECISION = 100_000
+_FAULTS = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
+#: The exact context: a rounding traps too, and the trap (an ArithmeticError)
+#: exits 3.  Rendering runs in a copy of it whatever the caller's context;
+#: only +, -, *, // and % run in it, since a / would allocate MAX_PREC digits.
+EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                        traps=[decimal.Inexact, decimal.Rounded, *_FAULTS])
 #: Exit code when the reader of stdout goes away: 128 + SIGPIPE, as a shell
 #: reports a process that the signal ended.
 CLOSED_PIPE = 141
 
 
-def _decimal_text(num: int, den: int, precision: int) -> str:
-    """num/den (den > 0) at ``precision`` significant digits, round-half-even,
-    as ``format(Decimal(num) / Decimal(den), "f")`` renders it.
+def _decimal(value: int) -> Decimal:
+    """``Decimal(value)`` by divide and conquer: split at power-of-two bit
+    boundaries and join the halves with libmpdec products, so only pieces
+    under 2^1024 meet ``Decimal(int)``, which is quadratic."""
+    with localcontext(EXACT):
+        if value < 0:
+            return -_decimal(-value)
+        powers = [Decimal(1 << 1024)]  # powers[j] = 2^(1024·2^j), built per call
+        while 1024 << len(powers) < value.bit_length():
+            powers.append(powers[-1] * powers[-1])
 
-    One integer division gives the digits; ``str`` sees at most
-    ``precision`` of them and trailing zeros are padded or stripped as
-    text, so no exact integer is ever converted whole.
-    """
+        def join(piece: int, level: int) -> Decimal:
+            if not piece >> 1024:
+                return Decimal(piece)
+            width = 1024 << level
+            return (join(piece >> width, level - 1) * powers[level]
+                    + join(piece & ((1 << width) - 1), level - 1))
+
+        return join(value, len(powers) - 1)
+
+
+def _rounding(precision: int) -> decimal.Context:
+    """A decimal column's context: ``precision`` digits, round-half-even."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
-    if num == 0:
-        return "0"
-    sign = "-" if num < 0 else ""
-    num = abs(num)
-    top = 10 ** precision
-    # 10**e <= num/den < 10**(e+1); the bit lengths put e within one of this guess.
-    e = (num.bit_length() - den.bit_length()) * 30102999566 // 10 ** 11
-    while True:
-        shift = precision - 1 - e
-        if shift >= 0:
-            divisor = den
-            quotient, remainder = divmod(num * 10 ** shift, den)
-        else:
-            divisor = den * 10 ** -shift
-            quotient, remainder = divmod(num, divisor)
-        if quotient >= top:
-            e += 1
-        elif quotient * 10 < top:
-            e -= 1
-        else:
-            break
-    exponent = -shift  # of the last digit
-    if remainder and (2 * remainder > divisor or (2 * remainder == divisor and quotient & 1)):
-        quotient += 1
-        if quotient == top:
-            quotient //= 10
-            exponent += 1
-    digits = str(quotient)
-    if not remainder and exponent < 0:
-        # Exact: drop trailing zeros down to exponent 0, as Decimal does,
-        # from the text in one step.
-        drop = min(len(digits) - len(digits.rstrip("0")), -exponent)
-        digits, exponent = digits[:len(digits) - drop], exponent + drop
-    if exponent >= 0:
-        return sign + digits + "0" * exponent
-    point = len(digits) + exponent
-    if point > 0:
-        return f"{sign}{digits[:point]}.{digits[point:]}"
-    return f"{sign}0.{'0' * -point}{digits}"
+    return decimal.Context(prec=precision, rounding=decimal.ROUND_HALF_EVEN,
+                           Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=_FAULTS)
 
 
 def format_decimal(value: Fraction, precision: int = DEFAULT_PRECISION) -> str:
     """Decimal rendering at the given significant digits, round-half-even."""
-    return _decimal_text(value.numerator, value.denominator, precision)
+    num, den = _decimal(value.numerator), _decimal(value.denominator)
+    return format(_rounding(precision).divide(num, den), "f")
 
 
 def _exact_text(num: str, den: str) -> str:
@@ -140,12 +130,21 @@ def _exact_text(num: str, den: str) -> str:
 
 
 class OutputRecord(FrozenRecord):
-    """One printed row: the rendering of one cell's result."""
+    """One printed row: the rendering of one cell's result, from its N and
+    S as exact Decimals, the twin walk's or converted from the result's
+    ints.  They must equal those ints modulo 2^61 - 1, or no row is made."""
 
-    __slots__ = ("result",)
+    __slots__ = ("result", "count", "total")
 
-    def __init__(self, result: aggregate.ProductResult):
-        object.__setattr__(self, "result", result)
+    def __init__(self, result: aggregate.ProductResult, count=None, total=None):
+        if count is None:
+            count, total = _decimal(result.count), _decimal(result.total)
+        # hash() of a whole number is its residue modulo 2^61 - 1
+        # (sys.hash_info.modulus), for an int as for a Decimal.
+        if (hash(count), hash(total)) != (hash(result.count), hash(result.total)):
+            raise ArithmeticError(f"decimal twin differs at m={result.m} n={result.n}")
+        for name, value in zip(self.__slots__, (result, count, total)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_result(cls, result: aggregate.ProductResult) -> OutputRecord:
@@ -156,37 +155,33 @@ class OutputRecord(FrozenRecord):
         return cls(aggregate.evaluate(2, n))
 
     def _fields(self, precision: int) -> tuple[str, ...]:
-        """Texts of N, S, A_num, A_den, A_dec, D_num, D_den, D_dec.
-
-        Each distinct integer is converted once: A_num is S and A_den is N
-        whenever gcd(S, N) = 1, and D often shares A's numerator.
-        """
-        result = self.result
-        a_num, a_den = result.average.numerator, result.average.denominator
-        d_num, d_den = result.density.numerator, result.density.denominator
-        texts: dict[int, str] = {}
-        for value in (result.count, result.total, a_num, a_den, d_num, d_den):
-            if value not in texts:
-                texts[value] = str(value)
-        return (texts[result.count], texts[result.total],
-                texts[a_num], texts[a_den], _decimal_text(a_num, a_den, precision),
-                texts[d_num], texts[d_den], _decimal_text(d_num, d_den, precision))
+        """Texts of N, S, A_num, A_den, A_dec, D_num, D_den, D_dec from libmpdec,
+        each distinct number once: A = (S/g) / (N/g) and D = (A_num/g2) /
+        (A_den·mn/g2), g = gcd(S, N) and g2 = gcd(A_num, mn) off the fractions."""
+        result, average = self.result, self.result.average
+        g, g2 = result.count // average.denominator, average.numerator // result.density.numerator
+        with localcontext(EXACT):
+            count, total = str(self.count), str(self.total)
+            if g == 1:
+                a_num, a_den, a_texts = self.total, self.count, (total, count)
+            else:
+                a_num, a_den = self.total // g, self.count // g
+                a_texts = (str(a_num), str(a_den))
+            d_num = a_num if g2 == 1 else a_num // g2
+            d_den = a_den * (result.m * result.n // g2)
+            d_texts = (a_texts[0] if g2 == 1 else str(d_num), str(d_den))
+        rounding = _rounding(precision)
+        return (count, total, *a_texts, format(rounding.divide(a_num, a_den), "f"),
+                *d_texts, format(rounding.divide(d_num, d_den), "f"))
 
     def csv_row(self, precision: int) -> str:
         return ",".join((str(self.result.m), str(self.result.n), *self._fields(precision)))
 
     def json_object(self, precision: int) -> dict[str, object]:
         count, total, a_num, a_den, a_dec, d_num, d_den, d_dec = self._fields(precision)
-        return {
-            "m": self.result.m,
-            "n": self.result.n,
-            "N": count,
-            "S": total,
-            "A_exact": _exact_text(a_num, a_den),
-            "A_decimal": a_dec,
-            "D_exact": _exact_text(d_num, d_den),
-            "D_decimal": d_dec,
-        }
+        return {"m": self.result.m, "n": self.result.n, "N": count, "S": total,
+                "A_exact": _exact_text(a_num, a_den), "A_decimal": a_dec,
+                "D_exact": _exact_text(d_num, d_den), "D_decimal": d_dec}
 
     def plain_line(self, precision: int) -> str:
         count, total, a_num, a_den, a_dec, d_num, d_den, d_dec = self._fields(precision)
@@ -237,8 +232,8 @@ def _precision(text: str) -> int:
     value = _positive_int(text)
     if value > MAX_PRECISION:
         raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_PRECISION}: rendering time grows "
-            f"quadratically with the digits")
+            f"must be at most {MAX_PRECISION}, a bound on the digits each "
+            f"decimal column prints")
     return value
 
 
@@ -249,10 +244,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    cells = zip(range(1, args.n_max + 1), aggregate.cell_stream(args.m))
-    records = (OutputRecord.from_result(aggregate.ProductResult(args.m, n, count, total))
-               for n, (count, total) in cells)
-    emit_records(records, args.format, args.precision, single=False)
+    # The int walk gives the checked results, its Decimal twin the printed N, S.
+    cells = zip(range(1, args.n_max + 1), aggregate.cell_stream(args.m),
+                aggregate.cell_stream(args.m, Decimal(1)))
+    records = (OutputRecord(aggregate.ProductResult(args.m, n, count, total), *twin)
+               for n, (count, total), twin in cells)
+    with localcontext(EXACT):
+        emit_records(records, args.format, args.precision, single=False)
     return 0
 
 

@@ -85,19 +85,19 @@ def layer_step(column: Sequence[int]) -> tuple[int, ...]:
     return tuple(accumulate(reversed(transformed)))
 
 
-def count_columns(m: int) -> Iterator[tuple[int, ...]]:
-    """Yield the count column for horizons k = 1, 2, ...: all ones at
-    k = 1, then c <- A c by ``layer_step``.  Only the current column is
-    held."""
+def count_columns(m: int, one=1) -> Iterator[tuple]:
+    """Yield the count column for horizons k = 1, 2, ...: all ``one`` at k = 1,
+    then c <- A c by ``layer_step``, additions alone, so ``one = Decimal(1)``
+    walks the same counts as Decimals.  Only the current column is held."""
     if m < 1:
         raise ValueError("layer size must be at least 1")
-    counts = (1,) * m
+    counts = (one,) * m
     while True:
         yield counts
         counts = layer_step(counts)
 
 
-def column_stream(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def column_stream(m: int, one=1) -> Iterator[tuple[tuple, tuple]]:
     """Yield the (count column, order column) pair for horizons k = 1, 2, ...
 
     The count column holds, for each footprint size i = 1..m, the number of
@@ -106,10 +106,11 @@ def column_stream(m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     order column holds their summed orders.  At k = 1 they are all ones
     and (1, 2, ..., m).  The counts step by ``count_columns``; the orders
     by s <- A s + i c, from s = 0 before horizon 1, the i c term counting
-    the vertices layer k itself contributes.  Only the current pair is held.
+    the vertices layer k itself contributes.  Only the current pair is held;
+    its entries have the type of ``one``, as in ``count_columns``.
     """
     orders = (0,) * m
-    for counts in count_columns(m):
+    for counts in count_columns(m, one):
         orders = tuple(s + i * c for i, (s, c)
                        in enumerate(zip(layer_step(orders), counts), start=1))
         yield counts, orders

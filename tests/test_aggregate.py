@@ -20,18 +20,21 @@ Claims covered:
       never by Faddeev-LeVerrier for m <= 60, and through
       ``layer_polynomial`` where Berlekamp-Massey is not certified
     - verify.jump_checks fails, naming m and n, when the jump is wrong
+    - the stream seeded with Decimal(1) in the CLI's exact context is the
+      int stream item for item, in Decimals
     - the package exports exactly the engine's three names; the census
       and the polynomial resolve from their own modules only
 """
 
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
 import consets
-from consets import aggregate, exactmath, layers, verify
+from consets import aggregate, cli, exactmath, layers, verify
 from consets.aggregate import ProductResult, _jumper, annihilator, cell_stream, evaluate
 from consets.layers import layer_polynomial, profile_table, weighted_sum
 from consets.oracle import census, complete_path_product
@@ -139,6 +142,14 @@ def test_jump_equals_stream(m):
 
 
 @pytest.mark.parametrize("m", range(1, 11))
+def test_decimal_twin_equals_the_int_stream(m):
+    with localcontext(cli.EXACT):
+        twin = list(islice(cell_stream(m, Decimal(1)), 300))
+    assert all(type(value) is Decimal for row in twin for value in row)
+    assert twin == list(islice(cell_stream(m), 300))
+
+
+@pytest.mark.parametrize("m", range(1, 11))
 def test_evaluate_across_the_engine_crossover(m, monkeypatch):
     # n = 2m+2 is the last seed and streams; n = 2m+3 jumps
     degree = 2 * m + 2
@@ -156,9 +167,9 @@ def test_a_jump_walks_the_columns_once(m, monkeypatch):
     walks, columns = [], []
     real = layers.count_columns
 
-    def counted(m):
+    def counted(m, one=1):
         walks.append(m)
-        for column in real(m):
+        for column in real(m, one):
             columns.append(column)
             yield column
 

@@ -6,8 +6,14 @@ Claims covered:
     - json records round-trip: A recomputed from N and S equals A_exact
     - decimal renderings honor --precision with banker's rounding, and equal
       the decimal module's rendering (kept here as the reference) for any
-      fraction, without converting any exact integer to text
-    - table output is byte-for-byte the reference rendering of the stream
+      fraction
+    - the divide-and-conquer conversion to Decimal equals str() at its
+      split points and for random integers of either sign
+    - rows come out the same whatever the caller's decimal context is; a
+      rounding inside the exact context exits 3; a Decimal twin that
+      disagrees with the int walk stops the table before that row
+    - table and ladder output is byte-for-byte the reference rendering of
+      the stream
     - table and ladder stream their rows: memory does not grow with n_max
     - a reader closing the pipe ends the CLI quietly with exit 141
     - verify exits 0 on clean scopes, 1 on mismatch, 2 on usage errors,
@@ -35,12 +41,13 @@ Claims covered:
 import contextlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import time
 import tracemalloc
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -152,6 +159,44 @@ def test_format_decimal_past_the_digit_guard(default_digit_limit):
     assert format_decimal(Fraction(10 ** 5000 + 1, 3), 12) == "3" * 12 + "0" * 4988
 
 
+def _split_points() -> list[int]:
+    """0, +-1 and 2^k +- 1 at the conversion's 1024-bit piece boundaries."""
+    values = [0, 1, -1]
+    for bits in (1024, 2048, 3072, 4096, 8192, 16384, 65536):
+        values += [2 ** bits - 1, 2 ** bits, 2 ** bits + 1, -(2 ** bits) - 1]
+    return values
+
+
+def test_divide_and_conquer_conversion_equals_str(unlimited_digits):
+    rng = random.Random(8191)
+    sizes = [199_000, *(rng.randrange(1, 199_000) for _ in range(20))]  # up to 60k digits
+    for value in [*_split_points(), *(rng.choice((1, -1)) * rng.getrandbits(b) for b in sizes)]:
+        assert str(cli._decimal(value)) == str(value)
+
+
+def test_rendering_ignores_the_callers_decimal_context(capsys):
+    argvs = [["compute", "--m", "6", "--n", "3000", "--format", "csv"],
+             ["table", "--m", "4", "--n-max", "60", "--precision", "30"],
+             ["ladder", "--n-max", "80", "--format", "json"]]
+    expected = [run_cli(capsys, *argv) for argv in argvs]
+    with localcontext(Context(prec=5, traps=[])):
+        assert [run_cli(capsys, *argv) for argv in argvs] == expected
+        row = cli.OutputRecord.from_result(aggregate.evaluate(6, 3000)).csv_row(12)
+    assert row == expected[0][1].splitlines()[1]
+
+
+@pytest.mark.parametrize("argv", [["table", "--m", "3", "--n-max", "10"],
+                                  ["compute", "--m", "6", "--n", "3000"]])
+def test_a_rounding_in_the_exact_context_exits_3(argv, monkeypatch, capsys):
+    narrow = cli.EXACT.copy()
+    narrow.prec = 5
+    monkeypatch.setattr(cli, "EXACT", narrow)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err == ("internal error: Inexact: "
+                   "[<class 'decimal.Inexact'>, <class 'decimal.Rounded'>]\n")
+
+
 # -- compute -------------------------------------------------------------------
 
 def test_compute_plain(capsys):
@@ -231,7 +276,8 @@ def test_table_rows_equal_evaluate(capsys):
 def test_table_rows_pass_the_result_invariants(monkeypatch, capsys):
     # An engine yielding an out-of-range cell stops the table at that row
     # with an internal error: the fault is the engine's, not the caller's.
-    monkeypatch.setattr(aggregate, "cell_stream", lambda m: iter([(1, 1), (1, 5)]))
+    monkeypatch.setattr(aggregate, "cell_stream",
+                        lambda m, one=1: iter([(one, one), (one, 5 * one)]))
     code, out, err = run_cli(capsys, "table", "--m", "1", "--n-max", "2", "--format", "csv")
     assert code == 3
     assert out == f"{CSV_HEADER}\n1,1,1,1,1,1,1,1,1,1\n"
@@ -262,12 +308,35 @@ def _reference_table(m: int, n_max: int, fmt: str, precision: int) -> str:
 
 
 @pytest.mark.parametrize("fmt", ["csv", "plain", "json"])
-@pytest.mark.parametrize("m, n_max, precision", [(1, 30, 12), (3, 120, 12), (6, 60, 30), (8, 40, 1)])
+@pytest.mark.parametrize("m, n_max, precision",
+                         [(1, 30, 12), (2, 400, 12), (3, 120, 12), (6, 60, 30), (8, 40, 1)])
 def test_table_bytes_equal_reference_rendering(capsys, fmt, m, n_max, precision):
     code, out, _ = run_cli(capsys, "table", "--m", str(m), "--n-max", str(n_max),
                            "--format", fmt, "--precision", str(precision))
     assert code == 0
     assert out == _reference_table(m, n_max, fmt, precision)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plain", "json"])
+def test_ladder_table_bytes_equal_reference_rendering(capsys, fmt):
+    code, out, _ = run_cli(capsys, "ladder", "--n-max", "400", "--format", fmt)
+    assert code == 0
+    assert out == _reference_table(2, 400, fmt, cli.DEFAULT_PRECISION)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_a_twin_that_disagrees_stops_the_table_at_its_row(monkeypatch, capsys, k):
+    real = aggregate.cell_stream
+
+    def corrupted(m, one=1):
+        for row, (count, total) in enumerate(real(m, one), start=1):
+            yield (count + 1 if row == k and isinstance(one, Decimal) else count), total
+
+    monkeypatch.setattr(aggregate, "cell_stream", corrupted)
+    code, out, err = run_cli(capsys, "table", "--m", "3", "--n-max", "8", "--format", "csv")
+    assert code == 3
+    assert out == _reference_table(3, k - 1, "csv", cli.DEFAULT_PRECISION)
+    assert err == f"internal error: ArithmeticError: decimal twin differs at m=3 n={k}\n"
 
 
 @pytest.mark.parametrize("argv", [["ladder", "--n-max", "3000"],
@@ -424,7 +493,8 @@ def test_ladder_scopes_are_exclusive(capsys):
 def test_ladder_rows_pass_the_result_invariants(monkeypatch, capsys):
     # An engine yielding an average above 2n stops the ladder at that row
     # with an internal error.
-    monkeypatch.setattr(aggregate, "cell_stream", lambda m: iter([(3, 4), (1, 5)]))
+    monkeypatch.setattr(aggregate, "cell_stream",
+                        lambda m, one=1: iter([(3 * one, 4 * one), (one, 5 * one)]))
     code, out, err = run_cli(capsys, "ladder", "--n-max", "2", "--format", "csv")
     assert code == 3
     assert out == f"{CSV_HEADER}\n2,1,3,4,4,3,1.33333333333,2,3,0.666666666667\n"
@@ -679,13 +749,14 @@ def test_precision_above_the_limit_is_refused(argv, monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("work started before the refusal")
 
-    monkeypatch.setattr(cli, "_decimal_text", unreachable)
+    monkeypatch.setattr(cli, "_decimal", unreachable)
+    monkeypatch.setattr(cli, "_rounding", unreachable)
     with pytest.raises(SystemExit) as excinfo:
         main([*argv, "--precision", str(cli.MAX_PRECISION + 1)])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "--precision: must be at most 100000" in err
-    assert "quadratically" in err
+    assert "the digits each decimal column prints" in err
     args = cli.build_parser().parse_args([*argv, "--precision", str(cli.MAX_PRECISION)])
     assert args.precision == cli.MAX_PRECISION == 100000
 
