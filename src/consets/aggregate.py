@@ -11,8 +11,10 @@ CLI prints every row, ``ladder`` included, through this engine.
 One cell has two engines, split where the recurrence itself splits
 them.  ``annihilator`` gives N and S one linear recurrence of degree
 2m+2, so for n <= 2m+2 the answer is the n-th item of ``cell_stream``, a
-seed of that recurrence; above that, ``_jumper`` reads N(n) and S(n) off
-those seeds in O(log n) polynomial squarings.
+seed of that recurrence; above that, ``_jumper`` powers x to about n/2
+modulo that recurrence's polynomial, in O(log n) polynomial squarings,
+and reads N(n) and S(n) off a Hankel form over the 4m+4 terms the
+recurrence extends the seeds to.
 """
 
 from __future__ import annotations
@@ -57,8 +59,10 @@ def annihilator(p: IntPolynomial) -> IntPolynomial:
     [[A, D A], [0, A]] with D = diag(1..m), whose characteristic polynomial
     is p^2, so the order totals obey p^2.  Each running prefix sum adds a
     factor x - 1.  Q, monic of degree 2m+2, thus annihilates N and S from
-    n = 1 on.  ``verify.jump_checks`` holds the jump against the stream,
-    and ``verify.charpoly_checks`` holds p against Faddeev-LeVerrier.
+    n = 1 on: the jump extends the seeds by Q and reduces its half power
+    mod Q.  ``verify.jump_checks`` holds the jump against the stream on
+    both uses, and ``verify.charpoly_checks`` holds p against
+    Faddeev-LeVerrier.
     """
     square = poly_mul(p.coefficients, p.coefficients)
     return IntPolynomial(poly_mul(square, (1, -2, 1)))
@@ -72,18 +76,28 @@ def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
     differences of their counts, T(k) = N(k) - 2N(k-1) + N(k-2) with
     N(0) = N(-1) = 0.  p is the certified Berlekamp-Massey annihilator of
     T(1..2m), or ``layers.layer_polynomial`` where that certificate fails.
-    With x^(n-1) = sum_j r_j x^j mod Q, a sequence a annihilated by Q
-    has a(n) = sum_j r_j a(j+1); one powering serves both sums.
+    Q itself extends the seeds to the 4m+4 Hankel terms a(1..2d), d = 2m+2.
+    The functional x^j -> a(j+1) vanishes on multiples of Q, and
+    x^(n-1) = x^o s^2 mod Q with s = x^h mod Q, n - 1 = 2h + o, so
+    a(n) = sum_i s_i sum_j s_j a(i+j+o+1): one powering to the half power
+    serves both sums, and the full square is never formed.
     """
     seeds = list(islice(cell_stream(m), 2 * m + 2))
     counts = [0, 0, *(count for count, _ in seeds[:2 * m])]
     totals = [a - 2 * b + c for a, b, c in zip(counts[2:], counts[1:], counts)]
     modulus = annihilator(sequence_annihilator(totals) or layer_polynomial(m))
+    low = modulus.coefficients[:-1]
+    hankel = [list(column) for column in zip(*seeds)]
+    for column in hankel:
+        for k in range(len(low)):
+            column.append(-sum(q * a for q, a in zip(low, column[k:])))
 
     def jump(n: int) -> tuple[int, int]:
-        remainder = x_power_mod(n - 1, modulus)
-        return (sum(r * count for r, (count, _) in zip(remainder, seeds)),
-                sum(r * total for r, (_, total) in zip(remainder, seeds)))
+        half, odd = divmod(n - 1, 2)
+        s = x_power_mod(half, modulus)
+        return tuple(sum(si * sum(sj * a for sj, a in zip(s, column[odd + i:]))
+                         for i, si in enumerate(s))
+                     for column in hankel)
 
     return jump
 

@@ -250,17 +250,22 @@ def anchor_checks(m_max: int = 10, n_max: int = 50) -> list[Check]:
 
 
 def jump_checks(m_max: int = 8, n_max: int = 200) -> list[Check]:
-    """The recurrence jump against one stream walk per m, at the first
-    horizons past its 2m+2 seeds, where ``evaluate`` starts to jump, and
-    at n_max."""
+    """The recurrence jump against one stream walk per m, one check per m.
+
+    With d = 2m+2 the degree of the annihilator Q, the horizons are
+    d+1..d+4, the first past the seeds, where ``evaluate`` starts to jump
+    and the jump reads the Hankel terms that Q extends the seeds by; 2d+1
+    and 2d+2, the first whose half power is reduced mod Q, one of each
+    parity; and n_max - 1 and n_max, the deep end in both parities."""
     checks = []
     for m in range(1, m_max + 1):
         streamed = list(islice(aggregate.cell_stream(m), n_max))
         degree = 2 * m + 2
-        horizons = {*range(degree + 1, degree + 5), n_max}
+        horizons = {*range(degree + 1, degree + 5), 2 * degree + 1, 2 * degree + 2,
+                    n_max - 1, n_max}
         jump = aggregate._jumper(m)
         bad = []
-        for n in sorted(h for h in horizons if h <= n_max):
+        for n in sorted(h for h in horizons if 1 <= h <= n_max):
             jumped = jump(n)
             if jumped != streamed[n - 1]:
                 bad.append(f"m={m} n={n}: jump {jumped}, stream {streamed[n - 1]}")

@@ -19,7 +19,15 @@ Claims covered:
       per-horizon totals as second differences, and p comes off them,
       never by Faddeev-LeVerrier for m <= 60, and through
       ``layer_polynomial`` where Berlekamp-Massey is not certified
-    - verify.jump_checks fails, naming m and n, when the jump is wrong
+    - the jump equals the stream at random n of both parities past the
+      seeds, m = 1..12, and the linear read-out sum_j r_j a(j+1), with
+      r = x^(n-1) mod Q, at n = 1001, 1002 and 10^4
+    - each jump powers x once, to the half power floor((n-1)/2)
+    - verify.jump_checks fails, naming m and n, when the jump is wrong;
+      it visits the first horizons past the seeds, the first two whose
+      half power is reduced mod Q, and n_max - 1 and n_max; a Q one off
+      in one coefficient fails at 2m+3, and a reduction by such a Q
+      alone fails first at 4m+5
     - the stream seeded with Decimal(1) in the CLI's exact context is the
       int stream item for item, in Decimals
     - the package exports exactly the engine's three names; the census
@@ -29,13 +37,17 @@ Claims covered:
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import consets
 from consets import aggregate, cli, exactmath, layers, verify
 from consets.aggregate import ProductResult, _jumper, annihilator, cell_stream, evaluate
+from consets.exactmath import IntPolynomial, x_power_mod
 from consets.layers import layer_polynomial, profile_table, weighted_sum
 from consets.oracle import census, complete_path_product
 from consets.orders import layer_order_sum_convolution
@@ -231,6 +243,56 @@ def test_jump_falls_back_to_layer_polynomial(m, monkeypatch):
         assert jump(n) == streamed[n - 1], n
 
 
+_stream = cache(lambda m: list(islice(cell_stream(m), 400)))
+_cached_jumper = cache(_jumper)
+
+
+@st.composite
+def _jumped_cells(draw):
+    m = draw(st.integers(1, 12))
+    return m, draw(st.integers(2 * m + 3, 400))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_jumped_cells())
+@example((1, 5)).via("the first jumped cell, n - 1 even")
+@example((1, 6)).via("n - 1 odd")
+@example((12, 399)).via("deep, n - 1 even")
+@example((12, 400)).via("deep, n - 1 odd")
+def test_jump_equals_stream_at_random_horizons(cell):
+    m, n = cell
+    assert _cached_jumper(m)(n) == _stream(m)[n - 1]
+
+
+@pytest.mark.parametrize("m", [1, 3, 6, 10])
+def test_deep_jump_equals_the_linear_read_out(m):
+    # the read-out the Hankel form replaced: with r = x^(n-1) mod Q,
+    # a(n) = sum_j r_j a(j+1) over the 2m+2 seeds
+    seeds = list(islice(cell_stream(m), 2 * m + 2))
+    modulus = annihilator(layer_polynomial(m))
+    jump = _jumper(m)
+    for n in (1001, 1002, 10 ** 4):
+        remainder = x_power_mod(n - 1, modulus)
+        linear = tuple(sum(r * a for r, a in zip(remainder, column)) for column in zip(*seeds))
+        assert jump(n) == linear, n
+
+
+@pytest.mark.parametrize("m", [1, 4, 9])
+def test_a_jump_powers_x_once_to_the_half_power(m, monkeypatch):
+    powers = []
+
+    def counted(e, modulus):
+        powers.append(e)
+        return x_power_mod(e, modulus)
+
+    jump = _jumper(m)
+    monkeypatch.setattr(aggregate, "x_power_mod", counted)
+    for n in (1, 2, 2 * m + 3, 2 * m + 4, 4 * m + 5, 4 * m + 6, 777, 778):
+        powers.clear()
+        jump(n)
+        assert powers == [(n - 1) // 2], n
+
+
 def test_deep_jump_equals_stream():
     assert evaluate(3, 5000) == ProductResult(
         3, 5000, *next(islice(cell_stream(3), 4999, None)))
@@ -275,6 +337,64 @@ def test_jump_checks_report_a_wrong_jump(monkeypatch):
     checks = verify.jump_checks(3, 40)
     assert [check.ok for check in checks] == [False, False, False]
     assert checks[2].detail.startswith("m=3 n=9: jump (0, 0), stream ")
+
+
+def test_jump_checks_visit_the_horizons(monkeypatch):
+    # one check per m; per m, 2m+3..2m+6, 4m+5 and 4m+6, n_max - 1, n_max
+    visited = {}
+
+    def recorded(m):
+        jump = _jumper(m)
+        return lambda n: visited.setdefault(m, []).append(n) or jump(n)
+
+    monkeypatch.setattr(aggregate, "_jumper", recorded)
+    checks = verify.jump_checks(4, 40)
+    assert [check.ok for check in checks] == [True] * 4
+    assert {check.where for check in checks} == {f"m={m} n<=40" for m in range(1, 5)}
+    assert visited == {1: [5, 6, 7, 8, 9, 10, 39, 40], 2: [7, 8, 9, 10, 13, 14, 39, 40],
+                       3: [9, 10, 11, 12, 17, 18, 39, 40], 4: [11, 12, 13, 14, 21, 22, 39, 40]}
+    # n_max - 1 = 0 is no horizon
+    visited.clear()
+    assert [check.ok for check in verify.jump_checks(2, 1)] == [True, True]
+    assert visited == {1: [1], 2: [1]}
+
+
+def _one_off(coefficients, k):
+    return IntPolynomial([c + (i == k) for i, c in enumerate(coefficients)])
+
+
+@pytest.mark.parametrize("m, k", [(1, 0), (2, 3), (4, 9)])
+def test_jump_checks_catch_a_wrong_annihilator(m, k, monkeypatch):
+    # Q one off in coefficient k for this m alone: the seeds extend to
+    # wrong Hankel terms, so the first horizon past the seeds is wrong
+    real = aggregate.annihilator
+
+    def wrong(p):
+        q = real(p)
+        return _one_off(q.coefficients, k) if p.degree == m else q
+
+    monkeypatch.setattr(aggregate, "annihilator", wrong)
+    checks = verify.jump_checks(5, 60)
+    assert [check.ok for check in checks] == [n != m for n in range(1, 6)]
+    assert checks[m - 1].detail.startswith(f"m={m} n={2 * m + 3}: jump ")
+
+
+@pytest.mark.parametrize("m, k", [(1, 0), (3, 5), (5, 11)])
+def test_jump_checks_catch_a_wrong_reduction(m, k, monkeypatch):
+    # the Hankel terms are right but the half power is reduced by a Q one
+    # off in coefficient k: below 4m+5 the half power has degree under
+    # 2m+2 and is never reduced, so 4m+5 is the first bad horizon
+    degree = 2 * m + 2
+
+    def wrong(e, modulus):
+        if modulus.degree == degree:
+            modulus = _one_off(modulus.coefficients, k)
+        return x_power_mod(e, modulus)
+
+    monkeypatch.setattr(aggregate, "x_power_mod", wrong)
+    checks = verify.jump_checks(5, 60)
+    assert [check.ok for check in checks] == [n != m for n in range(1, 6)]
+    assert checks[m - 1].detail.startswith(f"m={m} n={4 * m + 5}: jump ")
 
 
 def test_jump_domain_errors():
