@@ -10,11 +10,11 @@ CLI prints every row, ``ladder`` included, through this engine.
 
 One cell has two engines, split where the recurrence itself splits
 them.  ``annihilator`` gives N and S one linear recurrence of degree
-2m+2, so for n <= 2m+2 the answer is the n-th item of ``cell_stream``, a
-seed of that recurrence; above that, ``_jumper`` powers x to about n/2
-modulo that recurrence's polynomial, in O(log n) polynomial squarings,
-and reads N(n) and S(n) off a Hankel form over the 4m+4 terms the
-recurrence extends the seeds to.
+2m+2, whose polynomial Q it builds from ``layers.layer_polynomial``, so
+for n <= 2m+2 the answer is the n-th item of ``cell_stream``, a seed of
+that recurrence; above that, ``_jumper`` powers x to about n/2 modulo Q,
+in O(log n) polynomial squarings, and reads N(n) and S(n) off a Hankel
+form over the stream's first 4m+4 items.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import islice, pairwise
 from typing import Callable, Iterator
 
-from .exactmath import IntPolynomial, poly_mul, sequence_annihilator, x_power_mod
+from .exactmath import IntPolynomial, poly_mul, x_power_mod
 from .layers import column_stream, layer_polynomial
 from .records import FrozenRecord
 
@@ -59,10 +59,9 @@ def annihilator(p: IntPolynomial) -> IntPolynomial:
     [[A, D A], [0, A]] with D = diag(1..m), whose characteristic polynomial
     is p^2, so the order totals obey p^2.  Each running prefix sum adds a
     factor x - 1.  Q, monic of degree 2m+2, thus annihilates N and S from
-    n = 1 on: the jump extends the seeds by Q and reduces its half power
-    mod Q.  ``verify.jump_checks`` holds the jump against the stream on
-    both uses, and ``verify.charpoly_checks`` holds p against
-    Faddeev-LeVerrier.
+    n = 1 on: the jump reduces its half power mod Q.
+    ``verify.jump_checks`` holds the jump against the stream, and
+    ``verify.charpoly_checks`` holds p against Faddeev-LeVerrier.
     """
     square = poly_mul(p.coefficients, p.coefficients)
     return IntPolynomial(poly_mul(square, (1, -2, 1)))
@@ -70,27 +69,17 @@ def annihilator(p: IntPolynomial) -> IntPolynomial:
 
 def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
     """n -> (N(n), S(n)) by the recurrence jump, off one walk of the first
-    2m+2 items of ``cell_stream``.
+    4m+4 items of ``cell_stream`` and Q from ``layers.layer_polynomial``.
 
-    Those items are the seeds, and the per-horizon totals are the second
-    differences of their counts, T(k) = N(k) - 2N(k-1) + N(k-2) with
-    N(0) = N(-1) = 0.  p is the certified Berlekamp-Massey annihilator of
-    T(1..2m), or ``layers.layer_polynomial`` where that certificate fails.
-    Q itself extends the seeds to the 4m+4 Hankel terms a(1..2d), d = 2m+2.
+    Those items are the Hankel terms a(1..2d), d = 2m+2, the degree of Q.
     The functional x^j -> a(j+1) vanishes on multiples of Q, and
     x^(n-1) = x^o s^2 mod Q with s = x^h mod Q, n - 1 = 2h + o, so
     a(n) = sum_i s_i sum_j s_j a(i+j+o+1): one powering to the half power
-    serves both sums, and the full square is never formed.
+    serves both sums, and the full square is never formed.  Below
+    n = 2d+1 the half power is unreduced and the form reads a(n) back.
     """
-    seeds = list(islice(cell_stream(m), 2 * m + 2))
-    counts = [0, 0, *(count for count, _ in seeds[:2 * m])]
-    totals = [a - 2 * b + c for a, b, c in zip(counts[2:], counts[1:], counts)]
-    modulus = annihilator(sequence_annihilator(totals) or layer_polynomial(m))
-    low = modulus.coefficients[:-1]
-    hankel = [list(column) for column in zip(*seeds)]
-    for column in hankel:
-        for k in range(len(low)):
-            column.append(-sum(q * a for q, a in zip(low, column[k:])))
+    hankel = list(zip(*islice(cell_stream(m), 4 * m + 4)))
+    modulus = annihilator(layer_polynomial(m))
 
     def jump(n: int) -> tuple[int, int]:
         half, odd = divmod(n - 1, 2)

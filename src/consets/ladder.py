@@ -49,11 +49,12 @@ def _row(n: int, h: int, p: int) -> tuple[int, int]:
     return count, total
 
 
-def row_stream() -> Iterator[tuple[int, int]]:
-    """(count, order sum) of the n-rung ladder for n = 1, 2, ..., off the
-    additions walk."""
+def row_stream() -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """((count, order sum), (H(n), P(n))) of the n-rung ladder for
+    n = 1, 2, ..., off the additions walk: each row with the pair it is
+    read off, which the published formula takes too."""
     for n, (h, p) in enumerate(islice(_pell_walk(), 1, None), start=1):
-        yield _row(n, h, p)
+        yield _row(n, h, p), (h, p)
 
 
 def vince_average(n: int, h: int, p: int) -> Fraction:

@@ -70,18 +70,17 @@ def _swept(name: str, where: str, mismatches: list[str]) -> Check:
 def ladder_checks(n_max: int = 200) -> list[Check]:
     """Ladder closed forms against the general-m machinery, n = 1..n_max.
 
-    One walk of the powers of 1 + sqrt(2) gives, for each n, the
-    closed-form count and order sum, their average and density
-    Fraction(S, N) / (2n), and the published average; each is compared
-    with the item of ``cell_stream(2)``, which ``ladder`` prints.  The
-    anchors at n = 1, 2, 3 are the walk's first rows, whatever n_max is.
+    ``ladder.row_stream`` gives, for each n, the closed-form count and
+    order sum, their average and density Fraction(S, N) / (2n), and with
+    its (H(n), P(n)) pair the published average; each is compared with
+    the item of ``cell_stream(2)``, which ``ladder`` prints.  The anchors
+    at n = 1, 2, 3 are the stream's first rows, whatever n_max is.
     """
     count_bad, avg_bad, vince_bad, density_bad = [], [], [], []
-    closed = ((n, h, p, *ladder._row(n, h, p))
-              for n, (h, p) in enumerate(islice(ladder._pell_walk(), 1, None), start=1))
+    closed = ladder.row_stream()
     first_rows = list(islice(closed, 3))
-    for sums, (n, h, p, closed_count, closed_total) in zip(
-            islice(aggregate.cell_stream(2), n_max), chain(first_rows, closed)):
+    for n, (sums, ((closed_count, closed_total), (h, p))) in enumerate(
+            zip(islice(aggregate.cell_stream(2), n_max), chain(first_rows, closed)), start=1):
         result = aggregate.ProductResult(2, n, *sums)
         count, average = result.count, result.average
         if closed_count != count:
@@ -101,7 +100,7 @@ def ladder_checks(n_max: int = 200) -> list[Check]:
         _swept("ladder average vs published formula", where, vince_bad),
         _swept("ladder density closed form", where, density_bad),
     ]
-    (*_, count_1, total_1), (*_, count_2, total_2), (*_, count_3, _) = first_rows
+    ((count_1, total_1), _), ((count_2, total_2), _), ((count_3, _), _) = first_rows
     anchors = [
         ("ladder count anchor", 1, count_1, 3),
         ("ladder count anchor", 2, count_2, 13),
@@ -144,10 +143,11 @@ def charpoly_checks(m_max: int = 10) -> list[Check]:
 
 def layer_step_checks(m_max: int = 12) -> list[Check]:
     """The factored walk against the literal matrix, for m = 1..m_max over
-    the first 2m+2 horizons (the jump's seeds): each count column of
-    ``column_stream`` is A times the one before, and each order column A
-    times the one before plus i times the new counts.  One check in all,
-    carrying the first horizon where the walk departs."""
+    the first 2m+2 horizons, the columns behind the seeds that
+    ``evaluate`` streams and behind ``layer_polynomial``'s totals: each
+    count column of ``column_stream`` is A times the one before, and each
+    order column A times the one before plus i times the new counts.  One
+    check in all, carrying the first horizon where the walk departs."""
     bad = []
     for m in range(1, m_max + 1):
         matrix = recurrence_matrix(m)
@@ -254,9 +254,10 @@ def jump_checks(m_max: int = 8, n_max: int = 200) -> list[Check]:
 
     With d = 2m+2 the degree of the annihilator Q, the horizons are
     d+1..d+4, the first past the seeds, where ``evaluate`` starts to jump
-    and the jump reads the Hankel terms that Q extends the seeds by; 2d+1
-    and 2d+2, the first whose half power is reduced mod Q, one of each
-    parity; and n_max - 1 and n_max, the deep end in both parities."""
+    and the Hankel form reads streamed terms back; 2d+1 and 2d+2, the
+    first whose half power is reduced mod Q, so the first that Q decides,
+    one of each parity; and n_max - 1 and n_max, the deep end in both
+    parities."""
     checks = []
     for m in range(1, m_max + 1):
         streamed = list(islice(aggregate.cell_stream(m), n_max))

@@ -15,10 +15,10 @@ Claims covered:
       takes the binomial weights
     - the stream's second differences equal the weighted count and order
       columns
-    - a jump walks the first 2m+3 columns once: its seeds give the
-      per-horizon totals as second differences, and p comes off them,
-      never by Faddeev-LeVerrier for m <= 60, and through
-      ``layer_polynomial`` where Berlekamp-Massey is not certified
+    - a jump walks the stream once, for its 4m+4 Hankel terms, and the
+      count columns once more, inside ``layer_polynomial``, for p: never
+      by Faddeev-LeVerrier for m <= 60, and by it where Berlekamp-Massey
+      is not certified
     - the jump equals the stream at random n of both parities past the
       seeds, m = 1..12, and the linear read-out sum_j r_j a(j+1), with
       r = x^(n-1) mod Q, at n = 1001, 1002 and 10^4
@@ -26,8 +26,8 @@ Claims covered:
     - verify.jump_checks fails, naming m and n, when the jump is wrong;
       it visits the first horizons past the seeds, the first two whose
       half power is reduced mod Q, and n_max - 1 and n_max; a Q one off
-      in one coefficient fails at 2m+3, and a reduction by such a Q
-      alone fails first at 4m+5
+      in one coefficient, or a reduction by such a Q alone, fails first
+      at 4m+5, and such a Q leaves the jump right up to 4m+4
     - the stream seeded with Decimal(1) in the CLI's exact context is the
       int stream item for item, in Decimals
     - the package exports exactly the engine's three names; the census
@@ -176,20 +176,20 @@ def test_evaluate_across_the_engine_crossover(m, monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 2, 5, 12])
 def test_a_jump_walks_the_columns_once(m, monkeypatch):
-    walks, columns = [], []
+    walks = []
     real = layers.count_columns
 
     def counted(m, one=1):
-        walks.append(m)
+        walks.append(0)
         for column in real(m, one):
-            columns.append(column)
+            walks[-1] += 1
             yield column
 
     monkeypatch.setattr(layers, "count_columns", counted)
     jump = _jumper(m)
-    assert walks == [m]
-    # 2m+2 seeds; the last one's totals are read off one more column
-    assert len(columns) == 2 * m + 3
+    # 4m+4 Hankel terms, the last one's totals read off one more column;
+    # then layer_polynomial's totals T(1..2m), read off columns 2..2m+1
+    assert walks == [4 * m + 5, 2 * m + 1]
     assert jump(4 * m + 5) == next(islice(cell_stream(m), 4 * m + 4, None))
 
 
@@ -206,6 +206,7 @@ def test_production_paths_never_build_the_literal_matrix(monkeypatch):
 
     monkeypatch.setattr(layers, "recurrence_matrix", refused)
     monkeypatch.setattr(layers, "footprint_weights", refused)
+    monkeypatch.setattr(layers, "char_poly", refused)
     monkeypatch.setattr(exactmath.IntMatrix, "apply", refused)
     for m, streamed in expected.items():
         seeds = 2 * m + 2
@@ -231,11 +232,12 @@ def test_count_totals_are_second_differences_of_the_stream(m):
 
 @pytest.mark.parametrize("m", [1, 3, 7])
 def test_jump_falls_back_to_layer_polynomial(m, monkeypatch):
-    # an uncertified Berlekamp-Massey answer sends p to layers alone
+    # an uncertified Berlekamp-Massey answer sends layer_polynomial to
+    # Faddeev-LeVerrier, and the jump takes p from there
     taken = []
-    monkeypatch.setattr(aggregate, "sequence_annihilator", lambda terms: None)
-    monkeypatch.setattr(aggregate, "layer_polynomial",
-                        lambda m: taken.append(m) or layer_polynomial(m))
+    monkeypatch.setattr(layers, "sequence_annihilator", lambda terms: None)
+    monkeypatch.setattr(layers, "char_poly",
+                        lambda matrix: taken.append(matrix.order) or exactmath.char_poly(matrix))
     jump = _jumper(m)
     assert taken == [m]
     streamed = list(islice(cell_stream(m), 6 * m + 6))
@@ -310,7 +312,7 @@ def test_annihilator_holds_on_streamed_sums(m):
 
 
 def test_annihilator_never_takes_faddeev_leverrier(monkeypatch):
-    # p off the seeds' second differences is certified for every m <= 60
+    # p off layer_polynomial's totals is certified for every m <= 60
     def refused(matrix):
         raise AssertionError(f"char_poly called at m={matrix.order}")
 
@@ -322,9 +324,7 @@ def test_annihilator_never_takes_faddeev_leverrier(monkeypatch):
 
     monkeypatch.setattr(exactmath, "char_poly", refused)
     monkeypatch.setattr(layers, "char_poly", refused)
-    monkeypatch.setattr(aggregate, "layer_polynomial",
-                        lambda m: pytest.fail(f"layer_polynomial called at m={m}"))
-    monkeypatch.setattr(aggregate, "sequence_annihilator", recorded)
+    monkeypatch.setattr(layers, "sequence_annihilator", recorded)
     for m in range(1, 61):
         _jumper(m)
         assert found[-1] is not None and found[-1].degree == m
@@ -365,8 +365,9 @@ def _one_off(coefficients, k):
 
 @pytest.mark.parametrize("m, k", [(1, 0), (2, 3), (4, 9)])
 def test_jump_checks_catch_a_wrong_annihilator(m, k, monkeypatch):
-    # Q one off in coefficient k for this m alone: the seeds extend to
-    # wrong Hankel terms, so the first horizon past the seeds is wrong
+    # Q one off in coefficient k for this m alone: the Hankel terms come
+    # off the stream, and below 4m+5 the half power is never reduced, so
+    # the jump stays right up to 4m+4 and 4m+5 is the first bad horizon
     real = aggregate.annihilator
 
     def wrong(p):
@@ -374,9 +375,12 @@ def test_jump_checks_catch_a_wrong_annihilator(m, k, monkeypatch):
         return _one_off(q.coefficients, k) if p.degree == m else q
 
     monkeypatch.setattr(aggregate, "annihilator", wrong)
+    jump = _jumper(m)
+    streamed = list(islice(cell_stream(m), 4 * m + 4))
+    assert [jump(n) for n in range(1, 4 * m + 5)] == streamed
     checks = verify.jump_checks(5, 60)
     assert [check.ok for check in checks] == [n != m for n in range(1, 6)]
-    assert checks[m - 1].detail.startswith(f"m={m} n={2 * m + 3}: jump ")
+    assert checks[m - 1].detail.startswith(f"m={m} n={4 * m + 5}: jump ")
 
 
 @pytest.mark.parametrize("m, k", [(1, 0), (3, 5), (5, 11)])

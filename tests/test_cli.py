@@ -467,7 +467,7 @@ def test_ladder_rows_equal_closed_forms(capsys):
     assert code == 0
     rows = out.strip().splitlines()[1:]
     assert len(rows) == 300
-    for n, row, (count, total) in zip(range(1, 301), rows, ladder.row_stream()):
+    for n, row, ((count, total), _) in zip(range(1, 301), rows, ladder.row_stream()):
         average = Fraction(total, count)
         density = average / (2 * n)
         assert row == ",".join(str(field) for field in (

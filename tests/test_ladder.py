@@ -9,7 +9,8 @@ Claims covered:
       row stream's item far out (n = 5000 and 20000) and holds no growing
       state (tracemalloc peak)
     - the closed-form count and order sum, and the average and density
-      built from them, match the general-m machinery
+      built from them, match the general-m machinery; the row stream
+      carries each row's (H(n), P(n)) pair
     - the independently published ladder average gives the same fractions
     - the five prefix-sum identities hold, and their running sums equal
       direct summation
@@ -135,7 +136,7 @@ def test_unit_power_equals_additions_walk():
 def test_single_row_equals_row_stream_far_out():
     # evaluate(2, 5000) jumps: the engine's large-n path against the closed forms
     result = evaluate(2, 5000)
-    assert (result.count, result.total) == next(islice(row_stream(), 4999, None))
+    assert (result.count, result.total) == next(islice(row_stream(), 4999, None))[0]
 
 
 # -- counts, averages, densities -------------------------------------------------
@@ -181,7 +182,8 @@ def test_density_examples():
 
 def test_closed_forms_match_general_machinery():
     walk = islice(ladder._pell_walk(), 1, None)
-    for n, (h, p), row in zip(range(1, 101), walk, row_stream()):
+    for n, (h, p), (row, pair) in zip(range(1, 101), walk, row_stream()):
+        assert pair == (h, p)
         result = evaluate(2, n)
         closed = ProductResult(2, n, *row)
         assert closed.count == result.count
@@ -199,13 +201,13 @@ def test_average_holds_no_growing_state():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024
-    count, total = next(islice(row_stream(), 19999, None))
+    (count, total), _ = next(islice(row_stream(), 19999, None))
     assert result.average == Fraction(total, count)
 
 
 def test_rows_are_count_and_order_sum():
     # the stream and the engine yield the same two integers per n
-    rows = list(islice(row_stream(), 80))
+    rows = [row for row, _ in islice(row_stream(), 80)]
     assert rows[:3] == [(3, 4), (13, 28), (40, 126)]
     for n, row in enumerate(rows, start=1):
         result = evaluate(2, n)

@@ -9,8 +9,8 @@ Claims covered:
       the binary powerings that duplicated ``x_power_mod`` stay deleted,
       as do the ladder's single-n closed-form path, the constructor
       that took A and D from its caller, the tuned engine crossover,
-      the symmetry helpers that rebuilt every power and the
-      vertex-at-a-time flood
+      the symmetry helpers that rebuilt every power, the
+      vertex-at-a-time flood and the jump's own route to p
     - no module but ``verify`` imports ``consets.ladder``: the closed
       forms check the engine and never print a row
 
@@ -36,7 +36,6 @@ PACKAGE = ROOT / "src" / "consets"
 
 #: Reference routes that only the tests compare the engine against.
 TEST_ONLY_ROUTES = {
-    "ladder.row_stream",
     "oracle.footprint_census",
     "oracle.span_census",
     "orders.convolution_identity_holds",
@@ -50,13 +49,14 @@ TEST_ONLY_ROUTES = {
 #: by a tuned crossover, or because the symmetry checks walk the weighted
 #: powers once instead of rebuilding each, or because the census floods
 #: through per-graph tables, or because the engine reads the span totals
-#: off the layer step's last row instead of weighting each column.
+#: off the layer step's last row instead of weighting each column, or
+#: because the jump takes p from ``layers.layer_polynomial`` alone.
 DELETED = [
     ("aggregate", "count_connected_sets"), ("aggregate", "total_order"),
     ("aggregate", "average_order"), ("aggregate", "density"),
     ("aggregate", "ProductResult.from_sums"),
     ("aggregate", "jump_sums"), ("aggregate", "STREAM_MAX_PER_LAYER"), ("aggregate", "_sums"),
-    ("aggregate", "footprint_weights"),
+    ("aggregate", "footprint_weights"), ("aggregate", "sequence_annihilator"),
     ("ladder", "ladder_row"), ("ladder", "_unit_power"), ("ladder", "SILVER_POLYNOMIAL"),
     ("ladder", "ladder_count"), ("ladder", "ladder_total_order"),
     ("ladder", "ladder_average"), ("ladder", "ladder_density"),
