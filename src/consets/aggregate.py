@@ -8,13 +8,15 @@ four quantities of one cell as one ``ProductResult``, which derives the
 average order and density from N and S as exact reduced fractions.  The
 CLI prints every row, ``ladder`` included, through this engine.
 
-One cell has two engines, split where the recurrence itself splits
-them.  ``annihilator`` gives N and S one linear recurrence of degree
-2m+2, whose polynomial Q it builds from ``layers.layer_polynomial``, so
-for n <= 2m+2 the answer is the n-th item of ``cell_stream``, a seed of
-that recurrence; above that, ``_jumper`` powers x to about n/2 modulo Q,
-in O(log n) polynomial squarings, and reads N(n) and S(n) off a Hankel
-form over the stream's first 4m+4 items.
+One cell has one walk, finished by a jump only where the recurrence
+decides.  ``annihilator`` gives N and S one linear recurrence of degree
+d = 2m+2, whose polynomial Q it builds from ``layers.layer_polynomial``.
+``_jumper`` powers x to about n/2 modulo Q, in O(log n) polynomial
+squarings, and reads N(n) and S(n) off a Hankel form over the stream's
+first 2d = 4m+4 items.  Below n = 4m+5 that half power is never reduced
+mod Q, and the form only reads a streamed item back, so for n <= 4m+4
+the answer is the n-th item of ``cell_stream``: a prefix of the walk the
+jump itself takes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from itertools import islice, pairwise
 from typing import Callable, Iterator
 
-from .exactmath import IntPolynomial, poly_mul, x_power_mod
+from .exactmath import IntPolynomial, poly_square, x_power_mod
 from .layers import column_stream, layer_polynomial
 from .records import FrozenRecord
 
@@ -51,8 +53,9 @@ def cell_stream(m: int, one=1) -> Iterator[tuple]:
 
 
 def annihilator(p: IntPolynomial) -> IntPolynomial:
-    """Q = p^2 (x-1)^2, for p the characteristic polynomial of the layer
-    matrix.
+    """Q = (p (x-1))^2, for p the characteristic polynomial of the layer
+    matrix: one difference pass over p's coefficients, then the squaring
+    the jump's powering uses.
 
     The count columns obey p (Cayley-Hamilton), so the per-horizon count
     totals do; the (order, count) column pair advances by the block matrix
@@ -63,8 +66,8 @@ def annihilator(p: IntPolynomial) -> IntPolynomial:
     ``verify.jump_checks`` holds the jump against the stream, and
     ``verify.charpoly_checks`` holds p against Faddeev-LeVerrier.
     """
-    square = poly_mul(p.coefficients, p.coefficients)
-    return IntPolynomial(poly_mul(square, (1, -2, 1)))
+    c = p.coefficients
+    return IntPolynomial(poly_square([a - b for a, b in zip((0, *c), (*c, 0))]))
 
 
 def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
@@ -76,7 +79,8 @@ def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
     x^(n-1) = x^o s^2 mod Q with s = x^h mod Q, n - 1 = 2h + o, so
     a(n) = sum_i s_i sum_j s_j a(i+j+o+1): one powering to the half power
     serves both sums, and the full square is never formed.  Below
-    n = 2d+1 the half power is unreduced and the form reads a(n) back.
+    n = 2d+1 the half power is unreduced and the form reads a(n) back,
+    so ``evaluate`` jumps only from n = 2d+1 = 4m+5 on.
     """
     hankel = list(zip(*islice(cell_stream(m), 4 * m + 4)))
     modulus = annihilator(layer_polynomial(m))
@@ -115,11 +119,12 @@ class ProductResult(FrozenRecord):
 
 def evaluate(m: int, n: int) -> ProductResult:
     """Count, total order, average, and density for one cell: the n-th
-    stream item up to n = 2m+2, where it is a seed, and the jump above."""
+    stream item up to n = 4m+4, the jump's Hankel terms, and the jump
+    above, where Q decides."""
     if m < 1:
         raise ValueError("layer size m must be at least 1")
     if n < 1:
         raise ValueError("path length n must be at least 1")
-    if n > 2 * m + 2:
+    if n > 4 * m + 4:
         return ProductResult(m, n, *_jumper(m)(n))
     return ProductResult(m, n, *next(islice(cell_stream(m), n - 1, None)))

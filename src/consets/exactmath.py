@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: integer matrices, characteristic polynomials,
-the certified annihilator of an integer sequence, and powers of x modulo a
-monic integer polynomial.
+the certified annihilator of an integer sequence, polynomial squares, and
+powers of x modulo a monic integer polynomial.
 
 Integer scalars are plain ``int`` (arbitrary precision), rationals are
 ``fractions.Fraction`` (always reduced, positive denominator).  Nothing in
@@ -295,18 +295,9 @@ def sequence_annihilator(terms: Sequence[int]) -> IntPolynomial | None:
             return None
 
 
-def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two integer polynomials, coefficients low degree first."""
-    product = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                product[i + j] += x * y
-    return product
-
-
-def _square(a: Sequence[int]) -> list[int]:
-    """poly_mul(a, a) with each cross product a_i a_j (i < j) taken once."""
+def poly_square(a: Sequence[int]) -> list[int]:
+    """The square of an integer polynomial, coefficients low degree first,
+    with each cross product a_i a_j (i < j) taken once."""
     cross = [0] * (2 * len(a) - 1)
     for i, x in enumerate(a):
         if x:
@@ -341,7 +332,7 @@ def x_power_mod(e: int, modulus: IntPolynomial) -> list[int]:
     result = _reduce([1], coefficients)  # degree 0 modulus: everything is 0
     result += [0] * (modulus.degree - len(result))
     for bit in bin(e)[2:]:
-        result = _reduce(_square(result), coefficients)
+        result = _reduce(poly_square(result), coefficients)
         if bit == "1":
             result = _reduce([0, *result], coefficients)
     return result

@@ -26,27 +26,18 @@ are footprint sizes i in 1..m.  Matrix indices stay 0-based.
 from __future__ import annotations
 
 from itertools import accumulate, islice
+from math import comb
 from operator import add
 from typing import Iterator, Sequence
 
 from .exactmath import IntMatrix, IntPolynomial, char_poly, sequence_annihilator
 
 
-def pascal_row(m: int) -> tuple[int, ...]:
-    """Row m of Pascal's triangle: (C(m,0), ..., C(m,m))."""
-    if m < 0:
-        raise ValueError("binomial row index must be non-negative")
-    row = (1,)
-    for _ in range(m):
-        row = (1, *(row[i] + row[i + 1] for i in range(len(row) - 1)), 1)
-    return row
-
-
 def footprint_weights(m: int) -> tuple[int, ...]:
     """(C(m,1), ..., C(m,m)): how many footprints share each size class."""
     if m < 1:
         raise ValueError("layer size must be at least 1")
-    return pascal_row(m)[1:]
+    return tuple(comb(m, i) for i in range(1, m + 1))
 
 
 def recurrence_matrix(m: int) -> IntMatrix:
@@ -58,13 +49,8 @@ def recurrence_matrix(m: int) -> IntMatrix:
     """
     if m < 1:
         raise ValueError("layer size must be at least 1")
-    full = pascal_row(m)
-    rows = []
-    for i in range(1, m + 1):
-        sub = pascal_row(m - i)
-        rows.append(tuple(full[j] - (sub[j] if j <= m - i else 0)
-                          for j in range(1, m + 1)))
-    return IntMatrix(rows)
+    return IntMatrix([[comb(m, j) - comb(m - i, j) for j in range(1, m + 1)]
+                      for i in range(1, m + 1)])
 
 
 def layer_step(column: Sequence[int]) -> tuple[int, ...]:

@@ -143,8 +143,8 @@ def charpoly_checks(m_max: int = 10) -> list[Check]:
 
 def layer_step_checks(m_max: int = 12) -> list[Check]:
     """The factored walk against the literal matrix, for m = 1..m_max over
-    the first 2m+2 horizons, the columns behind the seeds that
-    ``evaluate`` streams and behind ``layer_polynomial``'s totals: each
+    the first 2m+2 horizons, the columns behind ``layer_polynomial``'s
+    totals T(1..2m) and the first 2m+1 stream items: each
     count column of ``column_stream`` is A times the one before, and each
     order column A times the one before plus i times the new counts.  One
     check in all, carrying the first horizon where the walk departs."""
@@ -253,11 +253,11 @@ def jump_checks(m_max: int = 8, n_max: int = 200) -> list[Check]:
     """The recurrence jump against one stream walk per m, one check per m.
 
     With d = 2m+2 the degree of the annihilator Q, the horizons are
-    d+1..d+4, the first past the seeds, where ``evaluate`` starts to jump
-    and the Hankel form reads streamed terms back; 2d+1 and 2d+2, the
-    first whose half power is reduced mod Q, so the first that Q decides,
-    one of each parity; and n_max - 1 and n_max, the deep end in both
-    parities."""
+    d+1..d+4, the first past the seeds of the recurrence, where the Hankel
+    form reads streamed terms back; 2d+1 and 2d+2, the first whose half
+    power is reduced mod Q, so the first that Q decides and the first
+    that ``evaluate`` jumps to, one of each parity; and n_max - 1 and
+    n_max, the deep end in both parities."""
     checks = []
     for m in range(1, m_max + 1):
         streamed = list(islice(aggregate.cell_stream(m), n_max))

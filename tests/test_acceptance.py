@@ -4,8 +4,8 @@ All comparisons are exact (tolerance zero); the stated runtime budgets
 are asserted as well.  Criteria 1, 2, 4-8, 10 and 11 run the matching
 ``consets.verify`` suite with the arguments ``verify.full_suite`` passes,
 so the battery has one source of truth.  Criterion 10 holds the
-recurrence jump that ``evaluate`` takes above its 2m+2 seeds against one
-stream walk per m, for m = 1..8 and n up to 200.  Criterion 11 holds
+recurrence jump that ``evaluate`` takes above its 4m+4 Hankel terms
+against one stream walk per m, for m = 1..8 and n up to 200.  Criterion 11 holds
 the additions-only layer step against the literal matrix.  Run with
 ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines.
 

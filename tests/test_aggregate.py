@@ -9,8 +9,11 @@ Claims covered:
       in, and the bound 1 <= A <= mn is enforced
     - a deep cell holds O(m) integers, not every column
     - the recurrence jump equals the stream, and ``evaluate`` equals it
-      on both sides of the seed boundary n = 2m+2; the annihilator holds
-      on the streamed sums
+      on both sides of n = 4m+4, the last Hankel term: up to there it
+      streams and never builds p, Q or a power of x, and from 4m+5 on,
+      the first horizon Q decides, it jumps
+    - the annihilator holds on the streamed sums, and equals p^2 (x-1)^2
+      expanded by a schoolbook product
     - no production path builds the literal layer matrix, applies it or
       takes the binomial weights
     - the stream's second differences equal the weighted count and order
@@ -163,15 +166,31 @@ def test_decimal_twin_equals_the_int_stream(m):
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_evaluate_across_the_engine_crossover(m, monkeypatch):
-    # n = 2m+2 is the last seed and streams; n = 2m+3 jumps
-    degree = 2 * m + 2
-    streamed = list(islice(cell_stream(m), degree + 1))
+    # n = 4m+4 is the last Hankel term and streams; n = 4m+5, the first
+    # horizon whose half power is reduced mod Q, jumps
+    last = 4 * m + 4
+    streamed = list(islice(cell_stream(m), last + 1))
     jumped = []
     monkeypatch.setattr(aggregate, "_jumper", lambda m: jumped.append(m) or _jumper(m))
-    assert evaluate(m, degree) == ProductResult(m, degree, *streamed[degree - 1])
+    assert evaluate(m, last) == ProductResult(m, last, *streamed[last - 1])
     assert jumped == []
-    assert evaluate(m, degree + 1) == ProductResult(m, degree + 1, *streamed[degree])
+    assert evaluate(m, last + 1) == ProductResult(m, last + 1, *streamed[last])
     assert jumped == [m]
+
+
+def test_evaluate_streams_through_the_hankel_terms(monkeypatch):
+    # for n <= 4m+4 the n-th stream item is the answer: no jumper, no p
+    # and no power of x is built
+    expected = {m: list(islice(cell_stream(m), 4 * m + 4)) for m in range(1, 13)}
+
+    def refused(*args):
+        raise AssertionError("evaluate left the stream")
+
+    for name in ("_jumper", "layer_polynomial", "x_power_mod"):
+        monkeypatch.setattr(aggregate, name, refused)
+    for m, streamed in expected.items():
+        for n, item in enumerate(streamed, start=1):
+            assert evaluate(m, n) == ProductResult(m, n, *item), (m, n)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 12])
@@ -298,6 +317,21 @@ def test_a_jump_powers_x_once_to_the_half_power(m, monkeypatch):
 def test_deep_jump_equals_stream():
     assert evaluate(3, 5000) == ProductResult(
         3, 5000, *next(islice(cell_stream(3), 4999, None)))
+
+
+def _schoolbook(a, b):
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    return product
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_annihilator_is_p_squared_times_x_minus_one_squared(m):
+    p = layer_polynomial(m).coefficients
+    expected = _schoolbook(_schoolbook(p, p), (1, -2, 1))
+    assert annihilator(layer_polynomial(m)).coefficients == tuple(expected)
 
 
 @pytest.mark.parametrize("m", range(1, 9))

@@ -20,7 +20,8 @@ Claims covered:
       and any other exception exits 3
     - text that is not an integer is a usage error naming the flag
     - integers past CPython's 4300-digit str guard print in full
-    - table rows equal the per-cell evaluation
+    - table rows equal the per-cell evaluation, and each compute csv row
+      equals the table's row through n = 4m+6, past the jump
     - ladder rows come from the engine at m = 2 and equal the closed-form
       rows, average and density; they pass the same result checks as
       table rows; exactly one of --n and --n-max is required
@@ -453,6 +454,21 @@ def test_ladder_matches_compute(capsys):
     _, ladder_out, _ = run_cli(capsys, "ladder", "--n", "2")
     _, compute_out, _ = run_cli(capsys, "compute", "--m", "2", "--n", "2")
     assert ladder_out == compute_out
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_compute_rows_equal_table_rows_across_the_jump(m, capsys):
+    # compute streams up to n = 4m+4 and jumps from 4m+5 on, and renders
+    # by divide and conquer; table walks the stream and its Decimal twin
+    n_max = 4 * m + 6
+    code, out, _ = run_cli(capsys, "table", "--m", str(m), "--n-max", str(n_max), "--format", "csv")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == n_max
+    for n, row in enumerate(rows, start=1):
+        code, out, _ = run_cli(capsys, "compute", "--m", str(m), "--n", str(n), "--format", "csv")
+        assert code == 0
+        assert out.strip().splitlines()[1:] == [row], n
 
 
 def test_ladder_table(capsys):

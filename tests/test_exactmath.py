@@ -11,7 +11,7 @@ Claims covered:
     - the multi-modular Berlekamp-Massey annihilator returns exactly the
       recurrence of a sequence, and None where the degree-d annihilator is
       not unique or not integral
-    - polynomial products and x^e mod a monic polynomial are exact
+    - polynomial squares and x^e mod a monic polynomial are exact
     - Fraction construction always lands on the reduced canonical form
 """
 
@@ -26,7 +26,7 @@ from consets.exactmath import (
     IntMatrix,
     IntPolynomial,
     char_poly,
-    poly_mul,
+    poly_square,
     sequence_annihilator,
     x_power_mod,
 )
@@ -116,9 +116,10 @@ def test_cayley_hamilton_exact(m):
     assert value == IntMatrix.zero(m)
 
 
-def test_poly_mul():
-    assert poly_mul((1, 1), (1, 1)) == [1, 2, 1]
-    assert poly_mul((-1, 0, 3), (2, 5)) == [-2, -5, 6, 15]
+def test_poly_square():
+    assert poly_square((1, 1)) == [1, 2, 1]
+    assert poly_square((-1, 0, 3)) == [1, 0, -6, 0, 9]
+    assert poly_square((2, -5, 0, 7)) == [4, -20, 25, 28, -70, 0, 49]
 
 
 def test_x_power_mod_matches_repeated_shift():

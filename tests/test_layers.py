@@ -32,7 +32,6 @@ from consets.layers import (
     footprint_weights,
     layer_polynomial,
     layer_step,
-    pascal_row,
     profile_table,
     recurrence_matrix,
     weighted_powers,
@@ -43,11 +42,6 @@ from consets.oracle import complete_path_product, footprint_census
 
 
 # -- binomials and the matrix ------------------------------------------------
-
-def test_pascal_row_matches_math_comb():
-    for m in range(9):
-        assert pascal_row(m) == tuple(math.comb(m, j) for j in range(m + 1))
-
 
 def test_recurrence_matrix_small_cases():
     assert recurrence_matrix(1) == IntMatrix([[1]])

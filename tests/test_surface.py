@@ -45,12 +45,15 @@ TEST_ONLY_ROUTES = {
 #: because they re-ran a whole cell to return one field of ``evaluate``, or
 #: because they repeated the binary powering of ``exactmath.x_power_mod``,
 #: or because the engine now gives what they gave, or because ``evaluate``
-#: now splits its two engines at the seed boundary n = 2m+2 and no longer
-#: by a tuned crossover, or because the symmetry checks walk the weighted
+#: no longer splits at a tuned crossover but streams up to n = 4m+4 and
+#: jumps above, or because the symmetry checks walk the weighted
 #: powers once instead of rebuilding each, or because the census floods
 #: through per-graph tables, or because the engine reads the span totals
 #: off the layer step's last row instead of weighting each column, or
-#: because the jump takes p from ``layers.layer_polynomial`` alone.
+#: because the jump takes p from ``layers.layer_polynomial`` alone, or
+#: because ``annihilator`` squares p (x-1) with the jump's own squaring,
+#: now ``exactmath.poly_square``, instead of a general product, or because
+#: ``math.comb`` gives the binomials a Pascal row rebuilt.
 DELETED = [
     ("aggregate", "count_connected_sets"), ("aggregate", "total_order"),
     ("aggregate", "average_order"), ("aggregate", "density"),
@@ -68,6 +71,7 @@ DELETED = [
     ("exactmath", "QuadInt.__add__"), ("exactmath", "QuadInt.__sub__"),
     ("exactmath", "QuadInt.conjugate"), ("exactmath", "QuadInt.norm"),
     ("exactmath", "IntMatrix.__pow__"),
+    ("exactmath", "poly_mul"), ("exactmath", "_square"), ("layers", "pascal_row"),
     ("exactmath", "IntMatrix.entry"), ("exactmath", "IntMatrix.rows"),
     ("oracle", "SimpleGraph.edges"), ("oracle", "LayeredGraph.vertex"),
     ("recurrence", "CoefficientReport.passed"),
