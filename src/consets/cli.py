@@ -11,7 +11,9 @@ verify
     forms, characteristic-coefficient identities, an arbitrary edge-list
     graph, or (with no scope flags) the full desk-scale battery.  A cell
     and the battery's grid are censused by oracle.enumerated_census, which
-    grows the connected sets (O(N·v) for N sets); --graph runs it and the
+    grows the connected sets (O(v) for each set grown, O(N·v) at most for
+    N sets) and counts a subtree that can only add frontier vertices in
+    closed form; --graph runs it and the
     2^v flood census of oracle.census and compares their size counts.
     --oracle-cap bounds the vertex count of both routes (default 22,
     ceiling 26); it applies only with --m/--n or --graph, since the

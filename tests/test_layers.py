@@ -1,7 +1,8 @@
 """Layer counting engine: recurrence matrix, count grid, weighted sums.
 
 Claims covered:
-    - recurrence matrix entries follow the binomial-difference rule
+    - recurrence matrix entries count the layer-1 subsets that meet a
+      layer-2 subset's partners on the literal two-layer graph
     - the column stream's count columns reproduce the known two- and
       three-layer sequences, and the count-only walk gives the same columns
       and totals
@@ -51,10 +52,20 @@ def test_recurrence_matrix_small_cases():
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_recurrence_matrix_entry_rule(m):
-    rows = [tuple(math.comb(m, j) - math.comb(m - i, j) for j in range(1, m + 1))
-            for i in range(1, m + 1)]
+    # entry (i, j) counted on the literal graph K_m x P_2: the j-subsets of
+    # layer 1 with an edge to a fixed i-subset of layer 2
+    layered = complete_path_product(m, 2)
+    adjacency = layered.graph.adjacency
+    rows = []
+    for i in range(1, m + 1):
+        reach = 0
+        for v in range(m, m + i):  # the first i vertices of layer 2
+            reach |= adjacency[v]
+        reach &= layered.layer_mask(1)  # bits 0..m-1
+        rows.append(tuple(sum(1 for subset in range(1 << m)
+                              if subset.bit_count() == j and subset & reach)
+                          for j in range(1, m + 1)))
     assert recurrence_matrix(m) == IntMatrix(rows)
-    assert all(entry >= 0 for row in rows for entry in row)
     assert rows[-1] == footprint_weights(m)
 
 

@@ -6,6 +6,9 @@ Claims covered:
     - the connected-set enumerator equals both 2^v censuses size for size
       on random graphs of 1-12 vertices, disconnected ones included, and
       equals the engine's (N, S) at cells past the battery's grid
+    - the enumerator gives the textbook counts of complete graphs, paths,
+      cycles and stars, and counts whole subtrees in closed form (K_26,
+      2^26 - 1 sets, takes milliseconds)
     - the two connectivity checkers agree on random subsets
     - the flood's half tables hold the union of every subset of rows, and
       its census equals the union-find census and the enumerator at odd v
@@ -17,6 +20,7 @@ Claims covered:
 """
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +30,7 @@ from consets.aggregate import evaluate
 from consets.oracle import (
     _CHECKERS,
     _union_table,
+    MAX_CAP,
     CapExceededError,
     SimpleGraph,
     census,
@@ -153,6 +158,42 @@ def test_enumerated_census_hand_listings():
     assert enumerated_census(SimpleGraph(5, [(2, 3), (3, 4), (2, 4)])).size_counts == (5, 3, 1, 0, 0)
 
 
+def _clique(v: int) -> SimpleGraph:
+    return SimpleGraph(v, [(i, j) for i in range(v) for j in range(i + 1, v)])
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 7, 12, 26])
+def test_enumerated_census_of_complete_graphs(v):
+    # every nonempty subset is connected: C(v, j) sets of order j; at v = 26
+    # (2^26 - 1 sets) only the closed-form count of whole subtrees is quick
+    report = enumerated_census(_clique(v), cap=MAX_CAP)
+    assert report.size_counts == tuple(comb(v, j) for j in range(1, v + 1))
+
+
+@pytest.mark.parametrize("v", range(1, 13))
+def test_enumerated_census_of_paths(v):
+    # a connected set of a path is an interval: v - j + 1 of length j
+    report = enumerated_census(SimpleGraph(v, [(i, i + 1) for i in range(v - 1)]))
+    assert report.size_counts == tuple(v - j + 1 for j in range(1, v + 1))
+
+
+@pytest.mark.parametrize("v", range(3, 13))
+def test_enumerated_census_of_cycles(v):
+    # an arc of j < v vertices starts at any of the v vertices; the whole
+    # cycle is one set
+    report = enumerated_census(SimpleGraph(v, [(i, (i + 1) % v) for i in range(v)]))
+    assert report.size_counts == (v,) * (v - 1) + (1,)
+
+
+@pytest.mark.parametrize("v", range(2, 13))
+@pytest.mark.parametrize("centre", ["first", "last"])
+def test_enumerated_census_of_stars(v, centre):
+    # K_{1,v-1}: v single vertices, then the centre with any j - 1 leaves
+    hub = 0 if centre == "first" else v - 1
+    report = enumerated_census(SimpleGraph(v, [(hub, leaf) for leaf in range(v) if leaf != hub]))
+    assert report.size_counts == (v,) + tuple(comb(v - 1, j - 1) for j in range(2, v + 1))
+
+
 @st.composite
 def small_graphs(draw) -> SimpleGraph:
     """Any simple graph on 1..12 vertices, sparse ones (hence disconnected
@@ -174,17 +215,20 @@ def small_graphs(draw) -> SimpleGraph:
 @example(graph=SimpleGraph(9, [(0, 8), (1, 7), (2, 6)]))
 @example(graph=SimpleGraph(5, [(0, 1), (1, 2), (2, 3)]))
 @example(graph=SimpleGraph(11, [(i, j) for i in range(10) for j in range(i + 1, 10)]))
+@example(graph=_clique(9))
 def test_enumerated_census_equals_both_checkers(graph):
     # the flood splits odd v into halves of (v+1)/2 and (v-1)/2; the last
-    # four examples are a path across the halves, three edges joining them
-    # only, an isolated top vertex and a clique beside one
+    # five examples are a path across the halves, three edges joining them
+    # only, an isolated top vertex, a clique beside one and a complete graph
     grown = enumerated_census(graph).size_counts
     assert grown == census(graph, connectivity="flood").size_counts
     assert grown == census(graph, connectivity="union-find").size_counts
 
 
-@pytest.mark.parametrize("m,n", [(3, 7), (6, 3), (7, 3)])
+@pytest.mark.parametrize("m,n", [(3, 7), (5, 3), (6, 3), (7, 3)])
 def test_enumerated_census_equals_engine_past_the_grid(m, n):
+    # (5, 3) and (6, 3), the grid's last cells at m = 5 and 6, count 95%
+    # and 98% of their sets in closed form; (3, 7) and (7, 3) lie past it
     report = enumerated_census(complete_path_product(m, n).graph)
     result = evaluate(m, n)
     assert (report.count, report.total_order) == (result.count, result.total)
