@@ -11,10 +11,11 @@ verify
     forms, characteristic-coefficient identities, an arbitrary edge-list
     graph, or (with no scope flags) the full desk-scale battery.  A cell
     and the battery's grid are censused by oracle.enumerated_census, which
-    grows the connected sets (O(v) for each set grown, O(N·v) at most for
-    N sets) and counts a subtree that can only add frontier vertices in
-    closed form; --graph runs it and the
-    2^v flood census of oracle.census and compares their size counts.
+    grows the connected sets and counts each search subtree once,
+    memoized on its frontier and the part of the graph that frontier
+    reaches (milliseconds for the 10^7 sets of a 24-vertex cell); --graph
+    runs it and the 2^v flood census of oracle.census, bit-sliced over
+    2^20 subsets at a time, and compares their size counts.
     --oracle-cap bounds the vertex count of both routes (default 22,
     ceiling 26); it applies only with --m/--n or --graph, since the
     battery's grid stays within the default.
@@ -47,8 +48,9 @@ collects the rows for one dump.
 
 compute, table and ladder load only the engine (aggregate, layers,
 exactmath); verify and charpoly import the census, the suites and the
-coefficient checks when they run, and json is imported for json output
-alone, so a process pays only for the command it runs.
+coefficient checks when they run (verify --m/--n and --graph only the
+census and its checks, from reporting), and json is imported for json
+output alone, so a process pays only for the command it runs.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3
 internal error (any other exception, an engine cell outside
@@ -275,7 +277,7 @@ def cmd_ladder(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from . import oracle, verify
+    from . import oracle, reporting
 
     if args.n_max is not None and not args.ladder:
         raise ValueError("--n-max applies only with --ladder")
@@ -292,13 +294,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.m is None or args.n is None:
             raise ValueError("cell verification needs both --m and --n")
         scoped = True
-        checks.extend(verify.oracle_cell_checks(args.m, args.n, cap))
+        checks.extend(reporting.oracle_cell_checks(args.m, args.n, cap))
     if args.ladder:
+        from . import verify
+
         scoped = True
         n_max = args.n_max if args.n_max is not None else 50
         checks.extend(verify.ladder_checks(n_max))
         checks.extend(verify.ladder_identity_checks(n_max))
     if args.charpoly:
+        from . import verify
+
         scoped = True
         m_max = args.m_max if args.m_max is not None else 8
         if m_max < 2:
@@ -307,7 +313,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.graph is not None:
         scoped = True
         graph = oracle.parse_edge_list(Path(args.graph).read_text(encoding="utf-8"), cap)
-        graph_checks, report = verify.graph_file_checks(graph, cap)
+        graph_checks, report = reporting.graph_file_checks(graph, cap)
         precision = DEFAULT_PRECISION if args.precision is None else args.precision
         sizes = " ".join(f"{t}:{c}" for t, c in enumerate(report.size_counts, start=1) if c)
         print(f"census of {args.graph}: sizes {{{sizes}}}")
@@ -316,6 +322,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
               f"D={report.density} (~{format_decimal(report.density, precision)})")
         checks.extend(graph_checks)
     if not scoped:
+        from . import verify
+
         checks = verify.full_suite()
     return _print_checks(checks)
 

@@ -218,9 +218,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+#: The 16 largest primes below 2^61, largest first, so that a call to
+#: ``sequence_annihilator`` that needs no more runs no primality test.
+_FIRST_PRIMES = tuple(2 ** 61 - gap for gap in (1, 31, 45, 229, 259, 283, 339, 391,
+                                                 403, 465, 531, 579, 675, 759, 799, 819))
+
+
 def _primes() -> Iterator[int]:
-    """The primes below 2^61, largest first: 2^61 - 1, 2^61 - 31, ..."""
-    candidate = 2 ** 61 - 1
+    """The primes below 2^61, largest first: 2^61 - 1, 2^61 - 31, ...;
+    the table first, then Miller-Rabin on the odd numbers below it."""
+    yield from _FIRST_PRIMES
+    candidate = _FIRST_PRIMES[-1] - 2
     while True:
         if _is_prime(candidate):
             yield candidate

@@ -2,35 +2,37 @@
 
 ``enumerated_census`` grows the connected sets themselves (the ESU scheme
 of Wernicke, "Efficient detection of network motifs", IEEE/ACM TCBB
-2006), at O(v) for each set it grows, so O(N·v) at most for N connected
-sets.  A subtree of the search that can only add frontier vertices is
-counted in closed form instead of grown, which covers 98% of the sets at
-(6, 3) and all but 99 of K_26's.  ``verify --m --n`` and the battery's
-grid compare the engine with it.
+2006), but counts each search subtree once: the sets below a node depend
+only on its frontier and on the part of the graph the frontier can still
+reach, so the subtree counts are memoized on that pair, and a subtree
+that can only add frontier vertices is counted in closed form.  Its cost
+follows the number of distinct subtrees, not of sets: the 10^7 sets of
+(6, 4) take milliseconds.  ``verify --m --n`` and the battery's grid
+compare the engine with it.
 
-``census`` enumerates every nonempty vertex subset (plain binary counting
-over bitmasks), tests connectivity of the induced subgraph, and tallies
-counts by size, at O(2^v·v).  Two independent connectivity tests are kept: a flood
-fill that grows a whole breadth-first layer per round through two
-per-graph tables of neighbour unions, one for each half of the vertex
-set, and a union-find over the subset's internal edges.  ``verify
---graph`` compares the enumerator with the flood census, so every census
-answer is computed twice.
+``census`` tests every nonempty vertex subset for connectivity and
+tallies counts by size.  Two independent connectivity tests are kept.
+The flood runs for 2^20 subsets at once, bit-sliced over big ints, with
+two ORs per edge and sweep, and reads the counts off by bit counts.  The
+union-find runs over one subset's internal edges at a time, O(2^v·v) in
+all.  ``verify --graph`` compares the enumerator with the flood census,
+so every census answer is computed twice.
 
 Both routes take the same enumeration cap on vertices: 22 by default
-(about 4M subsets for ``census``), hard ceiling 26.  K_m × P_n has few
-connected sets, 23,637 of the 2^20 subsets at (2, 10), where the
-enumerator takes 0.012 s and the flood census 0.57 s; the battery's
-grid of 51 cells, engine included, takes 0.11 s (2-vCPU VM, CPython
-3.11, in-process medians of 7).
+(about 4M subsets for ``census``), hard ceiling 26.  Measured in-process
+on a 2-vCPU VM with CPython 3.11 (medians of 7), the enumerator takes
+0.3 ms at (2, 10) and the flood census 16 ms over its 2^20 subsets; the
+battery's grid of 51 cells, engine included, takes 21 ms.  The flood
+census of a 26-vertex graph takes 0.7-1.5 s (a path, 52 random
+edges, a 4-wide grid, a dense graph), and the process peaks at about
+30 MB.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import comb
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .records import FrozenRecord
 
@@ -137,26 +139,99 @@ def _half_tables(adjacency: tuple[int, ...]) -> tuple[int, list[int], list[int]]
     return half, _union_table(adjacency[:half]), _union_table(adjacency[half:])
 
 
-def _flood(adjacency: tuple[int, ...]) -> Callable[[int], bool]:
-    """A connectivity test for subsets of one graph: flood fill from the
-    subset's lowest vertex, one breadth-first layer per round.
+#: Low vertices whose subsets one chunk of the sliced flood covers: 2^20
+#: subsets, so each of its big ints holds 128 KiB.
+_CHUNK_BITS = 20
 
-    The half tables, built once, give the neighbour union of the whole
-    reached set in two lookups, whatever its size, so a round grows it by
-    a breadth-first layer; the flood stops when a round adds nothing.
+
+def _member_masks(bits: int) -> list[int]:
+    """For each vertex u below ``bits``, the 2^bits-bit int whose bit S is
+    set iff u is in the subset S: runs of 2^u zeros and 2^u ones."""
+    width = 1 << bits
+    masks = []
+    for u in range(bits):
+        run = 1 << u
+        mask, span = ((1 << run) - 1) << run, 2 * run
+        while span < width:
+            mask |= mask << span
+            span *= 2
+        masks.append(mask)
+    return masks
+
+
+def _size_masks(bits: int) -> list[int]:
+    """For each j = 0..bits, the 2^bits-bit int whose bit S is set iff the
+    subset S has j vertices."""
+    masks = [1]
+    for u in range(bits):
+        masks = [without | with_u << (1 << u)
+                 for without, with_u in zip([*masks, 0], [0, *masks])]
+    return masks
+
+
+def _connected_chunks(adjacency: tuple[int, ...],
+                      chunk_bits: int = _CHUNK_BITS) -> Iterator[tuple[int, int]]:
+    """The connected subsets of a graph as bitmaps, one chunk at a time.
+
+    A chunk fixes the vertices from c = min(v, chunk_bits) up to a set H
+    and covers the 2^c subsets S = H ∪ L, L over the low vertices; it is
+    yielded as (first, connected): first is H's bitmask, and bit L of
+    connected is set iff S is nonempty and connected.
+
+    The flood runs for every S of the chunk at once, bit-sliced (Knuth,
+    TAOCP 4A §7.1.3): bit L of the big int X_u is set iff u is in S, and
+    bit L of R_u iff u is reached from min(S) inside S.  R_u starts as the
+    subsets whose lowest vertex is u; each sweep sets
+    R_u |= X_u & OR_{w in N(u)} R_w, alternating the vertex order, until
+    a sweep changes nothing.  S is connected iff R_u = X_u for every u.
     """
-    half, low, high = _half_tables(adjacency)
-    low_mask = (1 << half) - 1
+    vertex_count = len(adjacency)
+    bits = min(vertex_count, chunk_bits)
+    full = (1 << (1 << bits)) - 1
+    low_members = _member_masks(bits)
+    low_starts, lower = [], 0
+    for member in low_members:
+        low_starts.append(member & ~lower)
+        lower |= member
+    for high in range(1 << (vertex_count - bits)):
+        members = low_members + [full if high >> u & 1 else 0
+                                 for u in range(vertex_count - bits)]
+        reached = low_starts + [0] * (vertex_count - bits)
+        if high:  # S = H alone, bit 0, starts from H's lowest vertex
+            reached[bits + (high & -high).bit_length() - 1] = 1
+        live = [u for u in range(vertex_count) if members[u]]
+        neighbours = {u: [w for w in live if adjacency[u] >> w & 1] for u in live}
+        changed = True
+        while changed:
+            changed = False
+            for u in live:
+                around = 0
+                for w in neighbours[u]:
+                    around |= reached[w]
+                grown = reached[u] | members[u] & around
+                if grown != reached[u]:
+                    reached[u] = grown
+                    changed = True
+            live.reverse()
+        stray = 0
+        for u in live:
+            stray |= members[u] ^ reached[u]
+        connected = full & ~stray
+        if not high:
+            connected ^= 1  # the empty set
+        yield high << bits, connected
 
-    def connected(mask: int) -> bool:
-        reached = mask & -mask
-        while True:
-            grown = (low[reached & low_mask] | high[reached >> half] | reached) & mask
-            if grown == reached:
-                return reached == mask
-            reached = grown
 
-    return connected
+def _flood_sizes(adjacency: tuple[int, ...], chunk_bits: int = _CHUNK_BITS) -> list[int]:
+    """Connected subsets by size, from the sliced flood's bitmaps: a chunk
+    adds the bit count of its bitmap within each size mask of the low
+    vertices, shifted by the size of its fixed high set."""
+    counts = [0] * (len(adjacency) + 1)
+    sizes = _size_masks(min(len(adjacency), chunk_bits))
+    for first, connected in _connected_chunks(adjacency, chunk_bits):
+        for order, sized in enumerate(sizes, start=first.bit_count()):
+            counts[order] += (connected & sized).bit_count()
+    return counts[1:]
 
 
 def _find(parent: list[int], v: int) -> int:
@@ -186,12 +261,6 @@ def _connected_union_find(adjacency: tuple[int, ...], mask: int) -> bool:
                 parent[ru] = rw
                 components -= 1
     return components == 1
-
-
-#: Connectivity checkers by name; each takes a graph's adjacency rows and
-#: returns the test of one vertex subset.
-_CHECKERS = {"flood": _flood,
-             "union-find": lambda adjacency: partial(_connected_union_find, adjacency)}
 
 
 class CensusReport(FrozenRecord):
@@ -228,56 +297,82 @@ class CensusReport(FrozenRecord):
 def census(graph: SimpleGraph, cap: int | None = None,
            connectivity: str = "flood") -> CensusReport:
     """Count the connected sets of a graph, by size, over all 2^v - 1
-    subsets."""
-    if connectivity not in _CHECKERS:
+    subsets: all at once by the sliced flood, or one at a time by
+    union-find."""
+    if connectivity not in ("flood", "union-find"):
         raise ValueError(f"unknown connectivity checker {connectivity!r}")
     _check_cap(graph.vertex_count, cap)
-    connected = _CHECKERS[connectivity](graph.adjacency)
+    adjacency = graph.adjacency
+    if connectivity == "flood":
+        return CensusReport(size_counts=tuple(_flood_sizes(adjacency)))
     counts = [0] * graph.vertex_count
     for mask in range(1, 1 << graph.vertex_count):
-        if connected(mask):
+        if _connected_union_find(adjacency, mask):
             counts[mask.bit_count() - 1] += 1
     return CensusReport(size_counts=tuple(counts))
 
 
 def enumerated_census(graph: SimpleGraph, cap: int | None = None) -> CensusReport:
-    """Count the connected sets of a graph, by size, by growing each one.
+    """Count the connected sets of a graph, by size, by growing them, with
+    every search subtree counted once.
 
     A set S is rooted at its smallest vertex r and grown one frontier
-    vertex at a time.  ``blocked`` (B) holds S, every vertex up to r,
-    and the frontier vertices that earlier siblings branched on; so each
-    connected set is reached along exactly one path of the stack, and
+    vertex at a time.  The blocked set B holds S, every vertex up to r,
+    and the frontier vertices that earlier branches left out; so each
+    connected set is reached along exactly one path of the search, and
     the frontier F is always N(S) ∖ B, the neighbours of S not blocked.
+    A node (S, F, B) branches on the lowest f of F: the sets with f, below
+    (S + f, F ∖ f ∪ N(f) ∖ B', B') with B' = B + f, and those without, below
+    (S, F ∖ f, B').
 
-    The subtree below (S, F, B) holds the connected sets that contain S
-    and avoid B ∖ S.  When no vertex of F has a neighbour outside B ∪ F
-    (two lookups in the flood's half tables of neighbour unions), those
-    sets are exactly S ∪ U for the 2^|F| subsets U of F, so such a child
-    is counted in closed form, C(|F|, j) sets of order |S| + j, and never
-    pushed.  A child whose frontier is empty is the case |F| = 0, one set.
+    Lemma: let R be the union of the components of G[V ∖ B] that meet F.
+    The sets below (S, F, B) are exactly S ∪ U, where U ⊆ R and every
+    component of G[U] meets F.  (S ∪ U is connected iff each component of
+    G[U] has a neighbour in S, that is a vertex in N(S) ∖ B = F; such a
+    component lies in a component of G[V ∖ B] that meets F.)  Their counts
+    by |U| therefore depend on (F, R) alone, not on S or on B beyond R;
+    each (F, R) is counted once per call and the count memoized.  One
+    flood through the half tables of neighbour unions finds R.  Where
+    R = F, every U ⊆ F qualifies: C(|F|, j) sets of order |S| + j, the
+    closed form, which an empty frontier (one set, S) also takes.
     """
     _check_cap(graph.vertex_count, cap)
     adjacency = graph.adjacency
     half, low_table, high_table = _half_tables(adjacency)
     low_mask = (1 << half) - 1
-    binomials = [[comb(k, j) for j in range(k + 1)] for k in range(graph.vertex_count)]
-    counts = [0] * graph.vertex_count
-    for root in range(graph.vertex_count):
+    vertex_count = graph.vertex_count
+    binomials = [[comb(k, j) for j in range(k + 1)] for k in range(vertex_count + 1)]
+    memo: dict[int, list[int]] = {}
+
+    def below(frontier: int, blocked: int) -> list[int]:
+        """The counts by |U| of the sets below a node, U = ∅ first."""
+        reach = frontier
+        while True:
+            grown = (low_table[reach & low_mask] | high_table[reach >> half] | reach) & ~blocked
+            if grown == reach:
+                break
+            reach = grown
+        if reach == frontier:
+            return binomials[frontier.bit_count()]
+        key = reach << vertex_count | frontier
+        counts = memo.get(key)
+        if counts is None:
+            low = frontier & -frontier
+            rest = frontier ^ low
+            blocked |= low
+            counts = below(rest, blocked)[:]
+            counts += [0] * (reach.bit_count() + 1 - len(counts))
+            for size, sets in enumerate(below((rest | adjacency[low.bit_length() - 1]) & ~blocked,
+                                              blocked), start=1):
+                counts[size] += sets
+            memo[key] = counts
+        return counts
+
+    counts = [0] * vertex_count
+    for root in range(vertex_count):
         blocked = (2 << root) - 1
-        stack = [(0, adjacency[root] & ~blocked, blocked)]
-        while stack:
-            size, frontier, blocked = stack.pop()  # size is the set's order - 1
-            counts[size] += 1
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                blocked |= low
-                grown = (frontier | adjacency[low.bit_length() - 1]) & ~blocked
-                if (low_table[grown & low_mask] | high_table[grown >> half]) & ~(blocked | grown):
-                    stack.append((size + 1, grown, blocked))
-                else:
-                    for order, sets in enumerate(binomials[grown.bit_count()], start=size + 1):
-                        counts[order] += sets
+        for size, sets in enumerate(below(adjacency[root] & ~blocked, blocked)):
+            counts[size] += sets
     return CensusReport(size_counts=tuple(counts))
 
 
@@ -307,12 +402,15 @@ def _layer_family(adjacency: tuple[int, ...], layers: list[int],
     universe = 0
     for mask in layers:
         universe |= mask
-    connected = _flood(adjacency)
+    bitmap = 0  # bit S set iff the subset S is connected
+    for first, chunk in _connected_chunks(adjacency):
+        bitmap |= chunk << first
+    connected = bitmap.to_bytes((1 << len(adjacency)) // 8 + 1, "little")
     count = 0
     order_sum = 0
     for free in _submasks(universe):
         subset = free | required
-        if all(subset & layer for layer in layers) and connected(subset):
+        if all(subset & layer for layer in layers) and connected[subset >> 3] >> (subset & 7) & 1:
             count += 1
             order_sum += subset.bit_count()
     return FamilyCensus(count=count, order_sum=order_sum)

@@ -2,9 +2,9 @@
 each other.
 
 The census is ``oracle.enumerated_census``, which grows the connected
-sets themselves: ``verify --m --n`` and the battery's ``ORACLE_GRID``
-compare the engine with it.  ``verify --graph`` compares it with the 2^v
-flood census of ``oracle.census``.
+sets themselves: the battery's ``ORACLE_GRID`` compares the engine with
+it, through ``reporting.oracle_cell_checks``, the check that ``verify
+--m --n`` runs without importing this module.
 
 Each suite returns a list of Check records; the CLI prints one line for
 every check and exits 1 if any failed.  Sweeps over a range are folded
@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, islice
 
-from . import aggregate, ladder, oracle, recurrence
+from . import aggregate, ladder, recurrence
 from .exactmath import char_poly
 from .layers import (
     column_stream,
@@ -29,29 +29,11 @@ from .layers import (
     weighted_sum,
 )
 from .orders import layer_order_sum_convolution, order_column_direct
-from .reporting import Check
+from .reporting import Check, oracle_cell_checks
 
 #: Desk-scale cells for census-vs-formula equivalence: (m, largest n).
 #: Every cell has at most 22 vertices, the default cap.
 ORACLE_GRID = ((1, 22), (2, 11), (3, 6), (4, 4), (5, 3), (6, 3), (7, 2))
-
-
-def oracle_cell_checks(m: int, n: int, cap: int | None = None) -> list[Check]:
-    """All four headline quantities at one cell, formula path vs the
-    connected-set enumerator."""
-    result = aggregate.evaluate(m, n)
-    report = oracle.enumerated_census(oracle.complete_path_product(m, n, cap).graph, cap)
-    where = f"m={m} n={n}"
-    return [
-        Check("census-vs-formula count", where, result.count == report.count,
-              f"formula {result.count}, census {report.count}"),
-        Check("census-vs-formula order total", where, result.total == report.total_order,
-              f"formula {result.total}, census {report.total_order}"),
-        Check("census-vs-formula average", where, result.average == report.average,
-              f"formula {result.average}, census {report.average}"),
-        Check("census-vs-formula density", where, result.density == report.density,
-              f"formula {result.density}, census {report.density}"),
-    ]
 
 
 def oracle_grid_checks() -> list[Check]:
@@ -272,18 +254,6 @@ def jump_checks(m_max: int = 8, n_max: int = 200) -> list[Check]:
                 bad.append(f"m={m} n={n}: jump {jumped}, stream {streamed[n - 1]}")
         checks.append(_swept("recurrence jump vs stream", f"m={m} n<={n_max}", bad))
     return checks
-
-
-def graph_file_checks(graph: oracle.SimpleGraph, cap: int | None = None) -> tuple[list[Check], oracle.CensusReport]:
-    """Census an arbitrary graph twice: the connected-set enumerator
-    against the 2^v census with the flood checker."""
-    grown = oracle.enumerated_census(graph, cap)
-    flood = oracle.census(graph, cap, connectivity="flood")
-    where = f"{graph.vertex_count} vertices, {graph.edge_count} edges"
-    checks = [Check("connectivity checkers agree", where,
-                    grown.size_counts == flood.size_counts,
-                    f"enumerator {grown.size_counts}, flood {flood.size_counts}")]
-    return checks, flood
 
 
 def full_suite() -> list[Check]:

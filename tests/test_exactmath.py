@@ -11,18 +11,25 @@ Claims covered:
     - the multi-modular Berlekamp-Massey annihilator returns exactly the
       recurrence of a sequence, and None where the degree-d annihilator is
       not unique or not integral
+    - its primes are the primes below 2^61, largest first: the table of
+      the first 16 equals a Miller-Rabin scan down from 2^61 - 1, and the
+      generator goes on past it without a gap
     - polynomial squares and x^e mod a monic polynomial are exact
     - Fraction construction always lands on the reduced canonical form
 """
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from consets.exactmath import (
+    _FIRST_PRIMES,
+    _is_prime,
+    _primes,
     IntMatrix,
     IntPolynomial,
     char_poly,
@@ -214,6 +221,13 @@ def test_sequence_annihilator_needs_several_primes():
     coefficients = [10 ** 200 + 7, -(10 ** 199) - 3, 1]
     terms = _recurrence_terms(coefficients, [0, 0, 1], 6)
     assert sequence_annihilator(terms) == IntPolynomial([*coefficients, 1])
+
+
+def test_prime_table_is_the_start_of_the_generated_primes():
+    scanned = [q for q in range(2 ** 61 - 1, 2 ** 61 - 1000, -2) if _is_prime(q)]
+    assert len(_FIRST_PRIMES) == 16 and len(scanned) > 18
+    assert list(_FIRST_PRIMES) == scanned[:16]
+    assert list(islice(_primes(), len(scanned))) == scanned
 
 
 def test_sequence_annihilator_refuses_what_is_not_unique_or_integral():

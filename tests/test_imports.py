@@ -6,6 +6,9 @@ Claims covered:
       the order reference routes, the ladder closed forms, ``dataclasses``
       or ``inspect`` (beyond what a bare interpreter already holds, so a
       site hook that loads one of them does not count)
+    - verify --m --n and verify --graph import the census but neither the
+      verification suites nor the ladder closed forms, the order
+      reference routes or the scalar recurrence
     - ``import consets`` loads none of its modules, and ``from consets
       import evaluate`` none of those above
     - every name in ``consets.__all__`` resolves to the object its module
@@ -83,6 +86,20 @@ def test_rendering_commands_load_no_verification_module(bare, argv):
     loaded = _loaded(RUN_CLI, json.dumps(argv))
     assert "consets.aggregate" in loaded  # the command ran
     assert (GUARDED & loaded) - bare == set()
+
+
+#: Modules that a census-only verify does not need.
+SUITES = {"consets.verify", "consets.ladder", "consets.orders", "consets.recurrence"}
+
+
+@pytest.mark.parametrize("scope", ["cell", "graph"])
+def test_census_verify_loads_no_suite(bare, tmp_path, scope):
+    path = tmp_path / "square.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    argv = ["verify", "--m", "2", "--n", "3"] if scope == "cell" else ["verify", "--graph", str(path)]
+    loaded = _loaded(RUN_CLI, json.dumps(argv))
+    assert {"consets.oracle", "consets.reporting"} <= loaded  # the census ran
+    assert (SUITES & loaded) - bare == set()
 
 
 def test_importing_the_package_loads_no_module(bare):

@@ -8,11 +8,16 @@ Claims covered:
       equals the engine's (N, S) at cells past the battery's grid
     - the enumerator gives the textbook counts of complete graphs, paths,
       cycles and stars, and counts whole subtrees in closed form (K_26,
-      2^26 - 1 sets, takes milliseconds)
-    - the two connectivity checkers agree on random subsets
-    - the flood's half tables hold the union of every subset of rows, and
-      its census equals the union-find census and the enumerator at odd v
-      and with isolated top vertices
+      2^26 - 1 sets, takes milliseconds); with its memo of subtree counts
+      it equals the engine at 24-vertex cells
+    - the sliced flood's connectivity bitmaps agree with union-find on
+      every subset, bit by bit, in one chunk and in many
+    - the sliced flood's member and size masks are the bit-sliced
+      membership and size tests; its census equals the union-find census
+      in any number of chunks, at v = 1, at odd v and with isolated top
+      vertices, and the enumerator on a tree, a 4-wide grid and a dense
+      graph of 21-24 vertices, which take several chunks of 2^20 subsets
+    - the enumerator's half tables hold the union of every subset of rows
     - footprint families of equal size have equal counts and order sums
     - the census decomposes over layer spans, independent of position
     - census output is invariant under vertex relabeling
@@ -28,7 +33,11 @@ from hypothesis import strategies as st
 
 from consets.aggregate import evaluate
 from consets.oracle import (
-    _CHECKERS,
+    _connected_chunks,
+    _connected_union_find,
+    _flood_sizes,
+    _member_masks,
+    _size_masks,
     _union_table,
     MAX_CAP,
     CapExceededError,
@@ -115,18 +124,87 @@ def test_census_checkers_agree_on_structured_graphs():
         assert census(graph).size_counts == census(graph, connectivity="union-find").size_counts
 
 
-def test_connectivity_checkers_agree_on_random_subsets():
+def _clique(v: int) -> SimpleGraph:
+    return SimpleGraph(v, [(i, j) for i in range(v) for j in range(i + 1, v)])
+
+
+def _random_graph(rng: random.Random, v: int, density: float) -> SimpleGraph:
+    return SimpleGraph(v, [(i, j) for i in range(v) for j in range(i + 1, v)
+                           if rng.random() < density])
+
+
+def _bitmap_agrees_with_union_find(graph: SimpleGraph, chunk_bits: int) -> None:
+    adjacency = graph.adjacency
+    bits = min(graph.vertex_count, chunk_bits)
+    firsts = []
+    for first, connected in _connected_chunks(adjacency, chunk_bits):
+        firsts.append(first)
+        assert connected >> (1 << bits) == 0  # no bit past the chunk
+        for low in range(1 << bits):
+            mask = first | low
+            assert connected >> low & 1 == (mask != 0 and _connected_union_find(adjacency, mask))
+    assert firsts == [high << bits for high in range(1 << (graph.vertex_count - bits))]
+
+
+def test_connectivity_bitmap_agrees_with_union_find_on_every_subset():
     rng = random.Random(424242)
-    flood, union_find = _CHECKERS["flood"], _CHECKERS["union-find"]
     for _ in range(10):
-        v = rng.randint(6, 12)
-        edges = [(i, j) for i in range(v) for j in range(i + 1, v)
-                 if rng.random() < 0.3]
-        graph = SimpleGraph(v, edges)
-        flooded, joined = flood(graph.adjacency), union_find(graph.adjacency)
-        for _ in range(100):
-            mask = rng.randint(1, (1 << v) - 1)
-            assert flooded(mask) == joined(mask)
+        _bitmap_agrees_with_union_find(_random_graph(rng, rng.randint(6, 12), 0.3), 20)
+
+
+@pytest.mark.parametrize("chunk_bits", [1, 2, 3, 5])
+def test_connectivity_bitmap_agrees_with_union_find_in_many_chunks(chunk_bits):
+    rng = random.Random(chunk_bits)
+    for v in (1, 4, 7, 9):
+        _bitmap_agrees_with_union_find(_random_graph(rng, v, 0.4), chunk_bits)
+    # the vertices above the chunk include a path and an isolated vertex
+    _bitmap_agrees_with_union_find(SimpleGraph(8, [(0, 5), (5, 6), (1, 2), (2, 3)]), chunk_bits)
+
+
+def test_member_and_size_masks_slice_the_subsets():
+    assert _member_masks(0) == [] and _size_masks(0) == [1]
+    assert _member_masks(2) == [0b1010, 0b1100]
+    assert _size_masks(2) == [0b0001, 0b0110, 0b1000]
+    members, sizes = _member_masks(5), _size_masks(5)
+    for subset in range(32):
+        assert [member >> subset & 1 for member in members] == [
+            subset >> u & 1 for u in range(5)]
+        assert [size >> subset & 1 for size in sizes] == [
+            int(subset.bit_count() == j) for j in range(6)]
+
+
+@pytest.mark.parametrize("graph", [
+    SimpleGraph(1, []),
+    SimpleGraph(2, [(0, 1)]),
+    SimpleGraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]),
+    SimpleGraph(9, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # five isolated top vertices
+    SimpleGraph(9, [(0, 8), (1, 7), (2, 6)]),
+    _clique(5),
+], ids=["v=1", "edge", "path-7", "isolated-top", "across", "K5"])
+def test_sliced_census_in_any_number_of_chunks(graph):
+    expected = census(graph, connectivity="union-find").size_counts
+    for chunk_bits in range(1, graph.vertex_count + 2):
+        assert tuple(_flood_sizes(graph.adjacency, chunk_bits)) == expected
+
+
+def _tree(v: int) -> SimpleGraph:
+    rng = random.Random(v)
+    return SimpleGraph(v, [(rng.randrange(u), u) for u in range(1, v)])
+
+
+def _four_wide_grid(rows: int) -> SimpleGraph:
+    edges = [(u, u + 1) for u in range(4 * rows) if u % 4 != 3]
+    return SimpleGraph(4 * rows, edges + [(u, u + 4) for u in range(4 * rows - 4)])
+
+
+@pytest.mark.parametrize("graph", [
+    _tree(21), _four_wide_grid(6), _random_graph(random.Random(22), 22, 0.7),
+], ids=["tree-21", "grid-4x6", "dense-22"])
+def test_both_routes_agree_past_one_chunk(graph):
+    assert graph.vertex_count > 20  # several chunks of 2^20 subsets
+    grown = enumerated_census(graph, cap=MAX_CAP).size_counts
+    assert census(graph, cap=MAX_CAP).size_counts == grown
+    assert sum(grown[:2]) == graph.vertex_count + graph.edge_count
 
 
 def test_union_table_holds_every_subset_union():
@@ -156,10 +234,6 @@ def test_enumerated_census_hand_listings():
     assert enumerated_census(complete_path_product(3, 2).graph).size_counts == (6, 9, 14, 15, 6, 1)
     # two isolated vertices beside a triangle: no set spans components
     assert enumerated_census(SimpleGraph(5, [(2, 3), (3, 4), (2, 4)])).size_counts == (5, 3, 1, 0, 0)
-
-
-def _clique(v: int) -> SimpleGraph:
-    return SimpleGraph(v, [(i, j) for i in range(v) for j in range(i + 1, v)])
 
 
 @pytest.mark.parametrize("v", [1, 2, 3, 7, 12, 26])
@@ -198,7 +272,7 @@ def test_enumerated_census_of_stars(v, centre):
 def small_graphs(draw) -> SimpleGraph:
     """Any simple graph on 1..12 vertices, sparse ones (hence disconnected
     ones and isolated vertices) included; its top 0..v-1 vertices may have
-    no edge at all, so the flood's high table may hold only empty rows."""
+    no edge at all, so the enumerator's high table may hold only empty rows."""
     v = draw(st.integers(1, 12))
     core = v - draw(st.integers(0, v - 1))
     pairs = [(i, j) for i in range(core) for j in range(i + 1, core)]
@@ -217,7 +291,7 @@ def small_graphs(draw) -> SimpleGraph:
 @example(graph=SimpleGraph(11, [(i, j) for i in range(10) for j in range(i + 1, 10)]))
 @example(graph=_clique(9))
 def test_enumerated_census_equals_both_checkers(graph):
-    # the flood splits odd v into halves of (v+1)/2 and (v-1)/2; the last
+    # the half tables split odd v into halves of (v+1)/2 and (v-1)/2; the last
     # five examples are a path across the halves, three edges joining them
     # only, an isolated top vertex, a clique beside one and a complete graph
     grown = enumerated_census(graph).size_counts
@@ -225,11 +299,12 @@ def test_enumerated_census_equals_both_checkers(graph):
     assert grown == census(graph, connectivity="union-find").size_counts
 
 
-@pytest.mark.parametrize("m,n", [(3, 7), (5, 3), (6, 3), (7, 3)])
+@pytest.mark.parametrize("m,n", [(3, 7), (5, 3), (6, 3), (7, 3), (3, 8), (4, 6), (6, 4)])
 def test_enumerated_census_equals_engine_past_the_grid(m, n):
-    # (5, 3) and (6, 3), the grid's last cells at m = 5 and 6, count 95%
-    # and 98% of their sets in closed form; (3, 7) and (7, 3) lie past it
-    report = enumerated_census(complete_path_product(m, n).graph)
+    # (5, 3) and (6, 3) are the grid's last cells at m = 5 and 6; the
+    # others lie past it, up to 24 vertices and 1.05·10^7 sets at (6, 4),
+    # which the memo of subtree counts reaches in milliseconds
+    report = enumerated_census(complete_path_product(m, n, MAX_CAP).graph, MAX_CAP)
     result = evaluate(m, n)
     assert (report.count, report.total_order) == (result.count, result.total)
 

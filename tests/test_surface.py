@@ -10,7 +10,8 @@ Claims covered:
       as do the ladder's single-n closed-form path, the constructor
       that took A and D from its caller, the tuned engine crossover,
       the symmetry helpers that rebuilt every power, the
-      vertex-at-a-time flood and the jump's own route to p
+      vertex-at-a-time flood, the per-subset flood with its table of
+      checkers, and the jump's own route to p
     - no module but ``verify`` imports ``consets.ladder``: the closed
       forms check the engine and never print a row
 
@@ -53,7 +54,8 @@ TEST_ONLY_ROUTES = {
 #: because the jump takes p from ``layers.layer_polynomial`` alone, or
 #: because ``annihilator`` squares p (x-1) with the jump's own squaring,
 #: now ``exactmath.poly_square``, instead of a general product, or because
-#: ``math.comb`` gives the binomials a Pascal row rebuilt.
+#: ``math.comb`` gives the binomials a Pascal row rebuilt, or because the
+#: flood runs every subset of a chunk at once, bit-sliced.
 DELETED = [
     ("aggregate", "count_connected_sets"), ("aggregate", "total_order"),
     ("aggregate", "average_order"), ("aggregate", "density"),
@@ -66,7 +68,7 @@ DELETED = [
     ("ladder", "pell"), ("ladder", "half_companion"), ("ladder", "layer_total"),
     ("orders", "weight_matrix"),
     ("layers", "weighted_profile_sum"), ("layers", "weighted_power_symmetric"),
-    ("oracle", "_connected_flood"),
+    ("oracle", "_connected_flood"), ("oracle", "_flood"), ("oracle", "_CHECKERS"),
     ("exactmath", "QuadInt"), ("exactmath", "SILVER_UNIT"),
     ("exactmath", "QuadInt.__add__"), ("exactmath", "QuadInt.__sub__"),
     ("exactmath", "QuadInt.conjugate"), ("exactmath", "QuadInt.norm"),
