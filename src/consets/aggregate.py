@@ -5,12 +5,15 @@ equal length are interchangeable, so the graph-level count and order sum
 are triangular-weighted sums of the per-horizon layer quantities, which
 ``cell_stream`` keeps as running prefix sums.  ``evaluate`` returns all
 four quantities of one cell as one ``ProductResult``, which derives the
-average order and density from N and S as exact reduced fractions.  The
-CLI prints every row, ``ladder`` included, through this engine.
+average order and density from N and S as exact reduced fractions: one
+big gcd for the average, and a gcd with mn for the density, taken when
+it is read.  The CLI prints every row, ``ladder`` included, through this
+engine.
 
 One cell has one walk, finished by a jump only where the recurrence
 decides.  ``annihilator`` gives N and S one linear recurrence of degree
-d = 2m+2, whose polynomial Q it builds from ``layers.layer_polynomial``.
+d = 2m+2, whose polynomial Q it builds from p, the layer matrix's
+characteristic polynomial, read off the same walk.
 ``_jumper`` powers x to about n/2 modulo Q, in O(log n) polynomial
 squarings, and reads N(n) and S(n) off a Hankel form over the stream's
 first 2d = 4m+4 items.  Below n = 4m+5 that half power is never reduced
@@ -23,10 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice, pairwise
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .exactmath import IntPolynomial, poly_square, x_power_mod
-from .layers import column_stream, layer_polynomial
+from .layers import column_stream, totals_polynomial
 from .records import FrozenRecord
 
 
@@ -43,8 +46,13 @@ def cell_stream(m: int, one=1) -> Iterator[tuple]:
     big-integer additions and one small multiple.  The items have the type
     of ``one``: Decimal(1), in an exact context, gives the CLI's Decimal twin.
     """
+    return _running_sums(m, column_stream(m, one))
+
+
+def _running_sums(m: int, columns: Iterable[tuple]) -> Iterator[tuple]:
+    """``cell_stream``'s items off a walk of its column pairs from horizon 1."""
     count = total = span_count = span_total = 0
-    for _, (counts, orders) in pairwise(column_stream(m, one)):
+    for _, (counts, orders) in pairwise(columns):
         span_count += counts[-1]
         span_total += orders[-1] - m * counts[-1]
         count += span_count
@@ -71,10 +79,13 @@ def annihilator(p: IntPolynomial) -> IntPolynomial:
 
 
 def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
-    """n -> (N(n), S(n)) by the recurrence jump, off one walk of the first
-    4m+4 items of ``cell_stream`` and Q from ``layers.layer_polynomial``.
+    """n -> (N(n), S(n)) by the recurrence jump, off one column walk that
+    gives both the first 4m+4 items of ``cell_stream`` and Q.
 
     Those items are the Hankel terms a(1..2d), d = 2m+2, the degree of Q.
+    The last count entries of the walk's columns 2..2m+1 are the totals
+    T(1..2m), from which ``layers.totals_polynomial`` gives p, as it does
+    for ``layers.layer_polynomial``.
     The functional x^j -> a(j+1) vanishes on multiples of Q, and
     x^(n-1) = x^o s^2 mod Q with s = x^h mod Q, n - 1 = 2h + o, so
     a(n) = sum_i s_i sum_j s_j a(i+j+o+1): one powering to the half power
@@ -82,8 +93,15 @@ def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
     n = 2d+1 the half power is unreduced and the form reads a(n) back,
     so ``evaluate`` jumps only from n = 2d+1 = 4m+5 on.
     """
-    hankel = list(zip(*islice(cell_stream(m), 4 * m + 4)))
-    modulus = annihilator(layer_polynomial(m))
+    totals = []  # the last count entry of each column walked
+
+    def walk() -> Iterator[tuple]:
+        for pair in column_stream(m):
+            totals.append(pair[0][-1])
+            yield pair
+
+    hankel = list(zip(*islice(_running_sums(m, walk()), 4 * m + 4)))
+    modulus = annihilator(totals_polynomial(m, totals[1:2 * m + 1]))
 
     def jump(n: int) -> tuple[int, int]:
         half, odd = divmod(n - 1, 2)
@@ -97,21 +115,26 @@ def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
 
 class ProductResult(FrozenRecord):
     """All four headline quantities for one (m, n) cell: built from the
-    count N and order total S, it derives the average S/N and the density
-    S/(N·mn) once, as exact reduced fractions, so they always agree.  An
-    average outside [1, mn] is an engine fault, so it raises
-    ArithmeticError, not the ValueError of a bad argument."""
+    count N and order total S, it holds the average S/N as an exact
+    reduced fraction, the one big gcd of the cell, and derives the density
+    A/(mn) from it when read, so the two always agree.  1 <= A <= mn is
+    checked on the integers, as N <= S <= mn·N, before the gcd.  An average
+    outside that range is an engine fault, so it raises ArithmeticError,
+    not the ValueError of a bad argument."""
 
-    __slots__ = ("m", "n", "count", "total", "average", "density")
+    __slots__ = ("m", "n", "count", "total", "average")
 
     def __init__(self, m: int, n: int, count: int, total: int):
-        average = Fraction(total, count)
         # 1 <= A <= mn also gives 0 < D <= 1.
-        if not 1 <= average <= m * n:
+        if not count <= total <= m * n * count:
             raise ArithmeticError("average outside [1, m*n]")
-        for name, value in zip(self.__slots__,
-                               (m, n, count, total, average, average / (m * n))):
+        for name, value in zip(self.__slots__, (m, n, count, total, Fraction(total, count))):
             object.__setattr__(self, name, value)
+
+    @property
+    def density(self) -> Fraction:
+        """D = A/(mn), reduced: a gcd of A's numerator with mn, which is small."""
+        return self.average / (self.m * self.n)
 
     def __reduce__(self):
         return type(self), (self.m, self.n, self.count, self.total)

@@ -23,17 +23,19 @@ charpoly
     The characteristic polynomial of the layer recurrence matrix, with
     its coefficient identities checked.  It comes from
     layers.layer_polynomial (Berlekamp-Massey on the streamed totals,
-    certified exactly), the p the recurrence jump takes; verify
-    --charpoly compares it with Faddeev-LeVerrier.
+    certified exactly), the step that gives the recurrence jump its p;
+    verify --charpoly compares it with Faddeev-LeVerrier.
 ladder
     The two-layer cells: compute (--n) or table (--n-max) at m = 2;
     verify --ladder checks them against the ladder closed forms.
 
 compute, table and ladder take --format: plain (default), csv (fixed
 header), json (big integers as decimal strings).  Every printed row is
-one aggregate.ProductResult, built from the cell's count and order sum;
-it derives the average and density and checks that 1 <= A <= mn.
-OutputRecord renders it.  ladder takes exactly one of --n and --n-max.
+one aggregate.ProductResult, built from the cell's count and order sum:
+it checks that 1 <= A <= mn on the integers and reduces A, the row's one
+gcd of two big numbers.  OutputRecord renders it, reading D's reduction
+off A and a gcd with mn, and writes each csv or plain row in one call.
+ladder takes exactly one of --n and --n-max.
 Exact fractions are authoritative; decimal columns are renderings at
 --precision significant digits, round-half-even, which compute, table,
 ladder and verify --graph take; --precision is refused above
@@ -47,10 +49,11 @@ as the engine yields it, so their memory does not grow with n_max; json
 collects the rows for one dump.
 
 compute, table and ladder load only the engine (aggregate, layers,
-exactmath); verify and charpoly import the census, the suites and the
-coefficient checks when they run (verify --m/--n and --graph only the
-census and its checks, from reporting), and json is imported for json
-output alone, so a process pays only for the command it runs.
+exactmath); verify imports the census and the suites when it runs
+(verify --m/--n and --graph only the census and its checks, from
+reporting), charpoly only the coefficient checks (recurrence), never the
+census, and json is imported for json output alone, so a process pays
+only for the command it runs.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3
 internal error (any other exception, an engine cell outside
@@ -68,14 +71,12 @@ import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from math import gcd
+from typing import Iterable, Sequence
 
 from . import aggregate
 from .layers import layer_polynomial
-from .records import FrozenRecord
-
-if TYPE_CHECKING:
-    from .reporting import Check
+from .records import Check, FrozenRecord
 
 CSV_HEADER = "m,n,N,S,A_num,A_den,A_dec,D_num,D_den,D_dec"
 DEFAULT_PRECISION = 12
@@ -161,9 +162,10 @@ class OutputRecord(FrozenRecord):
     def _fields(self, precision: int) -> tuple[str, ...]:
         """Texts of N, S, A_num, A_den, A_dec, D_num, D_den, D_dec from libmpdec,
         each distinct number once: A = (S/g) / (N/g) and D = (A_num/g2) /
-        (A_den·mn/g2), g = gcd(S, N) and g2 = gcd(A_num, mn) off the fractions."""
+        (A_den·mn/g2), with g = gcd(S, N) read off the average as N / A_den
+        and g2 = gcd(A_num, mn), a gcd with a small number."""
         result, average = self.result, self.result.average
-        g, g2 = result.count // average.denominator, average.numerator // result.density.numerator
+        g, g2 = result.count // average.denominator, gcd(average.numerator, result.m * result.n)
         with localcontext(EXACT):
             count, total = str(self.count), str(self.total)
             if g == 1:
@@ -196,19 +198,21 @@ class OutputRecord(FrozenRecord):
 
 def emit_records(records: Iterable[OutputRecord], fmt: str, precision: int,
                  single: bool) -> None:
-    """Print the records; csv and plain print each one as it arrives."""
+    """Print the records; csv and plain write each row as it arrives, with
+    its newline in the same write call (``print`` makes two, which
+    unbuffered stdout, as under PYTHONUNBUFFERED, passes on one by one)."""
     if fmt == "json":
         import json
 
         objects = [record.json_object(precision) for record in records]
         print(json.dumps(objects[0] if single else objects, indent=2))
-    elif fmt == "csv":
-        print(CSV_HEADER)
-        for record in records:
-            print(record.csv_row(precision))
-    else:
-        for record in records:
-            print(record.plain_line(precision))
+        return
+    write = sys.stdout.write
+    if fmt == "csv":
+        write(CSV_HEADER + "\n")
+    row = OutputRecord.csv_row if fmt == "csv" else OutputRecord.plain_line
+    for record in records:
+        write(row(record, precision) + "\n")
 
 
 def _print_checks(checks: Sequence[Check]) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import accumulate, islice
 from math import comb
-from operator import add
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .exactmath import IntMatrix, IntPolynomial, char_poly, sequence_annihilator
@@ -95,10 +95,10 @@ def column_stream(m: int, one=1) -> Iterator[tuple[tuple, tuple]]:
     the vertices layer k itself contributes.  Only the current pair is held;
     its entries have the type of ``one``, as in ``count_columns``.
     """
+    sizes = range(1, m + 1)
     orders = (0,) * m
     for counts in count_columns(m, one):
-        orders = tuple(s + i * c for i, (s, c)
-                       in enumerate(zip(layer_step(orders), counts), start=1))
+        orders = tuple(map(add, layer_step(orders), map(mul, sizes, counts)))
         yield counts, orders
 
 
@@ -109,11 +109,16 @@ def layer_polynomial(m: int) -> IntPolynomial:
     T(k) is the weight row times A^(k-1) times the ones column.  The last
     row of A is that weight row, so T(k) is the last entry of column k+1,
     and p annihilates the totals (Cayley-Hamilton).
-    ``sequence_annihilator`` certifies the monic degree-m annihilator of
-    T(1..2m) unique, which makes it p; where it cannot, p comes from
-    ``char_poly`` of the literal matrix (Faddeev-LeVerrier).
     """
-    totals = [counts[-1] for counts in islice(count_columns(m), 1, 2 * m + 1)]
+    return totals_polynomial(m, [counts[-1] for counts in islice(count_columns(m), 1, 2 * m + 1)])
+
+
+def totals_polynomial(m: int, totals: Sequence[int]) -> IntPolynomial:
+    """p from the totals T(1..2m), however the caller walked them:
+    ``sequence_annihilator`` certifies their monic degree-m annihilator
+    unique, which makes it p; where it cannot, p comes from ``char_poly``
+    of the literal matrix (Faddeev-LeVerrier).  ``layer_polynomial`` and
+    the recurrence jump both take p from here."""
     polynomial = sequence_annihilator(totals)
     return polynomial if polynomial is not None else char_poly(recurrence_matrix(m))
 

@@ -1,6 +1,13 @@
-"""The immutable record base that the result types share."""
+"""The immutable records that the result types and the checks share.
+
+``Check`` lives here rather than beside the census checks in
+``reporting``, so that ``recurrence`` (and with it ``charpoly``) can make
+checks without importing the census.
+"""
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 
 class FrozenRecord:
@@ -36,3 +43,17 @@ class FrozenRecord:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+class Check(NamedTuple):
+    """One named verification with the cell it was exercised at."""
+
+    name: str
+    where: str
+    ok: bool
+    detail: str = ""
+
+    def line(self) -> str:
+        status = "PASS" if self.ok else "FAIL"
+        suffix = f": {self.detail}" if (self.detail and not self.ok) else ""
+        return f"{status}  {self.name}  [{self.where}]{suffix}"

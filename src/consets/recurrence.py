@@ -6,9 +6,10 @@ forms for its coefficients against independent matrix-side quantities:
 the top coefficient (through the trace, against Fibonacci numbers) holds
 for every m, while the unit-constant-term claim is true only for
 m = 0, 3 (mod 4) and is reported honestly where it fails.  p comes from
-``layers.layer_polynomial``, the route the engine's jump takes through
-``aggregate.annihilator`` and ``charpoly`` prints: Berlekamp-Massey on
-the streamed totals, certified exactly.  The trace and determinant are
+``layers.layer_polynomial``, which ``charpoly`` prints, by the step
+(``layers.totals_polynomial``) from which the engine's jump takes the p
+of ``aggregate.annihilator``: Berlekamp-Massey on the streamed totals,
+certified exactly.  The trace and determinant are
 read off the literal matrix; ``verify.charpoly_checks`` compares p with
 Faddeev-LeVerrier (``exactmath.char_poly``), and ``verify.stream_checks``
 checks that the latter annihilates the per-horizon totals.
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 from .exactmath import IntPolynomial
 from .layers import layer_polynomial, recurrence_matrix
-from .reporting import Check
+from .records import Check
 
 
 def fibonacci(n: int) -> int:

@@ -1,5 +1,5 @@
-"""Pass/fail verification results, and the census checks that ``verify
---m --n``, ``verify --graph`` and the battery's grid share.
+"""The census checks that ``verify --m --n``, ``verify --graph`` and the
+battery's grid share.
 
 The census checks live here rather than in ``verify``, so that a scoped
 census run imports the engine and the census alone, never the suites,
@@ -8,23 +8,8 @@ the ladder closed forms, the order routes or the coefficient checks.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from . import aggregate, oracle
-
-
-class Check(NamedTuple):
-    """One named verification with the cell it was exercised at."""
-
-    name: str
-    where: str
-    ok: bool
-    detail: str = ""
-
-    def line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        suffix = f": {self.detail}" if (self.detail and not self.ok) else ""
-        return f"{status}  {self.name}  [{self.where}]{suffix}"
+from .records import Check
 
 
 def oracle_cell_checks(m: int, n: int, cap: int | None = None) -> list[Check]:

@@ -29,7 +29,8 @@ from .layers import (
     weighted_sum,
 )
 from .orders import layer_order_sum_convolution, order_column_direct
-from .reporting import Check, oracle_cell_checks
+from .records import Check
+from .reporting import oracle_cell_checks
 
 #: Desk-scale cells for census-vs-formula equivalence: (m, largest n).
 #: Every cell has at most 22 vertices, the default cap.
@@ -125,8 +126,8 @@ def charpoly_checks(m_max: int = 10) -> list[Check]:
 
 def layer_step_checks(m_max: int = 12) -> list[Check]:
     """The factored walk against the literal matrix, for m = 1..m_max over
-    the first 2m+2 horizons, the columns behind ``layer_polynomial``'s
-    totals T(1..2m) and the first 2m+1 stream items: each
+    the first 2m+2 horizons, the columns behind p's totals T(1..2m) and
+    the first 2m+1 stream items: each
     count column of ``column_stream`` is A times the one before, and each
     order column A times the one before plus i times the new counts.  One
     check in all, carrying the first horizon where the walk departs."""

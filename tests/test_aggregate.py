@@ -6,7 +6,9 @@ Claims covered:
     - the convolution route to the average agrees with the stream route
     - every desk-scale cell matches the census exactly
     - the average and density are derived from N and S, never passed
-      in, and the bound 1 <= A <= mn is enforced
+      in; D = S/(N·mn); the bound 1 <= A <= mn is enforced on the
+      integers, accepting both edges S = N and S = mn·N and refusing one
+      past either; the average is held, not reduced again when read
     - a deep cell holds O(m) integers, not every column
     - the recurrence jump equals the stream, and ``evaluate`` equals it
       on both sides of n = 4m+4, the last Hankel term: up to there it
@@ -18,10 +20,9 @@ Claims covered:
       takes the binomial weights
     - the stream's second differences equal the weighted count and order
       columns
-    - a jump walks the stream once, for its 4m+4 Hankel terms, and the
-      count columns once more, inside ``layer_polynomial``, for p: never
-      by Faddeev-LeVerrier for m <= 60, and by it where Berlekamp-Massey
-      is not certified
+    - a jump walks the count columns once, for its 4m+4 Hankel terms and
+      the totals T(1..2m) that give p: never by Faddeev-LeVerrier for
+      m <= 60, and by it where Berlekamp-Massey is not certified
     - the jump equals the stream at random n of both parities past the
       seeds, m = 1..12, and the linear read-out sum_j r_j a(j+1), with
       r = x^(n-1) mod Q, at n = 1001, 1002 and 10^4
@@ -102,10 +103,11 @@ def test_convolution_route_agrees():
 
 
 def test_density_bounds():
-    for m in range(1, 6):
-        for n in range(1, 13):
-            d = evaluate(m, n).density
-            assert Fraction(1, m * n) <= d <= 1
+    for m in range(1, 9):
+        for n in range(1, 4 * m + 9):
+            result = evaluate(m, n)
+            assert result.density == Fraction(result.total, result.count * m * n), (m, n)
+            assert Fraction(1, m * n) <= result.density <= 1
 
 
 def test_census_equivalence_desk_scale():
@@ -133,6 +135,21 @@ def test_result_invariants_enforced():
         ProductResult(1, 2, 1, 5)
     with pytest.raises(ArithmeticError, match="average outside"):
         ProductResult(1, 2, 2, 1)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (3, 2), (8, 40), (2, 2000)])
+def test_result_range_is_checked_on_the_integers(m, n):
+    # 1 <= A <= mn is N <= S <= mn·N: both edges are accepted, one past
+    # either is refused
+    count = evaluate(m, n).count
+    for total in (count, m * n * count):
+        result = ProductResult(m, n, count, total)
+        assert result.average == Fraction(total, count)
+        assert result.density == Fraction(total, count * m * n)
+        assert result.average is result.average  # held, never reduced again
+    for total in (count - 1, m * n * count + 1):
+        with pytest.raises(ArithmeticError, match="average outside"):
+            ProductResult(m, n, count, total)
 
 
 def test_deep_cell_memory_stays_flat():
@@ -186,7 +203,7 @@ def test_evaluate_streams_through_the_hankel_terms(monkeypatch):
     def refused(*args):
         raise AssertionError("evaluate left the stream")
 
-    for name in ("_jumper", "layer_polynomial", "x_power_mod"):
+    for name in ("_jumper", "totals_polynomial", "x_power_mod"):
         monkeypatch.setattr(aggregate, name, refused)
     for m, streamed in expected.items():
         for n, item in enumerate(streamed, start=1):
@@ -207,8 +224,8 @@ def test_a_jump_walks_the_columns_once(m, monkeypatch):
     monkeypatch.setattr(layers, "count_columns", counted)
     jump = _jumper(m)
     # 4m+4 Hankel terms, the last one's totals read off one more column;
-    # then layer_polynomial's totals T(1..2m), read off columns 2..2m+1
-    assert walks == [4 * m + 5, 2 * m + 1]
+    # p's totals T(1..2m) are columns 2..2m+1 of the same walk
+    assert walks == [4 * m + 5]
     assert jump(4 * m + 5) == next(islice(cell_stream(m), 4 * m + 4, None))
 
 

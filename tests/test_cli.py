@@ -14,6 +14,10 @@ Claims covered:
       disagrees with the int walk stops the table before that row
     - table and ladder output is byte-for-byte the reference rendering of
       the stream
+    - every field of every csv, json and plain table row for m = 1..8,
+      n <= 4m+8, and ladder row up to n = 200 equals its reference from
+      Fraction(S, N), Fraction(S, N·mn) and format_decimal, over rows
+      with gcd(S, N) = 1 and > 1 and with gcd(A_num, mn) = 1 and > 1
     - table and ladder stream their rows: memory does not grow with n_max
     - a reader closing the pipe ends the CLI quietly with exit 141
     - verify exits 0 on clean scopes, 1 on mismatch, 2 on usage errors,
@@ -41,6 +45,7 @@ Claims covered:
 
 import contextlib
 import json
+import math
 import os
 import random
 import re
@@ -490,6 +495,65 @@ def test_ladder_rows_equal_closed_forms(capsys):
             2, n, count, total,
             average.numerator, average.denominator, format_decimal(average),
             density.numerator, density.denominator, format_decimal(density)))
+
+
+#: A plain row's fields, in json's order and under json's names.
+PLAIN_ROW = re.compile(r"m=(\d+) n=(\d+): N=(\d+) S=(\d+) A=(\S+) \(~(\S+)\) D=(\S+) \(~(\S+)\)")
+ROW_NAMES = ("m", "n", "N", "S", "A_exact", "A_decimal", "D_exact", "D_decimal")
+
+
+def _printed_rows(fmt: str, out: str) -> list[dict[str, str]]:
+    """Each printed row's fields as text, by csv's names for csv rows."""
+    if fmt == "json":
+        return [{name: str(value) for name, value in row.items()} for row in json.loads(out)]
+    lines = out.splitlines()
+    if fmt == "plain":
+        return [dict(zip(ROW_NAMES, PLAIN_ROW.fullmatch(line).groups())) for line in lines]
+    assert lines[0] == CSV_HEADER
+    return [dict(zip(CSV_HEADER.split(","), line.split(","))) for line in lines[1:]]
+
+
+def _reference_row(fmt: str, m: int, n: int, count: int, total: int) -> dict[str, str]:
+    """A row's fields from N and S alone: A = S/N and D = S/(N·mn) as
+    fractions, rendered by format_decimal."""
+    average, density = Fraction(total, count), Fraction(total, count * m * n)
+    fields = {"m": m, "n": n, "N": count, "S": total}
+    if fmt == "csv":
+        fields.update(A_num=average.numerator, A_den=average.denominator,
+                      A_dec=format_decimal(average), D_num=density.numerator,
+                      D_den=density.denominator, D_dec=format_decimal(density))
+    else:
+        fields.update(A_exact=average, A_decimal=format_decimal(average),
+                      D_exact=density, D_decimal=format_decimal(density))
+    return {name: str(value) for name, value in fields.items()}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "plain"])
+def test_row_fields_equal_the_fractions_of_n_and_s(fmt, capsys):
+    # Rows with g = gcd(S, N) = 1 and > 1, and with g2 = gcd(A_num, mn) = 1
+    # and > 1.  The reference N and S come from evaluate, which jumps past
+    # n = 4m+4, for the tables, and from the Pell closed forms for the ladder.
+    runs = []
+    for m in range(1, 9):
+        results = [aggregate.evaluate(m, n) for n in range(1, 4 * m + 9)]
+        runs.append((m, ["table", "--m", str(m), "--n-max", str(4 * m + 8)],
+                     [(result.n, result.count, result.total) for result in results]))
+    runs.append((2, ["ladder", "--n-max", "200"],
+                 [(n, *cell) for n, (cell, _) in zip(range(1, 201), ladder.row_stream())]))
+    for m, argv, cells in runs:
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        rows = _printed_rows(fmt, out)
+        assert len(rows) == len(cells)
+        seen = set()
+        for row, (n, count, total) in zip(rows, cells):
+            expected = _reference_row(fmt, m, n, count, total)
+            for name, text in expected.items():
+                assert row[name] == text, (argv, n, name)
+            assert row.keys() == expected.keys()
+            numerator = Fraction(total, count).numerator
+            seen.add((numerator == total, math.gcd(numerator, m * n) == 1))
+        assert {g for g, _ in seen} == {True, False} == {g2 for _, g2 in seen}, argv
 
 
 def test_ladder_requires_scope(capsys):

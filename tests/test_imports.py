@@ -9,6 +9,8 @@ Claims covered:
     - verify --m --n and verify --graph import the census but neither the
       verification suites nor the ladder closed forms, the order
       reference routes or the scalar recurrence
+    - charpoly imports the coefficient checks but not the census, its
+      checks, the suites, the ladder closed forms or the order routes
     - ``import consets`` loads none of its modules, and ``from consets
       import evaluate`` none of those above
     - every name in ``consets.__all__`` resolves to the object its module
@@ -102,6 +104,14 @@ def test_census_verify_loads_no_suite(bare, tmp_path, scope):
     assert (SUITES & loaded) - bare == set()
 
 
+def test_charpoly_loads_no_census(bare):
+    # m = 4: the claims it checks hold there, so it exits 0
+    loaded = _loaded(RUN_CLI, json.dumps(["charpoly", "--m", "4"]))
+    assert "consets.recurrence" in loaded  # the checks ran
+    unwanted = {"consets.oracle", "consets.reporting", *SUITES} - {"consets.recurrence"}
+    assert (unwanted & loaded) - bare == set()
+
+
 def test_importing_the_package_loads_no_module(bare):
     loaded = _loaded("import consets\n" + REPORT)
     assert {name for name in loaded if name.startswith("consets.")} == set()
@@ -136,8 +146,7 @@ def test_unknown_name_raises_attribute_error_naming_it():
 #: (record, an equal record built apart, a record that differs, its repr prefix)
 RECORDS = [
     (lambda: ProductResult(3, 2, 51, 162), lambda: ProductResult(2, 3, 47, 152),
-     "ProductResult(m=3, n=2, count=51, total=162, average=Fraction(54, 17), "
-     "density=Fraction(9, 17))"),
+     "ProductResult(m=3, n=2, count=51, total=162, average=Fraction(54, 17))"),
     (lambda: OutputRecord(ProductResult(3, 2, 51, 162)),
      lambda: OutputRecord(ProductResult(2, 3, 47, 152)),
      "OutputRecord(result=ProductResult(m=3, n=2, "),
