@@ -13,27 +13,14 @@ references (``consets.orders``), the two-layer closed forms
 (``consets.ladder``, which only ``verify`` runs) and the suites
 (``consets.verify``).
 
-Importing the package loads none of its modules.  The module
-``__getattr__`` (PEP 562) imports ``aggregate`` on the first read of a
-public name, so ``from consets import evaluate`` loads the engine and
-never the census or the verification suites, and the command line pays
-only for the command that runs.
+Importing the package loads the engine, ``aggregate``, and what it
+imports (``exactmath``, ``layers``, ``records``); every command runs
+the engine.  The census and the verification suites load only with
+the command that runs them.
 """
+
+from .aggregate import ProductResult, cell_stream, evaluate
 
 __version__ = "0.1.0"
 
 __all__ = ["ProductResult", "cell_stream", "evaluate"]
-
-
-def __getattr__(name: str):
-    if name not in __all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import aggregate
-
-    value = getattr(aggregate, name)
-    globals()[name] = value  # later reads skip this hook
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

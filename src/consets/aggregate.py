@@ -13,7 +13,7 @@ engine.
 One cell has one walk, finished by a jump only where the recurrence
 decides.  ``annihilator`` gives N and S one linear recurrence of degree
 d = 2m+2, whose polynomial Q it builds from p, the layer matrix's
-characteristic polynomial, read off the same walk.
+characteristic polynomial, read off the counts of the same walk.
 ``_jumper`` powers x to about n/2 modulo Q, in O(log n) polynomial
 squarings, and reads N(n) and S(n) off a Hankel form over the stream's
 first 2d = 4m+4 items.  Below n = 4m+5 that half power is never reduced
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice, pairwise
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .exactmath import IntPolynomial, poly_square, x_power_mod
 from .layers import column_stream, totals_polynomial
@@ -46,13 +46,8 @@ def cell_stream(m: int, one=1) -> Iterator[tuple]:
     big-integer additions and one small multiple.  The items have the type
     of ``one``: Decimal(1), in an exact context, gives the CLI's Decimal twin.
     """
-    return _running_sums(m, column_stream(m, one))
-
-
-def _running_sums(m: int, columns: Iterable[tuple]) -> Iterator[tuple]:
-    """``cell_stream``'s items off a walk of its column pairs from horizon 1."""
     count = total = span_count = span_total = 0
-    for _, (counts, orders) in pairwise(columns):
+    for _, (counts, orders) in pairwise(column_stream(m, one)):
         span_count += counts[-1]
         span_total += orders[-1] - m * counts[-1]
         count += span_count
@@ -79,13 +74,15 @@ def annihilator(p: IntPolynomial) -> IntPolynomial:
 
 
 def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
-    """n -> (N(n), S(n)) by the recurrence jump, off one column walk that
-    gives both the first 4m+4 items of ``cell_stream`` and Q.
+    """n -> (N(n), S(n)) by the recurrence jump, off the first 4m+4 items
+    of ``cell_stream``, one column walk that gives both the Hankel terms
+    and Q.
 
     Those items are the Hankel terms a(1..2d), d = 2m+2, the degree of Q.
-    The last count entries of the walk's columns 2..2m+1 are the totals
-    T(1..2m), from which ``layers.totals_polynomial`` gives p, as it does
-    for ``layers.layer_polynomial``.
+    Their counts' second differences are the totals
+    T(k) = N(k) - 2N(k-1) + N(k-2), with N(0) = N(-1) = 0, and from
+    T(1..2m) ``layers.totals_polynomial`` gives p, as it does for
+    ``layers.layer_polynomial``.
     The functional x^j -> a(j+1) vanishes on multiples of Q, and
     x^(n-1) = x^o s^2 mod Q with s = x^h mod Q, n - 1 = 2h + o, so
     a(n) = sum_i s_i sum_j s_j a(i+j+o+1): one powering to the half power
@@ -93,15 +90,10 @@ def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
     n = 2d+1 the half power is unreduced and the form reads a(n) back,
     so ``evaluate`` jumps only from n = 2d+1 = 4m+5 on.
     """
-    totals = []  # the last count entry of each column walked
-
-    def walk() -> Iterator[tuple]:
-        for pair in column_stream(m):
-            totals.append(pair[0][-1])
-            yield pair
-
-    hankel = list(zip(*islice(_running_sums(m, walk()), 4 * m + 4)))
-    modulus = annihilator(totals_polynomial(m, totals[1:2 * m + 1]))
+    hankel = list(zip(*islice(cell_stream(m), 4 * m + 4)))
+    counts = hankel[0]
+    totals = [a - 2 * b + c for a, b, c in zip(counts[:2 * m], (0, *counts), (0, 0, *counts))]
+    modulus = annihilator(totals_polynomial(m, totals))
 
     def jump(n: int) -> tuple[int, int]:
         half, odd = divmod(n - 1, 2)

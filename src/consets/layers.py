@@ -114,11 +114,13 @@ def layer_polynomial(m: int) -> IntPolynomial:
 
 
 def totals_polynomial(m: int, totals: Sequence[int]) -> IntPolynomial:
-    """p from the totals T(1..2m), however the caller walked them:
+    """p from the totals T(1..2m), however the caller came by them:
     ``sequence_annihilator`` certifies their monic degree-m annihilator
     unique, which makes it p; where it cannot, p comes from ``char_poly``
-    of the literal matrix (Faddeev-LeVerrier).  ``layer_polynomial`` and
-    the recurrence jump both take p from here."""
+    of the literal matrix (Faddeev-LeVerrier).  ``layer_polynomial``
+    reads the totals off the last entries of the count columns, the
+    recurrence jump as second differences of the counts it streams, and
+    both take p from here."""
     polynomial = sequence_annihilator(totals)
     return polynomial if polynomial is not None else char_poly(recurrence_matrix(m))
 

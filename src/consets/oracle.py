@@ -130,15 +130,6 @@ def _union_table(rows: tuple[int, ...]) -> list[int]:
     return table
 
 
-def _half_tables(adjacency: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
-    """The neighbour union of every subset of the low and of the high
-    half of the vertices (2^ceil(v/2) entries at most), with the size of
-    the low half: the union over a vertex set X is
-    ``low[X & (1 << half) - 1] | high[X >> half]``, two lookups."""
-    half = (len(adjacency) + 1) // 2
-    return half, _union_table(adjacency[:half]), _union_table(adjacency[half:])
-
-
 #: Low vertices whose subsets one chunk of the sliced flood covers: 2^20
 #: subsets, so each of its big ints holds 128 KiB.
 _CHUNK_BITS = 20
@@ -338,7 +329,11 @@ def enumerated_census(graph: SimpleGraph, cap: int | None = None) -> CensusRepor
     """
     _check_cap(graph.vertex_count, cap)
     adjacency = graph.adjacency
-    half, low_table, high_table = _half_tables(adjacency)
+    # The neighbour union of every subset of the low and of the high half
+    # of the vertices, 2^ceil(v/2) entries at most: the union over a vertex
+    # set X is ``low_table[X & low_mask] | high_table[X >> half]``, two lookups.
+    half = (len(adjacency) + 1) // 2
+    low_table, high_table = _union_table(adjacency[:half]), _union_table(adjacency[half:])
     low_mask = (1 << half) - 1
     vertex_count = graph.vertex_count
     binomials = [[comb(k, j) for j in range(k + 1)] for k in range(vertex_count + 1)]

@@ -57,7 +57,8 @@ def ladder_checks(n_max: int = 200) -> list[Check]:
     order sum, their average and density Fraction(S, N) / (2n), and with
     its (H(n), P(n)) pair the published average; each is compared with
     the item of ``cell_stream(2)``, which ``ladder`` prints.  The anchors
-    at n = 1, 2, 3 are the stream's first rows, whatever n_max is.
+    at n = 1, 2, 3 are the first rows of ``ladder.row_stream``, whatever
+    n_max is.
     """
     count_bad, avg_bad, vince_bad, density_bad = [], [], [], []
     closed = ladder.row_stream()

@@ -26,6 +26,9 @@ Claims covered:
     - the jump equals the stream at random n of both parities past the
       seeds, m = 1..12, and the linear read-out sum_j r_j a(j+1), with
       r = x^(n-1) mod Q, at n = 1001, 1002 and 10^4
+    - for m = 13..24 the jump equals the stream at 4m+5, 4m+6, 6m+6 and
+      6m+7, a range that reaches a p whose Berlekamp-Massey needs a
+      third CRT prime (three at m = 20, against two at m = 10)
     - each jump powers x once, to the half power floor((n-1)/2)
     - verify.jump_checks fails, naming m and n, when the jump is wrong;
       it visits the first horizons past the seeds, the first two whose
@@ -173,6 +176,31 @@ def test_jump_equals_stream(m):
         assert evaluate(m, n) == ProductResult(m, n, *streamed[n - 1]), n
 
 
+@pytest.mark.parametrize("m", range(13, 25))
+def test_jump_equals_stream_past_m_12(m):
+    streamed = list(islice(cell_stream(m), 6 * m + 7))
+    jump = _jumper(m)
+    for n in (4 * m + 5, 4 * m + 6, 6 * m + 6, 6 * m + 7):
+        assert jump(n) == streamed[n - 1], n
+
+
+def test_wider_layers_take_more_crt_primes_for_p(monkeypatch):
+    # the range above reaches p whose coefficients outgrow two 61-bit primes
+    drawn = []
+    real = exactmath._primes
+
+    def counted():
+        for q in real():
+            drawn[-1] += 1
+            yield q
+
+    monkeypatch.setattr(exactmath, "_primes", counted)
+    for m in (10, 20):
+        drawn.append(0)
+        _jumper(m)
+    assert drawn == [2, 3]
+
+
 @pytest.mark.parametrize("m", range(1, 11))
 def test_decimal_twin_equals_the_int_stream(m):
     with localcontext(cli.EXACT):
@@ -224,7 +252,7 @@ def test_a_jump_walks_the_columns_once(m, monkeypatch):
     monkeypatch.setattr(layers, "count_columns", counted)
     jump = _jumper(m)
     # 4m+4 Hankel terms, the last one's totals read off one more column;
-    # p's totals T(1..2m) are columns 2..2m+1 of the same walk
+    # p's totals T(1..2m) are second differences of their counts
     assert walks == [4 * m + 5]
     assert jump(4 * m + 5) == next(islice(cell_stream(m), 4 * m + 4, None))
 

@@ -1,4 +1,4 @@
-"""Each command loads only what it runs; the package surface is lazy.
+"""Each command loads only what it runs; the package loads only the engine.
 
 Claims covered:
     - compute, table and ladder --n-max, run in a fresh interpreter, never
@@ -11,8 +11,10 @@ Claims covered:
       reference routes or the scalar recurrence
     - charpoly imports the coefficient checks but not the census, its
       checks, the suites, the ladder closed forms or the order routes
-    - ``import consets`` loads none of its modules, and ``from consets
-      import evaluate`` none of those above
+    - ``import consets`` loads exactly the engine, ``aggregate``, and the
+      modules it imports (``exactmath``, ``layers``, ``records``), and
+      none of those above; ``from consets import evaluate`` loads the
+      engine and none of those above either
     - every name in ``consets.__all__`` resolves to the object its module
       defines; ``from consets import *`` binds exactly those names;
       ``dir(consets)`` lists them; an unknown name raises an
@@ -112,12 +114,15 @@ def test_charpoly_loads_no_census(bare):
     assert (unwanted & loaded) - bare == set()
 
 
-def test_importing_the_package_loads_no_module(bare):
-    loaded = _loaded("import consets\n" + REPORT)
-    assert {name for name in loaded if name.startswith("consets.")} == set()
-    loaded = _loaded("from consets import evaluate\n" + REPORT)
-    assert "consets.aggregate" in loaded
-    assert (GUARDED & loaded) - bare == set()
+#: The engine and what it imports: all that ``import consets`` loads.
+ENGINE = {"consets.aggregate", "consets.exactmath", "consets.layers", "consets.records"}
+
+
+def test_importing_the_package_loads_only_the_engine(bare):
+    for statement in ("import consets", "from consets import evaluate"):
+        loaded = _loaded(statement + "\n" + REPORT)
+        assert {name for name in loaded if name.startswith("consets.")} == ENGINE, statement
+        assert (GUARDED & loaded) - bare == set(), statement
 
 
 def test_every_public_name_resolves_to_its_definition():

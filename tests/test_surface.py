@@ -11,18 +11,21 @@ Claims covered:
       that took A and D from its caller, the tuned engine crossover,
       the symmetry helpers that rebuilt every power, the
       vertex-at-a-time flood, the per-subset flood with its table of
-      checkers, and the jump's own route to p
+      checkers, the jump's own route to p, the running sums split off
+      ``cell_stream`` and the census half-table helper
     - no module but ``verify`` imports ``consets.ladder``: the closed
       forms check the engine and never print a row
+    - no module in src/consets imports a name it never reads: a name
+      listed in ``__all__`` counts as read, ``__future__`` imports are
+      not checked
 
 A top-level function or class counts as used where the code reads its
 name (not a local variable of the same name) or reads it off its module
 (``aggregate._jumper``); a method, where the code reads it as an attribute.
 Spelling the name as a string also counts, as perfbench/probe.py does when
 it looks a function up.  Functions and methods named by Python syntax
-(``__add__``, ``__eq__`` and the like, and the module-level
-``__getattr__`` and ``__dir__`` of PEP 562) are not checked: the
-interpreter calls them.  The package ``__init__`` only re-exports, so its
+(``__add__``, ``__eq__`` and the like) are not checked: the interpreter
+calls them.  The package ``__init__`` only re-exports, so its
 table of names and ``__all__`` do not count as uses.
 """
 
@@ -55,7 +58,11 @@ TEST_ONLY_ROUTES = {
 #: because ``annihilator`` squares p (x-1) with the jump's own squaring,
 #: now ``exactmath.poly_square``, instead of a general product, or because
 #: ``math.comb`` gives the binomials a Pascal row rebuilt, or because the
-#: flood runs every subset of a chunk at once, bit-sliced.
+#: flood runs every subset of a chunk at once, bit-sliced, or because
+#: their one caller now holds their code: ``cell_stream`` the running
+#: sums, since the jump reads its totals off the stream's counts, and
+#: ``enumerated_census`` the half tables, since the flood that shared
+#: them is gone.
 DELETED = [
     ("aggregate", "count_connected_sets"), ("aggregate", "total_order"),
     ("aggregate", "average_order"), ("aggregate", "density"),
@@ -78,6 +85,7 @@ DELETED = [
     ("oracle", "SimpleGraph.edges"), ("oracle", "LayeredGraph.vertex"),
     ("recurrence", "CoefficientReport.passed"),
     ("recurrence", "CoefficientReport.failures"),
+    ("aggregate", "_running_sums"), ("oracle", "_half_tables"),
 ]
 
 
@@ -189,3 +197,26 @@ def test_only_verify_imports_the_ladder_closed_forms():
     importers = [path.stem for path in sorted(PACKAGE.glob("*.py"))
                  if _imports_ladder(ast.parse(path.read_text(encoding="utf-8")))]
     assert importers == ["verify"]
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports, ``__future__`` aside, that it never reads;
+    a name listed in ``__all__`` counts as read."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_imports_a_name_it_never_reads(path):
+    assert _unread_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
