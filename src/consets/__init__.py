@@ -13,10 +13,11 @@ references (``consets.orders``), the two-layer closed forms
 (``consets.ladder``, which only ``verify`` runs) and the suites
 (``consets.verify``).
 
-Importing the package loads the engine, ``aggregate``, and what it
-imports (``exactmath``, ``layers``, ``records``); every command runs
-the engine.  The census and the verification suites load only with
-the command that runs them.
+Importing the package loads the engine's stream: ``aggregate`` and what
+it imports (``layers``, ``records``); every command runs the engine.
+The jump's polynomial arithmetic (``exactmath``) loads with the first
+cell past n = 4m+4, and the census and the verification suites only
+with the command that runs them.
 """
 
 from .aggregate import ProductResult, cell_stream, evaluate

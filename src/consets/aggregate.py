@@ -20,17 +20,24 @@ first 2d = 4m+4 items.  Below n = 4m+5 that half power is never reduced
 mod Q, and the form only reads a streamed item back, so for n <= 4m+4
 the answer is the n-th item of ``cell_stream``: a prefix of the walk the
 jump itself takes.
+
+The stream needs ``layers`` and ``records`` alone.  ``annihilator`` and
+``_jumper`` import the polynomial arithmetic of ``exactmath`` when they
+run, so a process that only streams (a table, or a cell up to 4m+4)
+never loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice, pairwise
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .exactmath import IntPolynomial, poly_square, x_power_mod
 from .layers import column_stream, totals_polynomial
 from .records import FrozenRecord
+
+if TYPE_CHECKING:
+    from .exactmath import IntPolynomial
 
 
 def cell_stream(m: int, one=1) -> Iterator[tuple]:
@@ -69,6 +76,8 @@ def annihilator(p: IntPolynomial) -> IntPolynomial:
     ``verify.jump_checks`` holds the jump against the stream, and
     ``verify.charpoly_checks`` holds p against Faddeev-LeVerrier.
     """
+    from .exactmath import IntPolynomial, poly_square
+
     c = p.coefficients
     return IntPolynomial(poly_square([a - b for a, b in zip((0, *c), (*c, 0))]))
 
@@ -90,6 +99,8 @@ def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
     n = 2d+1 the half power is unreduced and the form reads a(n) back,
     so ``evaluate`` jumps only from n = 2d+1 = 4m+5 on.
     """
+    from .exactmath import x_power_mod
+
     hankel = list(zip(*islice(cell_stream(m), 4 * m + 4)))
     counts = hankel[0]
     totals = [a - 2 * b + c for a, b, c in zip(counts[:2 * m], (0, *counts), (0, 0, *counts))]
@@ -120,8 +131,12 @@ class ProductResult(FrozenRecord):
         # 1 <= A <= mn also gives 0 < D <= 1.
         if not count <= total <= m * n * count:
             raise ArithmeticError("average outside [1, m*n]")
-        for name, value in zip(self.__slots__, (m, n, count, total, Fraction(total, count))):
-            object.__setattr__(self, name, value)
+        setter = object.__setattr__
+        setter(self, "m", m)
+        setter(self, "n", n)
+        setter(self, "count", count)
+        setter(self, "total", total)
+        setter(self, "average", Fraction(total, count))
 
     @property
     def density(self) -> Fraction:

@@ -48,8 +48,10 @@ libmpdec division.  table and ladder --n-max print each csv or plain row
 as the engine yields it, so their memory does not grow with n_max; json
 collects the rows for one dump.
 
-compute, table and ladder load only the engine (aggregate, layers,
-exactmath); verify imports the census and the suites when it runs
+table, ladder --n-max and a compute that streams (n <= 4m+4) load only
+the engine's stream (aggregate, layers, records); a compute that jumps
+also loads the polynomial arithmetic of exactmath, as charpoly and
+verify do.  verify imports the census and the suites when it runs
 (verify --m/--n and --graph only the census and its checks, from
 reporting), charpoly only the coefficient checks (recurrence), never the
 census, and json is imported for json output alone, so a process pays
@@ -71,6 +73,7 @@ import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -85,8 +88,9 @@ DEFAULT_PRECISION = 12
 MAX_PRECISION = 100_000
 _FAULTS = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
 #: The exact context: a rounding traps too, and the trap (an ArithmeticError)
-#: exits 3.  Rendering runs in a copy of it whatever the caller's context;
-#: only +, -, *, // and % run in it, since a / would allocate MAX_PREC digits.
+#: exits 3.  The Decimal twin and the conversion run in a copy of it, and a
+#: row's exact steps call its methods, whatever the caller's context; only
+#: +, -, *, // and % run in it, since a / would allocate MAX_PREC digits.
 EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
                         traps=[decimal.Inexact, decimal.Rounded, *_FAULTS])
 #: Exit code when the reader of stdout goes away: 128 + SIGPIPE, as a shell
@@ -115,8 +119,12 @@ def _decimal(value: int) -> Decimal:
         return join(value, len(powers) - 1)
 
 
+@lru_cache(maxsize=1)
 def _rounding(precision: int) -> decimal.Context:
-    """A decimal column's context: ``precision`` digits, round-half-even."""
+    """A decimal column's context: ``precision`` digits, round-half-even.
+    A command renders at one precision, so it is built once and shared;
+    it traps only faults, so the Inexact and Rounded flags it gathers
+    change no result."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
     return decimal.Context(prec=precision, rounding=decimal.ROUND_HALF_EVEN,
@@ -148,8 +156,10 @@ class OutputRecord(FrozenRecord):
         # (sys.hash_info.modulus), for an int as for a Decimal.
         if (hash(count), hash(total)) != (hash(result.count), hash(result.total)):
             raise ArithmeticError(f"decimal twin differs at m={result.m} n={result.n}")
-        for name, value in zip(self.__slots__, (result, count, total)):
-            object.__setattr__(self, name, value)
+        setter = object.__setattr__
+        setter(self, "result", result)
+        setter(self, "count", count)
+        setter(self, "total", total)
 
     @classmethod
     def from_result(cls, result: aggregate.ProductResult) -> OutputRecord:
@@ -163,19 +173,20 @@ class OutputRecord(FrozenRecord):
         """Texts of N, S, A_num, A_den, A_dec, D_num, D_den, D_dec from libmpdec,
         each distinct number once: A = (S/g) / (N/g) and D = (A_num/g2) /
         (A_den·mn/g2), with g = gcd(S, N) read off the average as N / A_den
-        and g2 = gcd(A_num, mn), a gcd with a small number."""
+        and g2 = gcd(A_num, mn), a gcd with a small number.  The steps call
+        EXACT's methods, and str and format(..., "f") read no context, so a
+        row needs none entered."""
         result, average = self.result, self.result.average
         g, g2 = result.count // average.denominator, gcd(average.numerator, result.m * result.n)
-        with localcontext(EXACT):
-            count, total = str(self.count), str(self.total)
-            if g == 1:
-                a_num, a_den, a_texts = self.total, self.count, (total, count)
-            else:
-                a_num, a_den = self.total // g, self.count // g
-                a_texts = (str(a_num), str(a_den))
-            d_num = a_num if g2 == 1 else a_num // g2
-            d_den = a_den * (result.m * result.n // g2)
-            d_texts = (a_texts[0] if g2 == 1 else str(d_num), str(d_den))
+        count, total = str(self.count), str(self.total)
+        if g == 1:
+            a_num, a_den, a_texts = self.total, self.count, (total, count)
+        else:
+            a_num, a_den = EXACT.divide_int(self.total, g), EXACT.divide_int(self.count, g)
+            a_texts = (str(a_num), str(a_den))
+        d_num = a_num if g2 == 1 else EXACT.divide_int(a_num, g2)
+        d_den = EXACT.multiply(a_den, result.m * result.n // g2)
+        d_texts = (a_texts[0] if g2 == 1 else str(d_num), str(d_den))
         rounding = _rounding(precision)
         return (count, total, *a_texts, format(rounding.divide(a_num, a_den), "f"),
                 *d_texts, format(rounding.divide(d_num, d_den), "f"))

@@ -17,7 +17,9 @@ route: ``verify`` holds the walks against it, and it feeds
 Faddeev-LeVerrier, the weighted powers and the order-sum reference sum.
 Likewise ``weighted_sum`` weights a column by the binomial row, which the
 engine never does: that row is A's last, so a column's total is the last
-entry of the next column.
+entry of the next column.  The walks need additions alone;
+``recurrence_matrix``, ``totals_polynomial`` and ``weighted_powers``
+import ``exactmath`` when they run, so the stream never loads it.
 
 Indices follow the combinatorics: layers and horizons k are 1-based, as
 are footprint sizes i in 1..m.  Matrix indices stay 0-based.
@@ -28,9 +30,10 @@ from __future__ import annotations
 from itertools import accumulate, islice
 from math import comb
 from operator import add, mul
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .exactmath import IntMatrix, IntPolynomial, char_poly, sequence_annihilator
+if TYPE_CHECKING:
+    from .exactmath import IntMatrix, IntPolynomial
 
 
 def footprint_weights(m: int) -> tuple[int, ...]:
@@ -47,6 +50,8 @@ def recurrence_matrix(m: int) -> IntMatrix:
     footprints in the previous layer adjacent to a fixed i-vertex footprint
     in the next one.  The last row is the plain binomial row.
     """
+    from .exactmath import IntMatrix
+
     if m < 1:
         raise ValueError("layer size must be at least 1")
     return IntMatrix([[comb(m, j) - comb(m - i, j) for j in range(1, m + 1)]
@@ -121,6 +126,8 @@ def totals_polynomial(m: int, totals: Sequence[int]) -> IntPolynomial:
     reads the totals off the last entries of the count columns, the
     recurrence jump as second differences of the counts it streams, and
     both take p from here."""
+    from .exactmath import char_poly, sequence_annihilator
+
     polynomial = sequence_annihilator(totals)
     return polynomial if polynomial is not None else char_poly(recurrence_matrix(m))
 
@@ -160,6 +167,8 @@ def weighted_powers(m: int) -> Iterator[IntMatrix]:
     Their symmetry is what lets per-size counts stand in for per-footprint
     counts; the powers are materialized, so keep k small.
     """
+    from .exactmath import IntMatrix
+
     matrix = recurrence_matrix(m)
     weighted = IntMatrix.diagonal(footprint_weights(m))
     while True:

@@ -231,8 +231,9 @@ def test_evaluate_streams_through_the_hankel_terms(monkeypatch):
     def refused(*args):
         raise AssertionError("evaluate left the stream")
 
-    for name in ("_jumper", "totals_polynomial", "x_power_mod"):
+    for name in ("_jumper", "totals_polynomial"):
         monkeypatch.setattr(aggregate, name, refused)
+    monkeypatch.setattr(exactmath, "x_power_mod", refused)
     for m, streamed in expected.items():
         for n, item in enumerate(streamed, start=1):
             assert evaluate(m, n) == ProductResult(m, n, *item), (m, n)
@@ -270,7 +271,7 @@ def test_production_paths_never_build_the_literal_matrix(monkeypatch):
 
     monkeypatch.setattr(layers, "recurrence_matrix", refused)
     monkeypatch.setattr(layers, "footprint_weights", refused)
-    monkeypatch.setattr(layers, "char_poly", refused)
+    monkeypatch.setattr(exactmath, "char_poly", refused)
     monkeypatch.setattr(exactmath.IntMatrix, "apply", refused)
     for m, streamed in expected.items():
         seeds = 2 * m + 2
@@ -299,9 +300,10 @@ def test_jump_falls_back_to_layer_polynomial(m, monkeypatch):
     # an uncertified Berlekamp-Massey answer sends layer_polynomial to
     # Faddeev-LeVerrier, and the jump takes p from there
     taken = []
-    monkeypatch.setattr(layers, "sequence_annihilator", lambda terms: None)
-    monkeypatch.setattr(layers, "char_poly",
-                        lambda matrix: taken.append(matrix.order) or exactmath.char_poly(matrix))
+    real = exactmath.char_poly
+    monkeypatch.setattr(exactmath, "sequence_annihilator", lambda terms: None)
+    monkeypatch.setattr(exactmath, "char_poly",
+                        lambda matrix: taken.append(matrix.order) or real(matrix))
     jump = _jumper(m)
     assert taken == [m]
     streamed = list(islice(cell_stream(m), 6 * m + 6))
@@ -351,8 +353,8 @@ def test_a_jump_powers_x_once_to_the_half_power(m, monkeypatch):
         powers.append(e)
         return x_power_mod(e, modulus)
 
+    monkeypatch.setattr(exactmath, "x_power_mod", counted)
     jump = _jumper(m)
-    monkeypatch.setattr(aggregate, "x_power_mod", counted)
     for n in (1, 2, 2 * m + 3, 2 * m + 4, 4 * m + 5, 4 * m + 6, 777, 778):
         powers.clear()
         jump(n)
@@ -396,14 +398,14 @@ def test_annihilator_never_takes_faddeev_leverrier(monkeypatch):
         raise AssertionError(f"char_poly called at m={matrix.order}")
 
     found = []
+    real = exactmath.sequence_annihilator
 
     def recorded(terms):
-        found.append(exactmath.sequence_annihilator(terms))
+        found.append(real(terms))
         return found[-1]
 
     monkeypatch.setattr(exactmath, "char_poly", refused)
-    monkeypatch.setattr(layers, "char_poly", refused)
-    monkeypatch.setattr(layers, "sequence_annihilator", recorded)
+    monkeypatch.setattr(exactmath, "sequence_annihilator", recorded)
     for m in range(1, 61):
         _jumper(m)
         assert found[-1] is not None and found[-1].degree == m
@@ -474,7 +476,7 @@ def test_jump_checks_catch_a_wrong_reduction(m, k, monkeypatch):
             modulus = _one_off(modulus.coefficients, k)
         return x_power_mod(e, modulus)
 
-    monkeypatch.setattr(aggregate, "x_power_mod", wrong)
+    monkeypatch.setattr(exactmath, "x_power_mod", wrong)
     checks = verify.jump_checks(5, 60)
     assert [check.ok for check in checks] == [n != m for n in range(1, 6)]
     assert checks[m - 1].detail.startswith(f"m={m} n={4 * m + 5}: jump ")

@@ -11,7 +11,10 @@ Claims covered:
       split points and for random integers of either sign
     - rows come out the same whatever the caller's decimal context is; a
       rounding inside the exact context exits 3; a Decimal twin that
-      disagrees with the int walk stops the table before that row
+      disagrees with the int walk stops the table before that row; the
+      rounding context that one precision's rows share never goes stale:
+      rows rendered at precisions 12, 30 and 12 in turn, under any
+      caller context, equal what a fresh process prints
     - table and ladder output is byte-for-byte the reference rendering of
       the stream
     - every field of every csv, json and plain table row for m = 1..8,
@@ -44,6 +47,7 @@ Claims covered:
 """
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -61,7 +65,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from consets import aggregate, cli, exactmath, ladder, layers, oracle, recurrence, verify
+from consets import aggregate, cli, exactmath, ladder, oracle, recurrence, verify
 from consets.cli import CSV_HEADER, format_decimal, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -201,6 +205,36 @@ def test_a_rounding_in_the_exact_context_exits_3(argv, monkeypatch, capsys):
     assert code == 3
     assert err == ("internal error: Inexact: "
                    "[<class 'decimal.Inexact'>, <class 'decimal.Rounded'>]\n")
+
+
+def _printed_row(fmt: str, *argv: str) -> object:
+    """The last row a fresh CLI process prints: a line, or a json object."""
+    completed = subprocess.run([sys.executable, "-m", "consets.cli", *argv, "--format", fmt],
+                               capture_output=True, text=True, env=CLI_ENV, timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    if fmt != "json":
+        return completed.stdout.splitlines()[-1]
+    record = json.loads(completed.stdout)
+    return record[-1] if isinstance(record, list) else record
+
+
+def test_the_shared_rounding_context_follows_the_precision():
+    # one rounding context serves every row at one precision; switching
+    # 12 -> 30 -> 12 in one process, outside any decimal context and under
+    # a narrow one, still renders each row as a fresh CLI process prints it
+    cells = {(4, 60): ("table", "--m", "4", "--n-max", "60"),  # a streamed row
+             (6, 3000): ("compute", "--m", "6", "--n", "3000")}  # a jumped cell
+    methods = {"csv": "csv_row", "json": "json_object", "plain": "plain_line"}
+    printed = {(cell, fmt, precision): _printed_row(fmt, *argv, "--precision", str(precision))
+               for cell, argv in cells.items() for fmt in methods for precision in (12, 30)}
+    records = {cell: cli.OutputRecord.from_result(aggregate.evaluate(*cell)) for cell in cells}
+    for precision in (12, 30, 12):
+        for context in (None, Context(prec=5, traps=[])):
+            with localcontext(context) if context else contextlib.nullcontext():
+                for (cell, record), (fmt, method) in itertools.product(records.items(),
+                                                                       methods.items()):
+                    rendered = getattr(record, method)(precision)
+                    assert rendered == printed[cell, fmt, precision], (cell, fmt, precision)
 
 
 # -- compute -------------------------------------------------------------------
@@ -418,7 +452,6 @@ def test_charpoly_computes_polynomial_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "layer_polynomial", counted)
     monkeypatch.setattr(recurrence, "layer_polynomial", counted)
     monkeypatch.setattr(exactmath, "char_poly", refused)
-    monkeypatch.setattr(layers, "char_poly", refused)
     code, out, _ = run_cli(capsys, "charpoly", "--m", "6")
     assert calls == [6]
     assert matrix_side == []  # Faddeev-LeVerrier is never on this path

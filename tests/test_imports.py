@@ -11,10 +11,12 @@ Claims covered:
       reference routes or the scalar recurrence
     - charpoly imports the coefficient checks but not the census, its
       checks, the suites, the ladder closed forms or the order routes
-    - ``import consets`` loads exactly the engine, ``aggregate``, and the
-      modules it imports (``exactmath``, ``layers``, ``records``), and
-      none of those above; ``from consets import evaluate`` loads the
-      engine and none of those above either
+    - table, ladder --n-max and compute up to n = 4m+4, the last cell the
+      engine streams, never import the jump's polynomial arithmetic
+      (``exactmath``); compute at n = 4m+5, the first jumped cell, does
+    - ``import consets`` loads exactly ``aggregate``, ``layers`` and
+      ``records``, and none of those above, ``exactmath`` included;
+      ``from consets import evaluate`` loads the same
     - every name in ``consets.__all__`` resolves to the object its module
       defines; ``from consets import *`` binds exactly those names;
       ``dir(consets)`` lists them; an unknown name raises an
@@ -114,8 +116,27 @@ def test_charpoly_loads_no_census(bare):
     assert (unwanted & loaded) - bare == set()
 
 
-#: The engine and what it imports: all that ``import consets`` loads.
-ENGINE = {"consets.aggregate", "consets.exactmath", "consets.layers", "consets.records"}
+@pytest.mark.parametrize("argv", [
+    ["compute", "--m", "3", "--n", "16"],  # n = 4m+4, the last streamed cell
+    ["ladder", "--n", "12", "--format", "csv"],  # m = 2, n = 4m+4
+    ["table", "--m", "3", "--n-max", "40", "--format", "csv"],
+    ["ladder", "--n-max", "40", "--format", "json"],
+])
+def test_streaming_commands_load_no_jump_arithmetic(argv):
+    loaded = _loaded(RUN_CLI, json.dumps(argv))
+    assert "consets.aggregate" in loaded  # the command ran
+    assert "consets.exactmath" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["compute", "--m", "3", "--n", "17"],  # n = 4m+5
+                                  ["ladder", "--n", "13"]])
+def test_a_jumped_compute_loads_the_jump_arithmetic(argv):
+    assert "consets.exactmath" in _loaded(RUN_CLI, json.dumps(argv))
+
+
+#: The engine's stream and what it imports: all that ``import consets``
+#: loads; the jump's ``exactmath`` waits for the first jumped cell.
+ENGINE = {"consets.aggregate", "consets.layers", "consets.records"}
 
 
 def test_importing_the_package_loads_only_the_engine(bare):

@@ -25,7 +25,7 @@ from itertools import accumulate, islice
 
 import pytest
 
-from consets import layers, verify
+from consets import exactmath, layers, verify
 from consets.exactmath import IntMatrix, char_poly
 from consets.layers import (
     column_stream,
@@ -261,7 +261,7 @@ def test_layer_polynomial_falls_back_to_the_literal_matrix(monkeypatch):
         matrix_side.append(matrix.order)
         return char_poly(matrix)
 
-    monkeypatch.setattr(layers, "sequence_annihilator", uncertified)
-    monkeypatch.setattr(layers, "char_poly", counted)
+    monkeypatch.setattr(exactmath, "sequence_annihilator", uncertified)
+    monkeypatch.setattr(exactmath, "char_poly", counted)
     assert str(layer_polynomial(3)) == "λ^3 - 5λ^2 - 3λ + 1"
     assert (refused, matrix_side) == ([6], [3])
