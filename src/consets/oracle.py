@@ -21,12 +21,12 @@ so every census answer is computed twice.
 
 Both routes take the same enumeration cap on vertices: 22 by default
 (about 4M subsets for ``census``), hard ceiling 26.  Measured in-process
-on a 2-vCPU VM with CPython 3.11 (medians of 7), the enumerator takes
-0.3 ms at (2, 10) and the flood census 16 ms over its 2^20 subsets; the
-battery's grid of 51 cells, engine included, takes 21 ms.  The flood
-census of a 26-vertex graph takes 0.2-1.2 s (a path, 52 random
-edges, a 2 x 13 grid, a dense graph), and the process peaks at about
-30 MB.
+on a 2-vCPU VM with CPython 3.11 (medians of 11), the enumerator takes
+0.3 ms at (2, 10), 0.1 ms on K_26 and 4-5 ms at (6, 4), and the flood
+census 16 ms over its 2^20 subsets; the battery's grid of 51 cells,
+engine included, takes 15 ms.  The flood census of a 26-vertex graph
+takes 0.2-0.9 s (medians of 3: a path, 52 random edges, a 2 x 13 grid,
+a dense graph), and ``verify --graph`` on one peaks at about 33 MB.
 """
 
 from __future__ import annotations
@@ -120,15 +120,6 @@ def complete_path_product(m: int, n: int, cap: int | None = None) -> LayeredGrap
             if layer + 1 < n:
                 edges.append((base + i, base + m + i))
     return LayeredGraph(graph=SimpleGraph(m * n, edges), m=m, n=n)
-
-
-def _union_table(rows: tuple[int, ...]) -> list[int]:
-    """The union of every subset of the rows, indexed by the subset's
-    bitmask over them: 2^len(rows) entries, one OR each."""
-    table = [0]
-    for row in rows:
-        table += [union | row for union in table]
-    return table
 
 
 #: Low vertices whose subsets one chunk of the sliced flood covers: 2^20
@@ -328,31 +319,30 @@ def enumerated_census(graph: SimpleGraph, cap: int | None = None) -> CensusRepor
     G[U] has a neighbour in S, that is a vertex in N(S) ∖ B = F; such a
     component lies in a component of G[V ∖ B] that meets F.)  Their counts
     by |U| therefore depend on (F, R) alone, not on S or on B beyond R;
-    each (F, R) is counted once per call and the count memoized.  One
-    flood through the half tables of neighbour unions finds R.  Where
-    R = F, every U ⊆ F qualifies: C(|F|, j) sets of order |S| + j, the
-    closed form, which an empty frontier (one set, S) also takes.
+    each (F, R) is counted once per call and the count memoized.  R
+    grows from F by neighbour rows: each round ORs the adjacency rows of
+    the vertices it reached last and reaches what they add outside B and
+    R, until a round adds nothing.  Where R = F, every U ⊆ F qualifies:
+    C(|F|, j) sets of order |S| + j, the closed form, which an empty
+    frontier (one set, S) also takes.
     """
     _check_cap(graph.vertex_count, cap)
     adjacency = graph.adjacency
-    # The neighbour union of every subset of the low and of the high half
-    # of the vertices, 2^ceil(v/2) entries at most: the union over a vertex
-    # set X is ``low_table[X & low_mask] | high_table[X >> half]``, two lookups.
-    half = (len(adjacency) + 1) // 2
-    low_table, high_table = _union_table(adjacency[:half]), _union_table(adjacency[half:])
-    low_mask = (1 << half) - 1
     vertex_count = graph.vertex_count
     binomials = [[comb(k, j) for j in range(k + 1)] for k in range(vertex_count + 1)]
     memo: dict[int, list[int]] = {}
 
     def below(frontier: int, blocked: int) -> list[int]:
         """The counts by |U| of the sets below a node, U = ∅ first."""
-        reach = frontier
-        while True:
-            grown = (low_table[reach & low_mask] | high_table[reach >> half] | reach) & ~blocked
-            if grown == reach:
-                break
-            reach = grown
+        reach = fresh = frontier
+        while fresh:
+            around = 0
+            while fresh:
+                top = fresh.bit_length() - 1
+                fresh ^= 1 << top
+                around |= adjacency[top]
+            fresh = around & ~(blocked | reach)
+            reach |= fresh
         if reach == frontier:
             return binomials[frontier.bit_count()]
         key = reach << vertex_count | frontier

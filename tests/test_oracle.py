@@ -9,7 +9,10 @@ Claims covered:
     - the enumerator gives the textbook counts of complete graphs, paths,
       cycles and stars, and counts whole subtrees in closed form (K_26,
       2^26 - 1 sets, takes milliseconds); with its memo of subtree counts
-      it equals the engine at 24-vertex cells
+      it equals the engine at 24-vertex cells and at (2, 13), 26 vertices,
+      the first m = 2 cell the engine jumps to
+    - the enumerator allocates no per-graph tables: its traced peak on the
+      26-vertex path and on K_26 stays under 256 KiB
     - the sliced flood's connectivity bitmaps agree with union-find on
       every subset, bit by bit, in one chunk and in many
     - the sliced flood's member and size masks are the bit-sliced
@@ -17,7 +20,6 @@ Claims covered:
       in any number of chunks, at v = 1, at odd v and with isolated top
       vertices, and the enumerator on a tree, a 4-wide grid and a dense
       graph of 21-24 vertices, which take several chunks of 2^20 subsets
-    - the enumerator's half tables hold the union of every subset of rows
     - footprint families of equal size have equal counts and order sums
     - the census decomposes over layer spans, independent of position
     - census output is invariant under vertex relabeling
@@ -25,6 +27,7 @@ Claims covered:
 """
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -38,7 +41,6 @@ from consets.oracle import (
     _flood_sizes,
     _member_masks,
     _size_masks,
-    _union_table,
     MAX_CAP,
     CapExceededError,
     SimpleGraph,
@@ -207,13 +209,6 @@ def test_both_routes_agree_past_one_chunk(graph):
     assert sum(grown[:2]) == graph.vertex_count + graph.edge_count
 
 
-def test_union_table_holds_every_subset_union():
-    assert _union_table(()) == [0]
-    assert _union_table((1, 2, 4)) == list(range(8))
-    rows = (0b0110, 0b1001, 0b0000)
-    assert _union_table(rows) == [0, 0b0110, 0b1001, 0b1111, 0, 0b0110, 0b1001, 0b1111]
-
-
 def test_census_deterministic_under_relabeling():
     rng = random.Random(99)
     v = 10
@@ -272,7 +267,7 @@ def test_enumerated_census_of_stars(v, centre):
 def small_graphs(draw) -> SimpleGraph:
     """Any simple graph on 1..12 vertices, sparse ones (hence disconnected
     ones and isolated vertices) included; its top 0..v-1 vertices may have
-    no edge at all, so the enumerator's high table may hold only empty rows."""
+    no edge at all."""
     v = draw(st.integers(1, 12))
     core = v - draw(st.integers(0, v - 1))
     pairs = [(i, j) for i in range(core) for j in range(i + 1, core)]
@@ -291,22 +286,41 @@ def small_graphs(draw) -> SimpleGraph:
 @example(graph=SimpleGraph(11, [(i, j) for i in range(10) for j in range(i + 1, 10)]))
 @example(graph=_clique(9))
 def test_enumerated_census_equals_both_checkers(graph):
-    # the half tables split odd v into halves of (v+1)/2 and (v-1)/2; the last
-    # five examples are a path across the halves, three edges joining them
-    # only, an isolated top vertex, a clique beside one and a complete graph
+    # the examples cover isolated vertices (a lone one, six, one beside a
+    # clique), disjoint components (a path beside a triangle, three
+    # separate edges), paths, where R = F only at the last vertex, and
+    # cliques, where R = F at the root and the closed form counts the rest
     grown = enumerated_census(graph).size_counts
     assert grown == census(graph, connectivity="flood").size_counts
     assert grown == census(graph, connectivity="union-find").size_counts
 
 
-@pytest.mark.parametrize("m,n", [(3, 7), (5, 3), (6, 3), (7, 3), (3, 8), (4, 6), (6, 4)])
+@pytest.mark.parametrize("m,n", [
+    (3, 7), (5, 3), (6, 3), (7, 3), (3, 8), (4, 6), (6, 4), (2, 13),
+])
 def test_enumerated_census_equals_engine_past_the_grid(m, n):
     # (5, 3) and (6, 3) are the grid's last cells at m = 5 and 6; the
     # others lie past it, up to 24 vertices and 1.05·10^7 sets at (6, 4),
-    # which the memo of subtree counts reaches in milliseconds
+    # which the memo of subtree counts reaches in milliseconds; (2, 13),
+    # n = 4m+5, is the first m = 2 cell that ``evaluate`` jumps to
     report = enumerated_census(complete_path_product(m, n, MAX_CAP).graph, MAX_CAP)
     result = evaluate(m, n)
     assert (report.count, report.total_order) == (result.count, result.total)
+
+
+@pytest.mark.parametrize("graph", [
+    SimpleGraph(MAX_CAP, [(i, i + 1) for i in range(MAX_CAP - 1)]), _clique(MAX_CAP),
+], ids=["path-26", "clique-26"])
+def test_enumerated_census_peak_memory_stays_small(graph):
+    # R grows by neighbour rows, so memory follows the search: no table of
+    # neighbour unions grows with 2^(v/2)
+    tracemalloc.start()
+    try:
+        enumerated_census(graph, cap=MAX_CAP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 # -- families ------------------------------------------------------------------------

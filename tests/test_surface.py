@@ -12,7 +12,8 @@ Claims covered:
       the symmetry helpers that rebuilt every power, the
       vertex-at-a-time flood, the per-subset flood with its table of
       checkers, the jump's own route to p, the running sums split off
-      ``cell_stream`` and the census half-table helper
+      ``cell_stream``, the census half-table helper and the table of
+      neighbour unions it filled
     - no module but ``verify`` imports ``consets.ladder``: the closed
       forms check the engine and never print a row
     - no module in src/consets imports a name it never reads: a name
@@ -62,7 +63,8 @@ TEST_ONLY_ROUTES = {
 #: their one caller now holds their code: ``cell_stream`` the running
 #: sums, since the jump reads its totals off the stream's counts, and
 #: ``enumerated_census`` the half tables, since the flood that shared
-#: them is gone.
+#: them is gone, or because the enumerator grows R by neighbour rows and
+#: builds no table of neighbour unions.
 DELETED = [
     ("aggregate", "count_connected_sets"), ("aggregate", "total_order"),
     ("aggregate", "average_order"), ("aggregate", "density"),
@@ -86,6 +88,7 @@ DELETED = [
     ("recurrence", "CoefficientReport.passed"),
     ("recurrence", "CoefficientReport.failures"),
     ("aggregate", "_running_sums"), ("oracle", "_half_tables"),
+    ("oracle", "_union_table"),
 ]
 
 
