@@ -15,10 +15,8 @@ verify
     memoized on its frontier and the part of the graph that frontier
     reaches (milliseconds for the 10^7 sets of a 24-vertex cell); --graph
     runs it and the 2^v flood census of oracle.census, bit-sliced over
-    2^20 subsets at a time, and compares their size counts.
-    --oracle-cap bounds the vertex count of both routes (default 22,
-    ceiling 26); it applies only with --m/--n or --graph, since the
-    battery's grid stays within the default.
+    2^20 subsets at a time, and compares their size counts.  Both
+    routes refuse a graph above 26 vertices (oracle.MAX_CAP).
 charpoly
     The characteristic polynomial of the layer recurrence matrix, with
     its coefficient identities checked.  It comes from
@@ -300,16 +298,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--m-max applies only with --charpoly")
     if args.precision is not None and args.graph is None:
         raise ValueError("--precision applies only with --graph")
-    if args.oracle_cap is not None and args.m is None and args.n is None and args.graph is None:
-        raise ValueError("--oracle-cap applies only with --m/--n or --graph")
-    cap = oracle.resolve_cap(args.oracle_cap)
     checks: list[Check] = []
     scoped = False
     if args.m is not None or args.n is not None:
         if args.m is None or args.n is None:
             raise ValueError("cell verification needs both --m and --n")
         scoped = True
-        checks.extend(reporting.oracle_cell_checks(args.m, args.n, cap))
+        checks.extend(reporting.oracle_cell_checks(args.m, args.n))
     if args.ladder:
         from . import verify
 
@@ -327,8 +322,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks.extend(verify.charpoly_checks(m_max))
     if args.graph is not None:
         scoped = True
-        graph = oracle.parse_edge_list(Path(args.graph).read_text(encoding="utf-8"), cap)
-        graph_checks, report = reporting.graph_file_checks(graph, cap)
+        graph = oracle.parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
+        graph_checks, report = reporting.graph_file_checks(graph)
         precision = DEFAULT_PRECISION if args.precision is None else args.precision
         sizes = " ".join(f"{t}:{c}" for t, c in enumerate(report.size_counts, start=1) if c)
         print(f"census of {args.graph}: sizes {{{sizes}}}")
@@ -395,11 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--precision", type=_precision,
                           help=f"significant digits for the --graph decimals "
                                f"(default {DEFAULT_PRECISION}, at most {MAX_PRECISION})")
-    # oracle.DEFAULT_CAP and oracle.MAX_CAP, written out so that parsing
-    # never imports the census; the tests hold the text to the constants.
-    p_verify.add_argument("--oracle-cap", type=int, default=None,
-                          help="enumeration cap on vertices for --m/--n and --graph, "
-                               "both census routes (default 22, ceiling 26)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_charpoly = commands.add_parser(

@@ -19,14 +19,15 @@ union-find runs over one subset's internal edges at a time, O(2^v·v) in
 all.  ``verify --graph`` compares the enumerator with the flood census,
 so every census answer is computed twice.
 
-Both routes take the same enumeration cap on vertices: 22 by default
-(about 4M subsets for ``census``), hard ceiling 26.  Measured in-process
+Every census refuses a graph above ``MAX_CAP`` = 26 vertices (2^26
+subsets for ``census``); nothing sets another limit.  Measured in-process
 on a 2-vCPU VM with CPython 3.11 (medians of 11), the enumerator takes
 0.3 ms at (2, 10), 0.1 ms on K_26 and 4-5 ms at (6, 4), and the flood
-census 16 ms over its 2^20 subsets; the battery's grid of 51 cells,
-engine included, takes 15 ms.  The flood census of a 26-vertex graph
-takes 0.2-0.9 s (medians of 3: a path, 52 random edges, a 2 x 13 grid,
-a dense graph), and ``verify --graph`` on one peaks at about 33 MB.
+census 16 ms over its 2^20 subsets; the battery's grid of 53 cells,
+engine included, takes 16 ms (median of 5).  The flood census of a
+26-vertex graph takes 0.2-0.9 s (medians of 3: a path, 52 random edges,
+a 2 x 13 grid, a dense graph), and ``verify --graph`` on one peaks at
+about 33 MB.
 """
 
 from __future__ import annotations
@@ -37,30 +38,18 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .records import FrozenRecord
 
-DEFAULT_CAP = 22
+#: The most vertices any census takes.
 MAX_CAP = 26
 
 
 class CapExceededError(ValueError):
-    """Requested enumeration is larger than the configured cap allows."""
+    """The graph has more vertices than a census takes."""
 
 
-def resolve_cap(cap: int | None = None) -> int:
-    """Effective enumeration cap: the argument, else the default.
-    Values outside 1..26 are refused."""
-    if cap is None:
-        return DEFAULT_CAP
-    if not 1 <= cap <= MAX_CAP:
-        raise ValueError(f"enumeration cap must be in 1..{MAX_CAP}, got {cap}")
-    return cap
-
-
-def _check_cap(vertex_count: int, cap: int | None) -> None:
-    cap = resolve_cap(cap)
-    if vertex_count > cap:
+def _check_cap(vertex_count: int) -> None:
+    if vertex_count > MAX_CAP:
         raise CapExceededError(
-            f"graph has {vertex_count} vertices; enumeration cap is {cap} "
-            f"(raise it with --oracle-cap or the cap argument, ceiling {MAX_CAP})")
+            f"graph has {vertex_count} vertices; enumeration cap is {MAX_CAP}")
 
 
 class SimpleGraph:
@@ -105,12 +94,12 @@ class LayeredGraph(NamedTuple):
         return ((1 << self.m) - 1) << ((layer - 1) * self.m)
 
 
-def complete_path_product(m: int, n: int, cap: int | None = None) -> LayeredGraph:
+def complete_path_product(m: int, n: int) -> LayeredGraph:
     """The product of a complete graph on m vertices with a path of n:
     n complete layers, consecutive layers matched position by position."""
     if m < 1 or n < 1:
         raise ValueError("both layer size and path length must be at least 1")
-    _check_cap(m * n, cap)
+    _check_cap(m * n)
     edges = []
     for layer in range(n):
         base = layer * m
@@ -286,10 +275,11 @@ def census(graph: SimpleGraph, cap: int | None = None,
            connectivity: str = "flood") -> CensusReport:
     """Count the connected sets of a graph, by size, over all 2^v - 1
     subsets: all at once by the sliced flood, or one at a time by
-    union-find."""
+    union-find.  ``cap`` is ignored: whatever it holds, a graph above
+    MAX_CAP vertices is refused."""
     if connectivity not in ("flood", "union-find"):
         raise ValueError(f"unknown connectivity checker {connectivity!r}")
-    _check_cap(graph.vertex_count, cap)
+    _check_cap(graph.vertex_count)
     adjacency = graph.adjacency
     if connectivity == "flood":
         return CensusReport(size_counts=tuple(_flood_sizes(adjacency)))
@@ -300,7 +290,7 @@ def census(graph: SimpleGraph, cap: int | None = None,
     return CensusReport(size_counts=tuple(counts))
 
 
-def enumerated_census(graph: SimpleGraph, cap: int | None = None) -> CensusReport:
+def enumerated_census(graph: SimpleGraph) -> CensusReport:
     """Count the connected sets of a graph, by size, by growing them, with
     every search subtree counted once.
 
@@ -326,7 +316,7 @@ def enumerated_census(graph: SimpleGraph, cap: int | None = None) -> CensusRepor
     C(|F|, j) sets of order |S| + j, the closed form, which an empty
     frontier (one set, S) also takes.
     """
-    _check_cap(graph.vertex_count, cap)
+    _check_cap(graph.vertex_count)
     adjacency = graph.adjacency
     vertex_count = graph.vertex_count
     binomials = [[comb(k, j) for j in range(k + 1)] for k in range(vertex_count + 1)]
@@ -408,13 +398,13 @@ def _layer_family(adjacency: tuple[int, ...], layers: list[int],
 
 
 def footprint_census(layered: LayeredGraph, k: int,
-                     footprint: Iterable[int], cap: int | None = None) -> FamilyCensus:
+                     footprint: Iterable[int]) -> FamilyCensus:
     """Census of connected sets meeting every layer before k, intersecting
     layer k in exactly the given vertices, and meeting no layer beyond k.
 
     The footprint is a nonempty set of vertex indices inside layer k.
     """
-    _check_cap(layered.graph.vertex_count, cap)
+    _check_cap(layered.graph.vertex_count)
     if not 1 <= k <= layered.n:
         raise ValueError(f"layer {k} outside 1..{layered.n}")
     footprint_mask = 0
@@ -430,11 +420,10 @@ def footprint_census(layered: LayeredGraph, k: int,
     return _layer_family(layered.graph.adjacency, earlier, footprint_mask)
 
 
-def span_census(layered: LayeredGraph, first: int, span: int,
-                cap: int | None = None) -> FamilyCensus:
+def span_census(layered: LayeredGraph, first: int, span: int) -> FamilyCensus:
     """Census of connected sets whose layer support is exactly
     layers first..first+span-1."""
-    _check_cap(layered.graph.vertex_count, cap)
+    _check_cap(layered.graph.vertex_count)
     if span < 1:
         raise ValueError("span must be at least 1")
     if not 1 <= first <= layered.n - span + 1:
@@ -443,11 +432,11 @@ def span_census(layered: LayeredGraph, first: int, span: int,
     return _layer_family(layered.graph.adjacency, layer_masks, 0)
 
 
-def parse_edge_list(text: str, cap: int | None = None) -> SimpleGraph:
+def parse_edge_list(text: str) -> SimpleGraph:
     """Graph from edge-list text: one 'u v' pair per line, 0-based vertex
     ids, blank lines and lines starting with '#' ignored.  The vertex
-    count is one past the largest id mentioned; a count past the census
-    cap is refused before the adjacency rows are allocated."""
+    count is one past the largest id mentioned; a count above MAX_CAP is
+    refused before the adjacency rows are allocated."""
     edges = []
     top = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -467,5 +456,5 @@ def parse_edge_list(text: str, cap: int | None = None) -> SimpleGraph:
         top = max(top, u, v)
     if top < 0:
         raise ValueError("edge list is empty")
-    _check_cap(top + 1, cap)
+    _check_cap(top + 1)
     return SimpleGraph(top + 1, edges)

@@ -12,11 +12,11 @@ from . import aggregate, oracle
 from .records import Check
 
 
-def oracle_cell_checks(m: int, n: int, cap: int | None = None) -> list[Check]:
+def oracle_cell_checks(m: int, n: int) -> list[Check]:
     """All four headline quantities at one cell, formula path vs the
     connected-set enumerator."""
     result = aggregate.evaluate(m, n)
-    report = oracle.enumerated_census(oracle.complete_path_product(m, n, cap).graph, cap)
+    report = oracle.enumerated_census(oracle.complete_path_product(m, n).graph)
     where = f"m={m} n={n}"
     return [
         Check("census-vs-formula count", where, result.count == report.count,
@@ -30,11 +30,11 @@ def oracle_cell_checks(m: int, n: int, cap: int | None = None) -> list[Check]:
     ]
 
 
-def graph_file_checks(graph: oracle.SimpleGraph, cap: int | None = None) -> tuple[list[Check], oracle.CensusReport]:
+def graph_file_checks(graph: oracle.SimpleGraph) -> tuple[list[Check], oracle.CensusReport]:
     """Census an arbitrary graph twice: the connected-set enumerator
     against the 2^v census with the flood checker."""
-    grown = oracle.enumerated_census(graph, cap)
-    flood = oracle.census(graph, cap, connectivity="flood")
+    grown = oracle.enumerated_census(graph)
+    flood = oracle.census(graph, connectivity="flood")
     where = f"{graph.vertex_count} vertices, {graph.edge_count} edges"
     checks = [Check("connectivity checkers agree", where,
                     grown.size_counts == flood.size_counts,

@@ -33,8 +33,9 @@ from .records import Check
 from .reporting import oracle_cell_checks
 
 #: Desk-scale cells for census-vs-formula equivalence: (m, largest n).
-#: Every cell has at most 22 vertices, the default cap.
-ORACLE_GRID = ((1, 22), (2, 11), (3, 6), (4, 4), (5, 3), (6, 3), (7, 2))
+#: Every cell has at most 26 vertices, the census limit; (2, 13) is the
+#: first m = 2 cell that ``aggregate.evaluate`` jumps to.
+ORACLE_GRID = ((1, 22), (2, 13), (3, 6), (4, 4), (5, 3), (6, 3), (7, 2))
 
 
 def oracle_grid_checks() -> list[Check]:

@@ -36,9 +36,10 @@ Claims covered:
     - charpoly computes the characteristic polynomial once, from the
       streamed totals and never by Faddeev-LeVerrier, and takes no
       rendering options; verify takes --precision but not --format
-    - the oracle cap is set by --oracle-cap alone, which needs --m/--n or
-      --graph; the environment is not read; its help states the census's
-      default and ceiling
+    - the census limit is the constant 26 vertices: verify --m --n and
+      --graph take up to 26 with no flag and refuse 27 with one error line
+      naming the limit; --oracle-cap is not an option and the environment
+      is not read
     - --precision above MAX_PRECISION is refused with exit 2 before any work
     - verify --m --n and verify --graph print exactly the lines the
       benchmark's output checker parses
@@ -643,16 +644,6 @@ def test_verify_n_max_needs_ladder(capsys):
     assert "--n-max applies only with --ladder" in err
 
 
-@pytest.mark.parametrize("scope", [(), ("--ladder",), ("--charpoly",)])
-def test_verify_oracle_cap_needs_census_scope(scope, capsys):
-    # the battery's grid stays within the default cap, so the flag would
-    # change nothing there, or stop the battery partway below it
-    code, out, err = run_cli(capsys, "verify", *scope, "--oracle-cap", "10")
-    assert code == 2
-    assert out == ""
-    assert "--oracle-cap applies only with --m/--n or --graph" in err
-
-
 def test_verify_ladder_scope(capsys):
     code, out, _ = run_cli(capsys, "verify", "--ladder", "--n-max", "30")
     assert code == 0
@@ -691,7 +682,7 @@ def test_verify_graph_compares_enumerator_with_census(tmp_path, monkeypatch, cap
     path = tmp_path / "square.txt"
     path.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
     monkeypatch.setattr(oracle, "enumerated_census",
-                        lambda graph, cap=None: oracle.CensusReport((4, 4, 4, 0)))
+                        lambda graph: oracle.CensusReport((4, 4, 4, 0)))
     code, out, _ = run_cli(capsys, "verify", "--graph", str(path))
     assert code == 1
     assert ("FAIL  connectivity checkers agree  [4 vertices, 4 edges]: "
@@ -731,27 +722,23 @@ def test_verify_full_suite_reports_only_the_false_claim(capsys):
 # -- caps ------------------------------------------------------------------------
 
 def test_verify_oracle_cap_flag(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "verify", "--m", "4", "--n", "4", "--oracle-cap", "10")
-    assert code == 2
-    assert "enumeration cap" in err
-    code, _, err = run_cli(capsys, "verify", "--m", "2", "--n", "2", "--oracle-cap", "99")
-    assert code == 2
-    path = tmp_path / "square.txt"
-    path.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
-    code, _, _ = run_cli(capsys, "verify", "--graph", str(path), "--oracle-cap", "4")
+    # one limit, 26 vertices, and no flag to set another
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--m", "2", "--n", "2", "--oracle-cap", "4"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --oracle-cap 4" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "13")
     assert code == 0
-    code, _, err = run_cli(capsys, "verify", "--graph", str(path), "--oracle-cap", "3")
-    assert code == 2
-    assert "enumeration cap is 3" in err
-
-
-def test_oracle_cap_help_states_the_census_constants(capsys):
-    # build_parser writes the numbers out rather than import the census
-    with pytest.raises(SystemExit):
-        cli.build_parser().parse_args(["verify", "--help"])
-    text = " ".join(capsys.readouterr().out.split())
-    assert (f"(default {oracle.DEFAULT_CAP}, ceiling {oracle.MAX_CAP})"
-            in text)
+    assert out.endswith("all 4 checks passed\n")
+    path = tmp_path / "path-23.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(22)), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", "--graph", str(path))
+    assert code == 0
+    assert "N=276 S=2300" in out
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(26)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--graph", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: graph has 27 vertices; enumeration cap is 26\n"
 
 
 def test_verify_graph_refused_before_allocation(tmp_path, capsys):
@@ -767,19 +754,19 @@ def test_verify_graph_refused_before_allocation(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert "graph has 20000001 vertices; enumeration cap is 22" in err
+    assert "graph has 20000001 vertices; enumeration cap is 26" in err
     assert peak < 2 * 2 ** 20
 
 
 def test_verify_oracle_cap_env(monkeypatch, capsys):
-    # --oracle-cap is the only knob; the environment is not read
+    # the limit is a constant; the environment neither lowers nor raises it
     monkeypatch.setenv("CONSETS_ORACLE_CAP", "5")
     code, _, _ = run_cli(capsys, "verify", "--m", "3", "--n", "2")
     assert code == 0
-    code, _, err = run_cli(capsys, "verify", "--m", "3", "--n", "2", "--oracle-cap", "5")
+    monkeypatch.setenv("CONSETS_ORACLE_CAP", "30")
+    code, _, err = run_cli(capsys, "verify", "--m", "1", "--n", "27")
     assert code == 2
-    assert "--oracle-cap" in err
-    assert "CONSETS_ORACLE_CAP" not in err
+    assert err == "error: graph has 27 vertices; enumeration cap is 26\n"
 
 
 def test_closed_pipe_exits_141_quietly():

@@ -23,7 +23,9 @@ Claims covered:
     - footprint families of equal size have equal counts and order sums
     - the census decomposes over layer spans, independent of position
     - census output is invariant under vertex relabeling
-    - caps and malformed inputs are refused with clear errors
+    - every census route refuses a graph above 26 vertices, whatever
+      census's cap slot holds; malformed inputs are refused with clear
+      errors
 """
 
 import random
@@ -43,13 +45,13 @@ from consets.oracle import (
     _size_masks,
     MAX_CAP,
     CapExceededError,
+    LayeredGraph,
     SimpleGraph,
     census,
     complete_path_product,
     enumerated_census,
     footprint_census,
     parse_edge_list,
-    resolve_cap,
     span_census,
 )
 
@@ -204,8 +206,8 @@ def _four_wide_grid(rows: int) -> SimpleGraph:
 ], ids=["tree-21", "grid-4x6", "dense-22"])
 def test_both_routes_agree_past_one_chunk(graph):
     assert graph.vertex_count > 20  # several chunks of 2^20 subsets
-    grown = enumerated_census(graph, cap=MAX_CAP).size_counts
-    assert census(graph, cap=MAX_CAP).size_counts == grown
+    grown = enumerated_census(graph).size_counts
+    assert census(graph).size_counts == grown
     assert sum(grown[:2]) == graph.vertex_count + graph.edge_count
 
 
@@ -235,7 +237,7 @@ def test_enumerated_census_hand_listings():
 def test_enumerated_census_of_complete_graphs(v):
     # every nonempty subset is connected: C(v, j) sets of order j; at v = 26
     # (2^26 - 1 sets) only the closed-form count of whole subtrees is quick
-    report = enumerated_census(_clique(v), cap=MAX_CAP)
+    report = enumerated_census(_clique(v))
     assert report.size_counts == tuple(comb(v, j) for j in range(1, v + 1))
 
 
@@ -299,11 +301,12 @@ def test_enumerated_census_equals_both_checkers(graph):
     (3, 7), (5, 3), (6, 3), (7, 3), (3, 8), (4, 6), (6, 4), (2, 13),
 ])
 def test_enumerated_census_equals_engine_past_the_grid(m, n):
-    # (5, 3) and (6, 3) are the grid's last cells at m = 5 and 6; the
-    # others lie past it, up to 24 vertices and 1.05·10^7 sets at (6, 4),
-    # which the memo of subtree counts reaches in milliseconds; (2, 13),
-    # n = 4m+5, is the first m = 2 cell that ``evaluate`` jumps to
-    report = enumerated_census(complete_path_product(m, n, MAX_CAP).graph, MAX_CAP)
+    # (5, 3) and (6, 3) are the grid's last cells at m = 5 and 6, and
+    # (2, 13), n = 4m+5, the first m = 2 cell that ``evaluate`` jumps to,
+    # is the last at m = 2; the others lie past the grid, up to 24
+    # vertices and 1.05·10^7 sets at (6, 4), which the memo of subtree
+    # counts reaches in milliseconds
+    report = enumerated_census(complete_path_product(m, n).graph)
     result = evaluate(m, n)
     assert (report.count, report.total_order) == (result.count, result.total)
 
@@ -316,7 +319,7 @@ def test_enumerated_census_peak_memory_stays_small(graph):
     # neighbour unions grows with 2^(v/2)
     tracemalloc.start()
     try:
-        enumerated_census(graph, cap=MAX_CAP)
+        enumerated_census(graph)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -378,32 +381,30 @@ def test_span_census_validation():
 # -- caps ----------------------------------------------------------------------------
 
 def test_cap_refusals():
-    with pytest.raises(CapExceededError, match="enumeration cap"):
-        complete_path_product(5, 5, cap=20)
-    graph = complete_path_product(4, 3).graph
-    with pytest.raises(CapExceededError):
-        census(graph, cap=10)
-    with pytest.raises(CapExceededError, match="enumeration cap is 10"):
-        enumerated_census(graph, cap=10)
-
-
-def test_resolve_cap_bounds():
-    assert resolve_cap(None) == 22
-    assert resolve_cap(26) == 26
-    with pytest.raises(ValueError):
-        resolve_cap(0)
-    with pytest.raises(ValueError):
-        resolve_cap(27)
-
-
-def test_resolve_cap_env_var(monkeypatch):
-    # the cap is set by the argument alone; CONSETS_ORACLE_CAP is not read
-    monkeypatch.setenv("CONSETS_ORACLE_CAP", "8")
-    assert resolve_cap(None) == 22
-    assert complete_path_product(3, 3).graph.vertex_count == 9
-    monkeypatch.setenv("CONSETS_ORACLE_CAP", "not-a-number")
-    assert resolve_cap(None) == 22
-    assert resolve_cap(8) == 8
+    # every census route refuses 27 vertices with the one limit, 26;
+    # census's cap slot sets no other limit, lower or higher
+    refused = "graph has 27 vertices; enumeration cap is 26$"
+    path = SimpleGraph(MAX_CAP + 1, [(i, i + 1) for i in range(MAX_CAP)])
+    layered = LayeredGraph(path, 1, MAX_CAP + 1)
+    with pytest.raises(CapExceededError, match=refused):
+        complete_path_product(3, 9)
+    with pytest.raises(CapExceededError, match=refused):
+        complete_path_product(1, MAX_CAP + 1)
+    for cap in (None, 10, 30):
+        with pytest.raises(CapExceededError, match=refused):
+            census(path, cap)
+    with pytest.raises(CapExceededError, match=refused):
+        census(path, connectivity="union-find")
+    with pytest.raises(CapExceededError, match=refused):
+        enumerated_census(path)
+    with pytest.raises(CapExceededError, match=refused):
+        footprint_census(layered, 1, [0])
+    with pytest.raises(CapExceededError, match=refused):
+        span_census(layered, 1, 1)
+    with pytest.raises(CapExceededError, match=refused):
+        parse_edge_list("0 26\n")
+    cell = complete_path_product(4, 3).graph  # 12 vertices, past cap=10
+    assert census(cell, 10).size_counts == enumerated_census(cell).size_counts
 
 
 # -- edge-list parsing -----------------------------------------------------------------

@@ -88,7 +88,7 @@ DELETED = [
     ("recurrence", "CoefficientReport.passed"),
     ("recurrence", "CoefficientReport.failures"),
     ("aggregate", "_running_sums"), ("oracle", "_half_tables"),
-    ("oracle", "_union_table"),
+    ("oracle", "_union_table"), ("oracle", "resolve_cap"), ("oracle", "DEFAULT_CAP"),
 ]
 
 
