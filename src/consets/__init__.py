@@ -15,7 +15,7 @@ references (``consets.orders``), the two-layer closed forms
 
 Importing the package loads the engine's stream: ``aggregate`` and what
 it imports (``layers``, ``records``); every command runs the engine.
-The jump's polynomial arithmetic (``exactmath``) loads with the first
+The jumps' polynomial arithmetic (``exactmath``) loads with the first
 cell past n = 4m+4, and the census and the verification suites only
 with the command that runs them.
 """

@@ -11,18 +11,33 @@ it is read.  The CLI prints every row, ``ladder`` included, through this
 engine.
 
 One cell has one walk, finished by a jump only where the recurrence
-decides.  ``annihilator`` gives N and S one linear recurrence of degree
-d = 2m+2, whose polynomial Q it builds from p, the layer matrix's
-characteristic polynomial, read off the counts of the same walk.
-``_jumper`` powers x to about n/2 modulo Q, in O(log n) polynomial
-squarings, and reads N(n) and S(n) off a Hankel form over the stream's
-first 2d = 4m+4 items.  Below n = 4m+5 that half power is never reduced
-mod Q, and the form only reads a streamed item back, so for n <= 4m+4
-the answer is the n-th item of ``cell_stream``: a prefix of the walk the
-jump itself takes.
+decides, by one of three routes:
+
+- n <= 4m+4, every m: the n-th item of ``cell_stream``.
+- n >= 4m+5, 2 <= m <= P_JUMP_MAX_M: ``_p_jumper``, the jump modulo p,
+  the layer matrix's characteristic polynomial of degree m, read off the
+  counts of the first 2m items.  It powers x to about n/2 modulo p and
+  reads N(n) and S(n) off integral functionals (one of them through a
+  Hermite lift to p^2), with two exact divisions at the end.  Its setup
+  walks 2m+1 column pairs and solves once for g = R p'^-1 mod p, whose
+  R has about 0.24 m^3 bits; past the cut-off that solve costs more at
+  n = 4m+5 than the whole jump modulo Q.
+- n >= 4m+5, m = 1 or m > P_JUMP_MAX_M: ``_jumper``, the jump modulo Q.
+  ``annihilator`` gives N and S one linear recurrence of degree
+  d = 2m+2, whose polynomial Q it builds from p.  The jump powers x to
+  about n/2 modulo Q and reads N(n) and S(n) off a Hankel form over the
+  stream's first 2d = 4m+4 items.  Below n = 4m+5 that half power is
+  never reduced mod Q, and the form only reads a streamed item back: a
+  prefix of the walk the jump itself takes.  At m = 1, p = x - 1 has
+  p(1) = 0, so only this jump serves it.
+
+Each jump takes O(log n) polynomial squarings; modulo p a squaring is
+m(m+1)/2 big products, modulo Q (2m+2)(2m+3)/2.  Both jumps are exact
+for every n >= 1, so ``verify.jump_checks`` holds each against the
+stream at the same horizons.
 
 The stream needs ``layers`` and ``records`` alone.  ``annihilator`` and
-``_jumper`` import the polynomial arithmetic of ``exactmath`` when they
+both jumps import the polynomial arithmetic of ``exactmath`` when they
 run, so a process that only streams (a table, or a cell up to 4m+4)
 never loads it.
 """
@@ -30,7 +45,8 @@ never loads it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice, pairwise
+from itertools import accumulate, islice, pairwise
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .layers import column_stream, totals_polynomial
@@ -38,6 +54,14 @@ from .records import FrozenRecord
 
 if TYPE_CHECKING:
     from .exactmath import IntPolynomial
+
+#: Widest layer whose cells ``evaluate`` jumps modulo p; wider ones jump
+#: modulo Q.  At n = 4m+5, setup and jump together, modulo p took
+#: 0.85-0.96 of the time modulo Q for m = 2..12 (medians, each of seven
+#: interleaved rounds below 1), 0.96 at m = 13 with rounds above 1, and
+#: 1.02 at m = 14: the solve for g and R, about 0.24 m^3 bits, outgrows
+#: the columns and the squarings it saves (CPython 3.11, 2-vCPU Xeon VM).
+P_JUMP_MAX_M = 12
 
 
 def cell_stream(m: int, one=1) -> Iterator[tuple]:
@@ -83,7 +107,7 @@ def annihilator(p: IntPolynomial) -> IntPolynomial:
 
 
 def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
-    """n -> (N(n), S(n)) by the recurrence jump, off the first 4m+4 items
+    """n -> (N(n), S(n)) by the jump modulo Q, off the first 4m+4 items
     of ``cell_stream``, one column walk that gives both the Hankel terms
     and Q.
 
@@ -112,6 +136,88 @@ def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
         return tuple(sum(si * sum(sj * a for sj, a in zip(s, column[odd + i:]))
                          for i, si in enumerate(s))
                      for column in hankel)
+
+    return jump
+
+
+def _p_jumper(m: int) -> Callable[[int], tuple[int, int]]:
+    """n -> (N(n), S(n)) by the jump modulo p, the layer polynomial of
+    degree m, off the first 2m items of ``cell_stream``: 2m+1 column
+    pairs, whose second differences are the totals T(1..2m) and
+    U(1..2m), and p from T by ``totals_polynomial``.
+
+    T obeys p and U obeys p^2 from k = 1 on, so with l(x^j) = T(j+1) and
+    e = n+1, N(n) = sum_k (n+1-k) T(k) is l applied to
+    (x^e - e x + n)/(x-1)^2.  With h = (p - p(1))/(x-1), integral,
+    (x-1)^-1 = -h/p(1) mod p, so
+        p(1)^2 N(n) = phi(x^e) - e phi(x) + n phi(1),  phi(f) = l(h^2 f).
+    As (x-1) h = -p(1) mod p, the values phi(x^k) are two running sums
+    of the T(k), scaled by -p(1), after one dot product with h each: no
+    solve.  Likewise modulo p^2, with H = (p^2 - p(1)^2)/(x-1) and U,
+        p(1)^4 S(n) = chi(x^e mod p^2) - e chi(x) + n chi(1).
+    Differentiating x^e = q p + r, r = x^e mod p, lifts it to
+    x^e mod p^2 = r + p t with t = (e x^-1 r - r') g/R mod p, where
+    g p' = R mod p (``exactmath.inverse_mod``, R = +-Res(p, p') != 0)
+    and x^-1 mod p is integral, as p(0) = +-det A = +-1.  So with
+    omega(f) = chi(p g f),
+        R p(1)^4 S(n) = R chi(r) + e omega(x^-1 r) - omega(r')
+                        - R (e chi(x) - n chi(1)).
+    Both read-outs are linear in r, so each is a Hankel form over its
+    values on x^k mod p, k < 2m, at the half power s = x^(e div 2) mod p,
+    as in ``_jumper`` (Fiduccia 1985): one powering serves N and S, and
+    two exact divisions finish them.  Setup refuses p(1) = 0, as at
+    m = 1 (p = x - 1), and R = 0, a p with a repeated root; these, and an
+    inexact division, raise ArithmeticError.
+    """
+    from .exactmath import inverse_mod, poly_square, x_power_mod
+
+    counts, totals = zip(*islice(cell_stream(m), 2 * m))
+    count_totals, order_totals = ([a - 2 * b + c for a, b, c in zip(sums, (0, *sums), (0, 0, *sums))]
+                                  for sums in (counts, totals))
+    p = totals_polynomial(m, count_totals)
+    c = p.coefficients
+    at_one = sum(c)
+    if not at_one:
+        raise ArithmeticError(f"p(1) = 0 at m={m}: no jump modulo p")
+    resultant, g = inverse_mod([k * a for k, a in enumerate(c)][1:], p)
+    if not resultant:
+        raise ArithmeticError(f"p has a repeated root at m={m}: no jump modulo p")
+
+    def lifted(h, terms, step):
+        # l(h x^j) for j < len(terms), with l(x^i) = terms[i] and
+        # (x-1) h = -step modulo what l vanishes on
+        return list(accumulate((-step * t for t in terms[:-1]), initial=sum(map(mul, h, terms))))
+
+    def extended(values):
+        # a linear functional's values on x^k mod p, given for k < m, for k < 2m
+        values = list(values)
+        while len(values) < 2 * m:
+            values.append(-sum(map(mul, c, values[-m:])))
+        return values
+
+    h = list(accumulate(reversed(c[1:])))[::-1]
+    phi = lifted(h, lifted(h, count_totals, at_one), at_one)
+    big_h = list(accumulate(reversed(poly_square(c)[1:])))[::-1]
+    chi = lifted(big_h, lifted(big_h, order_totals, at_one ** 2), at_one ** 2)
+    psi = extended(sum(map(mul, c, chi[j:])) for j in range(m))  # chi(p x^k)
+    omega = [sum(map(mul, g, psi[j:])) for j in range(m)]
+    # omega(x^(k-1)) for k < 2m, with x^-1 = -p(0) (p - p(0))/x mod p
+    shifted = [-c[0] * sum(map(mul, c[1:], omega)), *extended(omega)[:-1]]
+    # R chi(r) - omega(r') on r = x^k mod p: S's read-out less its e-term
+    steady = extended(resultant * chi[k] - k * shifted[k] for k in range(m))
+    count_scale, total_scale = at_one ** 2, resultant * at_one ** 4
+
+    def jump(n: int) -> tuple[int, int]:
+        e = n + 1
+        half, odd = divmod(e, 2)
+        s = x_power_mod(half, p)
+        count_form, total_form = (sum(si * sum(map(mul, s, values[odd + i:])) for i, si in enumerate(s))
+                                  for values in (phi, [a + e * b for a, b in zip(steady, shifted)]))
+        count, count_rest = divmod(count_form - e * phi[1] + n * phi[0], count_scale)
+        total, total_rest = divmod(total_form - resultant * (e * chi[1] - n * chi[0]), total_scale)
+        if count_rest or total_rest:
+            raise ArithmeticError(f"jump modulo p inexact at m={m} n={n}")
+        return count, total
 
     return jump
 
@@ -149,12 +255,14 @@ class ProductResult(FrozenRecord):
 
 def evaluate(m: int, n: int) -> ProductResult:
     """Count, total order, average, and density for one cell: the n-th
-    stream item up to n = 4m+4, the jump's Hankel terms, and the jump
-    above, where Q decides."""
+    stream item up to n = 4m+4, the jump's Hankel terms, and a jump
+    above, where Q decides: modulo p for 2 <= m <= P_JUMP_MAX_M, modulo Q
+    otherwise."""
     if m < 1:
         raise ValueError("layer size m must be at least 1")
     if n < 1:
         raise ValueError("path length n must be at least 1")
     if n > 4 * m + 4:
-        return ProductResult(m, n, *_jumper(m)(n))
+        jumper = _p_jumper if 2 <= m <= P_JUMP_MAX_M else _jumper
+        return ProductResult(m, n, *jumper(m)(n))
     return ProductResult(m, n, *next(islice(cell_stream(m), n - 1, None)))

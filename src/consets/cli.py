@@ -21,7 +21,7 @@ charpoly
     The characteristic polynomial of the layer recurrence matrix, with
     its coefficient identities checked.  It comes from
     layers.layer_polynomial (Berlekamp-Massey on the streamed totals,
-    certified exactly), the step that gives the recurrence jump its p;
+    certified exactly), the step that gives both recurrence jumps their p;
     verify --charpoly compares it with Faddeev-LeVerrier.
 ladder
     The two-layer cells: compute (--n) or table (--n-max) at m = 2;
@@ -47,9 +47,12 @@ as the engine yields it, so their memory does not grow with n_max; json
 collects the rows for one dump.
 
 table, ladder --n-max and a compute that streams (n <= 4m+4) load only
-the engine's stream (aggregate, layers, records); a compute that jumps
-also loads the polynomial arithmetic of exactmath, as charpoly and
-verify do.  verify imports the census and the suites when it runs
+the engine's stream (aggregate, layers, records).  A compute that jumps
+(n >= 4m+5) also loads the polynomial arithmetic of exactmath, as
+charpoly and verify do, by either route: modulo p, the layer polynomial,
+for 2 <= m <= aggregate.P_JUMP_MAX_M (12), with one fraction-free solve
+for p's scaled derivative inverse (exactmath.inverse_mod); modulo Q =
+(p (x-1))^2 at m = 1 and above the cut-off.  verify imports the census and the suites when it runs
 (verify --m/--n and --graph only the census and its checks, from
 reporting), charpoly only the coefficient checks (recurrence), never the
 census, and json is imported for json output alone, so a process pays

@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: integer matrices, characteristic polynomials,
-the certified annihilator of an integer sequence, polynomial squares, and
-powers of x modulo a monic integer polynomial.
+the certified annihilator of an integer sequence, polynomial squares,
+powers of x modulo a monic integer polynomial, and scaled inverses there.
 
 Integer scalars are plain ``int`` (arbitrary precision), rationals are
 ``fractions.Fraction`` (always reduced, positive denominator).  Nothing in
@@ -9,6 +9,7 @@ this package ever rounds: every count, sum, average, and density is exact.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 
@@ -85,25 +86,8 @@ class IntMatrix:
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
-        n = self.order
-        a = [list(row) for row in self._rows]
-        sign = 1
-        prev = 1
-        for r in range(n - 1):
-            if a[r][r] == 0:
-                for i in range(r + 1, n):
-                    if a[i][r] != 0:
-                        a[r], a[i] = a[i], a[r]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(r + 1, n):
-                for j in range(r + 1, n):
-                    a[i][j] = (a[i][j] * a[r][r] - a[i][r] * a[r][j]) // prev
-                a[i][r] = 0
-            prev = a[r][r]
-        return sign * a[n - 1][n - 1]
+        rows = [list(row) for row in self._rows]
+        return _bareiss(rows, self.order) * rows[-1][-1]
 
     @property
     def is_symmetric(self) -> bool:
@@ -344,3 +328,59 @@ def x_power_mod(e: int, modulus: IntPolynomial) -> list[int]:
         if bit == "1":
             result = _reduce([0, *result], coefficients)
     return result
+
+
+def _bareiss(rows: list[list[int]], order: int) -> int:
+    """Fraction-free (Bareiss) elimination of the first ``order`` columns,
+    in place, on rows that may carry further columns: each row k then
+    holds the k-th leading principal minor of the row-swapped matrix at
+    column k, so the last pivot is its determinant.  Returns the sign of
+    the swaps, or 0, leaving the rows half done, where a column has no
+    pivot and the determinant is 0.  Below the pivots the entries are
+    left stale; only those on and above them are read afterwards."""
+    sign, previous = 1, 1
+    for k in range(order):
+        swap = next((i for i in range(k, order) if rows[i][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
+        for row in rows[k + 1:]:
+            factor = row[k]
+            row[k + 1:] = [(pivot * x - factor * y) // previous
+                           for x, y in zip(row[k + 1:], top[k + 1:])]
+        previous = pivot
+    return sign
+
+
+def inverse_mod(a: Sequence[int], modulus: IntPolynomial) -> tuple[int, list[int]]:
+    """R and g, g of degree under the modulus degree d, with g a = R mod a
+    monic integer polynomial: R = 0 (and g empty) exactly where a is not
+    invertible there, else R a^-1 = g, integral by Cramer's rule.
+
+    The columns x^j a mod the modulus, j < d, make the matrix of
+    multiplication by a on Z[x]/(modulus), whose determinant is
+    +-Res(modulus, a).  ``_bareiss`` eliminates it, augmented by the
+    constant 1, and leaves that determinant, up to the sign of its row
+    swaps, as the last pivot R; back substitution then divides exactly.
+    """
+    coefficients = modulus.coefficients
+    degree = modulus.degree
+    column = _reduce(list(a), coefficients)
+    column += [0] * (degree - len(column))
+    columns = []
+    for _ in range(degree):
+        columns.append(column)
+        column = _reduce([0, *column], coefficients)
+    rows = [[*row, int(i == 0)] for i, row in enumerate(zip(*columns))]
+    if not _bareiss(rows, degree):
+        return 0, []
+    scale = rows[-1][degree - 1]
+    g = [0] * degree
+    for i in reversed(range(degree)):
+        row = rows[i]
+        g[i] = (scale * row[degree] - sum(map(mul, row[i + 1:degree], g[i + 1:]))) // row[i]
+    return scale, g

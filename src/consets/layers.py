@@ -123,9 +123,9 @@ def totals_polynomial(m: int, totals: Sequence[int]) -> IntPolynomial:
     ``sequence_annihilator`` certifies their monic degree-m annihilator
     unique, which makes it p; where it cannot, p comes from ``char_poly``
     of the literal matrix (Faddeev-LeVerrier).  ``layer_polynomial``
-    reads the totals off the last entries of the count columns, the
-    recurrence jump as second differences of the counts it streams, and
-    both take p from here."""
+    reads the totals off the last entries of the count columns, both
+    recurrence jumps as second differences of the counts they stream,
+    and all three take p from here."""
     from .exactmath import char_poly, sequence_annihilator
 
     polynomial = sequence_annihilator(totals)

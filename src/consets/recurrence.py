@@ -7,8 +7,9 @@ the top coefficient (through the trace, against Fibonacci numbers) holds
 for every m, while the unit-constant-term claim is true only for
 m = 0, 3 (mod 4) and is reported honestly where it fails.  p comes from
 ``layers.layer_polynomial``, which ``charpoly`` prints, by the step
-(``layers.totals_polynomial``) from which the engine's jump takes the p
-of ``aggregate.annihilator``: Berlekamp-Massey on the streamed totals,
+(``layers.totals_polynomial``) from which the engine's jumps take p,
+the modulus of one and the root of the other's ``aggregate.annihilator``:
+Berlekamp-Massey on the streamed totals,
 certified exactly.  The trace and determinant are
 read off the literal matrix; ``verify.charpoly_checks`` compares p with
 Faddeev-LeVerrier (``exactmath.char_poly``), and ``verify.stream_checks``

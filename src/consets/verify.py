@@ -235,27 +235,34 @@ def anchor_checks(m_max: int = 10, n_max: int = 50) -> list[Check]:
 
 
 def jump_checks(m_max: int = 8, n_max: int = 200) -> list[Check]:
-    """The recurrence jump against one stream walk per m, one check per m.
+    """Both recurrence jumps against one stream walk per m: the jump
+    modulo Q for every m, and for m >= 2 the jump modulo p, each one
+    check per m, at every horizon visited.
 
     With d = 2m+2 the degree of the annihilator Q, the horizons are
     d+1..d+4, the first past the seeds of the recurrence, where the Hankel
     form reads streamed terms back; 2d+1 and 2d+2, the first whose half
     power is reduced mod Q, so the first that Q decides and the first
     that ``evaluate`` jumps to, one of each parity; and n_max - 1 and
-    n_max, the deep end in both parities."""
+    n_max, the deep end in both parities.  The jump modulo p reduces its
+    half power from n = 2m-1 on, so every horizon here exercises p."""
     checks = []
     for m in range(1, m_max + 1):
         streamed = list(islice(aggregate.cell_stream(m), n_max))
         degree = 2 * m + 2
-        horizons = {*range(degree + 1, degree + 5), 2 * degree + 1, 2 * degree + 2,
-                    n_max - 1, n_max}
-        jump = aggregate._jumper(m)
-        bad = []
-        for n in sorted(h for h in horizons if 1 <= h <= n_max):
-            jumped = jump(n)
-            if jumped != streamed[n - 1]:
-                bad.append(f"m={m} n={n}: jump {jumped}, stream {streamed[n - 1]}")
-        checks.append(_swept("recurrence jump vs stream", f"m={m} n<={n_max}", bad))
+        horizons = sorted(h for h in {*range(degree + 1, degree + 5), 2 * degree + 1,
+                                      2 * degree + 2, n_max - 1, n_max} if 1 <= h <= n_max)
+        routes = [("recurrence jump vs stream", "Q-jump", aggregate._jumper)]
+        if m >= 2:
+            routes.append(("recurrence jump modulo p vs stream", "p-jump", aggregate._p_jumper))
+        for name, route, jumper in routes:
+            jump = jumper(m)
+            bad = []
+            for n in horizons:
+                jumped = jump(n)
+                if jumped != streamed[n - 1]:
+                    bad.append(f"m={m} n={n}: {route} {jumped}, stream {streamed[n - 1]}")
+            checks.append(_swept(name, f"m={m} n<={n_max}", bad))
     return checks
 
 

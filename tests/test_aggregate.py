@@ -13,28 +13,40 @@ Claims covered:
     - the recurrence jump equals the stream, and ``evaluate`` equals it
       on both sides of n = 4m+4, the last Hankel term: up to there it
       streams and never builds p, Q or a power of x, and from 4m+5 on,
-      the first horizon Q decides, it jumps
+      the first horizon Q decides, it jumps, modulo p for
+      2 <= m <= P_JUMP_MAX_M and modulo Q at m = 1 and at P_JUMP_MAX_M + 1
     - the annihilator holds on the streamed sums, and equals p^2 (x-1)^2
       expanded by a schoolbook product
     - no production path builds the literal layer matrix, applies it or
       takes the binomial weights
     - the stream's second differences equal the weighted count and order
       columns
-    - a jump walks the count columns once, for its 4m+4 Hankel terms and
-      the totals T(1..2m) that give p: never by Faddeev-LeVerrier for
-      m <= 60, and by it where Berlekamp-Massey is not certified
-    - the jump equals the stream at random n of both parities past the
-      seeds, m = 1..12, and the linear read-out sum_j r_j a(j+1), with
-      r = x^(n-1) mod Q, at n = 1001, 1002 and 10^4
-    - for m = 13..24 the jump equals the stream at 4m+5, 4m+6, 6m+6 and
+    - a jump walks the count columns once: modulo Q for its 4m+4 Hankel
+      terms, modulo p for its 2m items, and either way the totals
+      T(1..2m) that give p come off that walk, never by Faddeev-LeVerrier
+      for m <= 60, and by it where Berlekamp-Massey is not certified
+    - the jump modulo Q equals the stream at random n of both parities
+      past the seeds, m = 1..12, and the linear read-out sum_j r_j a(j+1),
+      with r = x^(n-1) mod Q, at n = 1001, 1002 and 10^4
+    - the jump modulo p equals the stream at random n of both parities,
+      n = 1..400, m = 2..P_JUMP_MAX_M, and the jump modulo Q at n = 10^4
+      for m = 2..12; the census equals it at (3, 17) and (4, 21)
+    - for m = 13..24 both jumps equal the stream at 4m+5, 4m+6, 6m+6 and
       6m+7, a range that reaches a p whose Berlekamp-Massey needs a
       third CRT prime (three at m = 20, against two at m = 10)
-    - each jump powers x once, to the half power floor((n-1)/2)
-    - verify.jump_checks fails, naming m and n, when the jump is wrong;
-      it visits the first horizons past the seeds, the first two whose
-      half power is reduced mod Q, and n_max - 1 and n_max; a Q one off
-      in one coefficient, or a reduction by such a Q alone, fails first
-      at 4m+5, and such a Q leaves the jump right up to 4m+4
+    - each jump powers x once: modulo Q to floor((n-1)/2), modulo p to
+      floor((n+1)/2), and ``evaluate`` past 4m+4 powers modulo p alone
+    - verify.jump_checks fails, naming the route, m and n, when a jump is
+      wrong; it visits, for both routes, the first horizons past the
+      seeds, the first two whose half power is reduced mod Q, and
+      n_max - 1 and n_max; a Q one off in one coefficient, or a reduction
+      by such a Q alone, fails first at 4m+5, and such a Q leaves the
+      jump right up to 4m+4; a reduction by a p one off makes the p-jump's
+      division inexact at 2m+3, the first horizon it visits
+    - one integer of phi, chi or g off by one makes ``compute`` exit 3
+      with one ``internal error`` line and no row; a faked p with
+      p(1) = 0 (m = 1's own p among them) or a repeated root is refused
+      at setup
     - the stream seeded with Decimal(1) in the CLI's exact context is the
       int stream item for item, in Decimals
     - the package exports exactly the engine's three names; the census
@@ -52,11 +64,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import consets
-from consets import aggregate, cli, exactmath, layers, verify
-from consets.aggregate import ProductResult, _jumper, annihilator, cell_stream, evaluate
+from consets import aggregate, cli, exactmath, layers, oracle, verify
+from consets.aggregate import (
+    P_JUMP_MAX_M,
+    ProductResult,
+    _jumper,
+    _p_jumper,
+    annihilator,
+    cell_stream,
+    evaluate,
+)
 from consets.exactmath import IntPolynomial, x_power_mod
 from consets.layers import layer_polynomial, profile_table, weighted_sum
-from consets.oracle import census, complete_path_product
+from consets.oracle import census, complete_path_product, enumerated_census
 from consets.orders import layer_order_sum_convolution
 
 
@@ -178,10 +198,11 @@ def test_jump_equals_stream(m):
 
 @pytest.mark.parametrize("m", range(13, 25))
 def test_jump_equals_stream_past_m_12(m):
+    # the jump modulo p too, though evaluate takes it only up to P_JUMP_MAX_M
     streamed = list(islice(cell_stream(m), 6 * m + 7))
-    jump = _jumper(m)
-    for n in (4 * m + 5, 4 * m + 6, 6 * m + 6, 6 * m + 7):
-        assert jump(n) == streamed[n - 1], n
+    for jump in (_jumper(m), _p_jumper(m)):
+        for n in (4 * m + 5, 4 * m + 6, 6 * m + 6, 6 * m + 7):
+            assert jump(n) == streamed[n - 1], n
 
 
 def test_wider_layers_take_more_crt_primes_for_p(monkeypatch):
@@ -209,18 +230,20 @@ def test_decimal_twin_equals_the_int_stream(m):
     assert twin == list(islice(cell_stream(m), 300))
 
 
-@pytest.mark.parametrize("m", range(1, 11))
+@pytest.mark.parametrize("m", [*range(1, 11), P_JUMP_MAX_M, P_JUMP_MAX_M + 1])
 def test_evaluate_across_the_engine_crossover(m, monkeypatch):
     # n = 4m+4 is the last Hankel term and streams; n = 4m+5, the first
-    # horizon whose half power is reduced mod Q, jumps
+    # horizon whose half power is reduced mod Q, jumps: modulo p for
+    # 2 <= m <= P_JUMP_MAX_M, modulo Q at m = 1 and above that
     last = 4 * m + 4
     streamed = list(islice(cell_stream(m), last + 1))
     jumped = []
-    monkeypatch.setattr(aggregate, "_jumper", lambda m: jumped.append(m) or _jumper(m))
+    monkeypatch.setattr(aggregate, "_jumper", lambda m: jumped.append(("Q", m)) or _jumper(m))
+    monkeypatch.setattr(aggregate, "_p_jumper", lambda m: jumped.append(("p", m)) or _p_jumper(m))
     assert evaluate(m, last) == ProductResult(m, last, *streamed[last - 1])
     assert jumped == []
     assert evaluate(m, last + 1) == ProductResult(m, last + 1, *streamed[last])
-    assert jumped == [m]
+    assert jumped == [("p" if 2 <= m <= P_JUMP_MAX_M else "Q", m)]
 
 
 def test_evaluate_streams_through_the_hankel_terms(monkeypatch):
@@ -231,7 +254,7 @@ def test_evaluate_streams_through_the_hankel_terms(monkeypatch):
     def refused(*args):
         raise AssertionError("evaluate left the stream")
 
-    for name in ("_jumper", "totals_polynomial"):
+    for name in ("_jumper", "_p_jumper", "totals_polynomial"):
         monkeypatch.setattr(aggregate, name, refused)
     monkeypatch.setattr(exactmath, "x_power_mod", refused)
     for m, streamed in expected.items():
@@ -239,8 +262,9 @@ def test_evaluate_streams_through_the_hankel_terms(monkeypatch):
             assert evaluate(m, n) == ProductResult(m, n, *item), (m, n)
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 12])
-def test_a_jump_walks_the_columns_once(m, monkeypatch):
+@pytest.mark.parametrize("m, route", [(1, "Q"), (2, "Q"), (5, "Q"), (12, "Q"),
+                                      (2, "p"), (5, "p"), (12, "p")])
+def test_a_jump_walks_the_columns_once(m, route, monkeypatch):
     walks = []
     real = layers.count_columns
 
@@ -251,10 +275,11 @@ def test_a_jump_walks_the_columns_once(m, monkeypatch):
             yield column
 
     monkeypatch.setattr(layers, "count_columns", counted)
-    jump = _jumper(m)
-    # 4m+4 Hankel terms, the last one's totals read off one more column;
-    # p's totals T(1..2m) are second differences of their counts
-    assert walks == [4 * m + 5]
+    jump = (_jumper if route == "Q" else _p_jumper)(m)
+    # modulo Q: 4m+4 Hankel terms, the last one's totals read off one more
+    # column; modulo p: 2m items, whose second differences are T(1..2m)
+    # and U(1..2m).  Either way p's totals T(1..2m) come off that walk
+    assert walks == [4 * m + 5 if route == "Q" else 2 * m + 1]
     assert jump(4 * m + 5) == next(islice(cell_stream(m), 4 * m + 4, None))
 
 
@@ -280,6 +305,8 @@ def test_production_paths_never_build_the_literal_matrix(monkeypatch):
         for n in (seeds, seeds + 1):
             assert evaluate(m, n) == ProductResult(m, n, *streamed[n - 1])
         assert _jumper(m)(4 * m + 5) == streamed[-1]
+        if m >= 2:
+            assert _p_jumper(m)(4 * m + 5) == streamed[-1]
         assert layer_polynomial(m) == polynomials[m]
 
 
@@ -332,6 +359,32 @@ def test_jump_equals_stream_at_random_horizons(cell):
     assert _cached_jumper(m)(n) == _stream(m)[n - 1]
 
 
+_cached_p_jumper = cache(_p_jumper)
+
+
+@st.composite
+def _p_jumped_cells(draw):
+    m = draw(st.integers(2, P_JUMP_MAX_M))
+    return m, draw(st.integers(1, 400))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_p_jumped_cells())
+@example((2, 1)).via("the first horizon")
+@example((2, 3)).via("the first reduced half power at m = 2, n + 1 even")
+@example((2, 4)).via("n + 1 odd")
+@example((P_JUMP_MAX_M, 399)).via("deep, n + 1 even")
+@example((P_JUMP_MAX_M, 400)).via("deep, n + 1 odd")
+def test_p_jump_equals_stream_at_random_horizons(cell):
+    m, n = cell
+    assert _cached_p_jumper(m)(n) == _stream(m)[n - 1]
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_p_jump_equals_the_q_jump_deep(m):
+    assert _p_jumper(m)(10 ** 4) == _jumper(m)(10 ** 4)
+
+
 @pytest.mark.parametrize("m", [1, 3, 6, 10])
 def test_deep_jump_equals_the_linear_read_out(m):
     # the read-out the Hankel form replaced: with r = x^(n-1) mod Q,
@@ -350,7 +403,7 @@ def test_a_jump_powers_x_once_to_the_half_power(m, monkeypatch):
     powers = []
 
     def counted(e, modulus):
-        powers.append(e)
+        powers.append((e, modulus.degree))
         return x_power_mod(e, modulus)
 
     monkeypatch.setattr(exactmath, "x_power_mod", counted)
@@ -358,7 +411,30 @@ def test_a_jump_powers_x_once_to_the_half_power(m, monkeypatch):
     for n in (1, 2, 2 * m + 3, 2 * m + 4, 4 * m + 5, 4 * m + 6, 777, 778):
         powers.clear()
         jump(n)
-        assert powers == [(n - 1) // 2], n
+        assert powers == [((n - 1) // 2, 2 * m + 2)], n
+
+
+@pytest.mark.parametrize("m", [2, 4, 9, P_JUMP_MAX_M])
+def test_a_p_jump_powers_x_once_to_the_half_power_modulo_p(m, monkeypatch):
+    # x^(n+1) = x^o s^2 with s = x^((n+1) div 2), modulo p of degree m;
+    # evaluate past 4m+4 powers x once, that way
+    powers = []
+
+    def counted(e, modulus):
+        powers.append((e, modulus.degree))
+        return x_power_mod(e, modulus)
+
+    monkeypatch.setattr(exactmath, "x_power_mod", counted)
+    jump = _p_jumper(m)
+    for n in (1, 2, 2 * m + 3, 2 * m + 4, 4 * m + 5, 4 * m + 6, 777, 778):
+        powers.clear()
+        jump(n)
+        assert powers == [((n + 1) // 2, m)], n
+    monkeypatch.setattr(aggregate, "_p_jumper", lambda m: jump)
+    for n in (4 * m + 5, 4 * m + 6, 777, 778):
+        powers.clear()
+        evaluate(m, n)
+        assert powers == [((n + 1) // 2, m)], n
 
 
 def test_deep_jump_equals_stream():
@@ -411,33 +487,53 @@ def test_annihilator_never_takes_faddeev_leverrier(monkeypatch):
         assert found[-1] is not None and found[-1].degree == m
 
 
-def test_jump_checks_report_a_wrong_jump(monkeypatch):
-    # verify.jump_checks reads the jumper from the engine, so a wrong jump
-    # fails the check and its detail names the first bad cell
-    monkeypatch.setattr(aggregate, "_jumper", lambda m: lambda n: (0, 0))
+Q_CHECK, P_CHECK = "recurrence jump vs stream", "recurrence jump modulo p vs stream"
+
+
+def _by_route(checks):
+    # the jump_checks results of each route, in order of m
+    return {name: [check for check in checks if check.name == name] for name in (Q_CHECK, P_CHECK)}
+
+
+@pytest.mark.parametrize("name, route, label", [("_jumper", Q_CHECK, "Q-jump"),
+                                                ("_p_jumper", P_CHECK, "p-jump")])
+def test_jump_checks_report_a_wrong_jump(name, route, label, monkeypatch):
+    # verify.jump_checks reads each jumper from the engine, so a wrong jump
+    # fails its route's checks alone, and the detail names the route and
+    # the first bad cell
+    monkeypatch.setattr(aggregate, name, lambda m: lambda n: (0, 0))
     checks = verify.jump_checks(3, 40)
-    assert [check.ok for check in checks] == [False, False, False]
-    assert checks[2].detail.startswith("m=3 n=9: jump (0, 0), stream ")
+    assert [check.name for check in checks] == [Q_CHECK, Q_CHECK, P_CHECK, Q_CHECK, P_CHECK]
+    assert [check.ok for check in checks] == [check.name != route for check in checks]
+    assert _by_route(checks)[route][-1].detail.startswith(f"m=3 n=9: {label} (0, 0), stream ")
 
 
 def test_jump_checks_visit_the_horizons(monkeypatch):
-    # one check per m; per m, 2m+3..2m+6, 4m+5 and 4m+6, n_max - 1, n_max
+    # one check per route and m; per m, 2m+3..2m+6, 4m+5 and 4m+6,
+    # n_max - 1, n_max, the same horizons for both routes
     visited = {}
 
-    def recorded(m):
-        jump = _jumper(m)
-        return lambda n: visited.setdefault(m, []).append(n) or jump(n)
+    def recorder(route, real):
+        def recorded(m):
+            jump = real(m)
+            return lambda n: visited.setdefault((route, m), []).append(n) or jump(n)
+        return recorded
 
-    monkeypatch.setattr(aggregate, "_jumper", recorded)
+    monkeypatch.setattr(aggregate, "_jumper", recorder("Q", _jumper))
+    monkeypatch.setattr(aggregate, "_p_jumper", recorder("p", _p_jumper))
     checks = verify.jump_checks(4, 40)
-    assert [check.ok for check in checks] == [True] * 4
-    assert {check.where for check in checks} == {f"m={m} n<=40" for m in range(1, 5)}
-    assert visited == {1: [5, 6, 7, 8, 9, 10, 39, 40], 2: [7, 8, 9, 10, 13, 14, 39, 40],
-                       3: [9, 10, 11, 12, 17, 18, 39, 40], 4: [11, 12, 13, 14, 21, 22, 39, 40]}
+    assert [check.ok for check in checks] == [True] * 7
+    routes = _by_route(checks)
+    assert [check.where for check in routes[Q_CHECK]] == [f"m={m} n<=40" for m in range(1, 5)]
+    assert [check.where for check in routes[P_CHECK]] == [f"m={m} n<=40" for m in range(2, 5)]
+    horizons = {1: [5, 6, 7, 8, 9, 10, 39, 40], 2: [7, 8, 9, 10, 13, 14, 39, 40],
+                3: [9, 10, 11, 12, 17, 18, 39, 40], 4: [11, 12, 13, 14, 21, 22, 39, 40]}
+    assert visited == {**{("Q", m): ns for m, ns in horizons.items()},
+                       **{("p", m): ns for m, ns in horizons.items() if m >= 2}}
     # n_max - 1 = 0 is no horizon
     visited.clear()
-    assert [check.ok for check in verify.jump_checks(2, 1)] == [True, True]
-    assert visited == {1: [1], 2: [1]}
+    assert [check.ok for check in verify.jump_checks(2, 1)] == [True, True, True]
+    assert visited == {("Q", 1): [1], ("Q", 2): [1], ("p", 2): [1]}
 
 
 def _one_off(coefficients, k):
@@ -459,9 +555,11 @@ def test_jump_checks_catch_a_wrong_annihilator(m, k, monkeypatch):
     jump = _jumper(m)
     streamed = list(islice(cell_stream(m), 4 * m + 4))
     assert [jump(n) for n in range(1, 4 * m + 5)] == streamed
-    checks = verify.jump_checks(5, 60)
-    assert [check.ok for check in checks] == [n != m for n in range(1, 6)]
-    assert checks[m - 1].detail.startswith(f"m={m} n={4 * m + 5}: jump ")
+    routes = _by_route(verify.jump_checks(5, 60))
+    assert [check.ok for check in routes[Q_CHECK]] == [n != m for n in range(1, 6)]
+    assert routes[Q_CHECK][m - 1].detail.startswith(f"m={m} n={4 * m + 5}: Q-jump ")
+    # the jump modulo p builds no Q
+    assert [check.ok for check in routes[P_CHECK]] == [True] * 4
 
 
 @pytest.mark.parametrize("m, k", [(1, 0), (3, 5), (5, 11)])
@@ -469,17 +567,36 @@ def test_jump_checks_catch_a_wrong_reduction(m, k, monkeypatch):
     # the Hankel terms are right but the half power is reduced by a Q one
     # off in coefficient k: below 4m+5 the half power has degree under
     # 2m+2 and is never reduced, so 4m+5 is the first bad horizon
-    degree = 2 * m + 2
+    target = annihilator(layer_polynomial(m))
 
     def wrong(e, modulus):
-        if modulus.degree == degree:
+        if modulus == target:
             modulus = _one_off(modulus.coefficients, k)
         return x_power_mod(e, modulus)
 
     monkeypatch.setattr(exactmath, "x_power_mod", wrong)
-    checks = verify.jump_checks(5, 60)
-    assert [check.ok for check in checks] == [n != m for n in range(1, 6)]
-    assert checks[m - 1].detail.startswith(f"m={m} n={4 * m + 5}: jump ")
+    routes = _by_route(verify.jump_checks(5, 60))
+    assert [check.ok for check in routes[Q_CHECK]] == [n != m for n in range(1, 6)]
+    assert routes[Q_CHECK][m - 1].detail.startswith(f"m={m} n={4 * m + 5}: Q-jump ")
+    assert [check.ok for check in routes[P_CHECK]] == [True] * 4
+
+
+@pytest.mark.parametrize("m, k", [(2, 0), (3, 2), (5, 4)])
+def test_jump_checks_catch_a_wrong_reduction_modulo_p(m, k, monkeypatch):
+    # the half power reduced by a p one off in coefficient k, for this m
+    # alone: the final division is inexact at the first horizon visited,
+    # 2m+3, so the battery stops there (exit 3), and the other m pass
+    target = layer_polynomial(m)
+
+    def wrong(e, modulus):
+        if modulus == target:
+            modulus = _one_off(modulus.coefficients, k)
+        return x_power_mod(e, modulus)
+
+    monkeypatch.setattr(exactmath, "x_power_mod", wrong)
+    assert all(check.ok for check in verify.jump_checks(m - 1, 60))
+    with pytest.raises(ArithmeticError, match=f"^jump modulo p inexact at m={m} n={2 * m + 3}$"):
+        verify.jump_checks(m, 60)
 
 
 def test_jump_domain_errors():
@@ -488,9 +605,78 @@ def test_jump_domain_errors():
     with pytest.raises(ValueError):
         _jumper(0)
     with pytest.raises(ValueError):
+        _p_jumper(0)
+    with pytest.raises(ValueError):
+        _p_jumper(3)(-2)
+    # m = 1 has p = x - 1, so p(1) = 0: that cell jumps modulo Q alone
+    with pytest.raises(ArithmeticError, match="p\\(1\\) = 0 at m=1"):
+        _p_jumper(1)
+    with pytest.raises(ValueError):
         evaluate(3, 0)
     with pytest.raises(ValueError):
         evaluate(0, 3)
+
+
+@pytest.mark.parametrize("m, n", [(3, 17), (4, 21)])
+def test_census_equals_the_p_jump_at_its_first_cells(m, n, monkeypatch):
+    # the first cells evaluate jumps modulo p at m = 3 and 4: 51 and 84
+    # vertices, past the census limit, which is lifted for this test only;
+    # the census shares no code with either jump
+    monkeypatch.setattr(oracle, "MAX_CAP", m * n)
+    report = enumerated_census(complete_path_product(m, n).graph)
+    routes = []
+    monkeypatch.setattr(aggregate, "_p_jumper", lambda m: routes.append(m) or _p_jumper(m))
+    result = evaluate(m, n)
+    assert routes == [m]
+    assert (result.count, result.total) == (report.count, report.total_order)
+
+
+def _corrupted_closure(jump, name, k):
+    """Add 1 to entry k of the list the jump closes over under ``name``."""
+    cell = jump.__closure__[jump.__code__.co_freevars.index(name)]
+    values = list(cell.cell_contents)
+    values[k] += 1
+    cell.cell_contents = values
+
+
+@pytest.mark.parametrize("datum", ["phi", "chi", "g"])
+def test_a_corrupted_p_jump_exits_3(datum, monkeypatch, capsys):
+    # one integer of phi (N's functional), chi (S's, modulo p^2) or g (the
+    # scaled inverse of p') off by one: a final division is inexact, so
+    # compute prints no row and exits 3 with one line
+    if datum == "g":
+        real = exactmath.inverse_mod
+
+        def corrupted(a, modulus):
+            scale, g = real(a, modulus)
+            return scale, [*g[:2], g[2] + 1, *g[3:]]
+
+        monkeypatch.setattr(exactmath, "inverse_mod", corrupted)
+        jump = _p_jumper(6)
+    else:
+        jump = _p_jumper(6)
+        _corrupted_closure(jump, datum, 3 if datum == "phi" else 1)
+    monkeypatch.setattr(aggregate, "_p_jumper", lambda m: jump)
+    code = cli.main(["compute", "--m", "6", "--n", "5000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: ArithmeticError: jump modulo p inexact at m=6 n=5000\n"
+
+
+@pytest.mark.parametrize("fake, refusal", [
+    ((-1, 0, 1), "p\\(1\\) = 0 at m=2"),  # x^2 - 1
+    ((1, 2, 1), "p has a repeated root at m=2"),  # (x + 1)^2, p(1) = 4
+])
+def test_a_p_jump_refuses_a_faked_p_at_setup(fake, refusal, monkeypatch, capsys):
+    powered = []
+    monkeypatch.setattr(aggregate, "totals_polynomial", lambda m, totals: IntPolynomial(fake))
+    monkeypatch.setattr(exactmath, "x_power_mod", lambda e, modulus: powered.append(e))
+    with pytest.raises(ArithmeticError, match=f"^{refusal}: no jump modulo p$"):
+        _p_jumper(2)
+    assert powered == []
+    assert cli.main(["compute", "--m", "2", "--n", "100"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: ArithmeticError: ")
 
 
 def test_public_surface():

@@ -15,6 +15,10 @@ Claims covered:
       the first 16 equals a Miller-Rabin scan down from 2^61 - 1, and the
       generator goes on past it without a gap
     - polynomial squares and x^e mod a monic polynomial are exact
+    - inverse_mod gives R and g with g a = R mod a monic polynomial, R the
+      determinant of multiplication by a up to sign (a cofactor expansion),
+      and R = 0 with no g where a shares a factor with the modulus; a zero
+      first pivot is swapped
     - Fraction construction always lands on the reduced canonical form
 """
 
@@ -33,6 +37,7 @@ from consets.exactmath import (
     IntMatrix,
     IntPolynomial,
     char_poly,
+    inverse_mod,
     poly_square,
     sequence_annihilator,
     x_power_mod,
@@ -139,6 +144,57 @@ def test_x_power_mod_matches_repeated_shift():
             top = reference[-1]
             reference = [0, *reference[:-1]]
             reference = [r - top * c for r, c in zip(reference, modulus.coefficients)]
+
+
+def _remainder(a, modulus):
+    """a mod a monic polynomial by long division, leading term first."""
+    a, degree = list(a), len(modulus) - 1
+    while len(a) > degree:
+        top = a.pop()
+        for j in range(degree):
+            a[len(a) - degree + j] -= top * modulus[j]
+    return a + [0] * (degree - len(a))
+
+
+def _schoolbook(a, b):
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    return product
+
+
+_inverse_cases = st.integers(1, 6).flatmap(lambda degree: st.tuples(
+    st.lists(st.integers(-9, 9), min_size=degree, max_size=degree),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=2 * degree)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_inverse_cases)
+def test_inverse_mod_scales_the_inverse(case):
+    low, a = case
+    modulus = IntPolynomial([*low, 1])
+    degree = modulus.degree
+    columns = [_remainder([0] * j + a, modulus.coefficients) for j in range(degree)]
+    determinant = _cofactor_determinant([list(row) for row in zip(*columns)])
+    scale, g = inverse_mod(a, modulus)
+    assert abs(scale) == abs(determinant)
+    if scale:
+        assert len(g) == degree
+        assert _remainder(_schoolbook(g, a), modulus.coefficients) == [scale] + [0] * (degree - 1)
+    else:
+        assert g == []
+
+
+def test_inverse_mod_fixed_cases():
+    # x is its own inverse up to sign mod x^2 + 1, and its matrix needs a
+    # row swap at the first pivot
+    scale, g = inverse_mod([0, 1], IntPolynomial((1, 0, 1)))
+    assert _remainder(_schoolbook(g, [0, 1]), (1, 0, 1)) == [scale, 0] and abs(scale) == 1
+    # (x + 1)^2 (x - 2) = x^3 - 3x - 2 shares the root -1 with its derivative
+    assert inverse_mod([-3, 0, 3], IntPolynomial((-2, -3, 0, 1))) == (0, [])
+    # degree 1: a(c) mod x - c, g = 1
+    assert inverse_mod([5, 2], IntPolynomial((-3, 1))) == (11, [1])
 
 
 def test_quadint_powers():
