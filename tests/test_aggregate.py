@@ -262,9 +262,8 @@ def test_evaluate_streams_through_the_hankel_terms(monkeypatch):
             assert evaluate(m, n) == ProductResult(m, n, *item), (m, n)
 
 
-@pytest.mark.parametrize("m, route", [(1, "Q"), (2, "Q"), (5, "Q"), (12, "Q"),
-                                      (2, "p"), (5, "p"), (12, "p")])
-def test_a_jump_walks_the_columns_once(m, route, monkeypatch):
+def _column_walks(monkeypatch):
+    # the number of columns each walk of count_columns takes
     walks = []
     real = layers.count_columns
 
@@ -275,11 +274,25 @@ def test_a_jump_walks_the_columns_once(m, route, monkeypatch):
             yield column
 
     monkeypatch.setattr(layers, "count_columns", counted)
-    jump = (_jumper if route == "Q" else _p_jumper)(m)
+    return walks
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 12])
+def test_a_jump_walks_the_columns_once(m, monkeypatch):
+    walks = _column_walks(monkeypatch)
+    jump = _jumper(m)
     # modulo Q: 4m+4 Hankel terms, the last one's totals read off one more
-    # column; modulo p: 2m items, whose second differences are T(1..2m)
-    # and U(1..2m).  Either way p's totals T(1..2m) come off that walk
-    assert walks == [4 * m + 5 if route == "Q" else 2 * m + 1]
+    # column; p's totals T(1..2m) are second differences of their counts
+    assert walks == [4 * m + 5]
+    assert jump(4 * m + 5) == next(islice(cell_stream(m), 4 * m + 4, None))
+
+
+@pytest.mark.parametrize("m", [2, 5, 12])
+def test_a_p_jump_walks_the_columns_once(m, monkeypatch):
+    walks = _column_walks(monkeypatch)
+    jump = _p_jumper(m)
+    # modulo p: 2m items, whose second differences are T(1..2m) and U(1..2m)
+    assert walks == [2 * m + 1]
     assert jump(4 * m + 5) == next(islice(cell_stream(m), 4 * m + 4, None))
 
 
@@ -495,9 +508,7 @@ def _by_route(checks):
     return {name: [check for check in checks if check.name == name] for name in (Q_CHECK, P_CHECK)}
 
 
-@pytest.mark.parametrize("name, route, label", [("_jumper", Q_CHECK, "Q-jump"),
-                                                ("_p_jumper", P_CHECK, "p-jump")])
-def test_jump_checks_report_a_wrong_jump(name, route, label, monkeypatch):
+def _wrong_jump_checks(name, route, label, monkeypatch):
     # verify.jump_checks reads each jumper from the engine, so a wrong jump
     # fails its route's checks alone, and the detail names the route and
     # the first bad cell
@@ -506,6 +517,14 @@ def test_jump_checks_report_a_wrong_jump(name, route, label, monkeypatch):
     assert [check.name for check in checks] == [Q_CHECK, Q_CHECK, P_CHECK, Q_CHECK, P_CHECK]
     assert [check.ok for check in checks] == [check.name != route for check in checks]
     assert _by_route(checks)[route][-1].detail.startswith(f"m=3 n=9: {label} (0, 0), stream ")
+
+
+def test_jump_checks_report_a_wrong_jump(monkeypatch):
+    _wrong_jump_checks("_jumper", Q_CHECK, "Q-jump", monkeypatch)
+
+
+def test_jump_checks_report_a_wrong_p_jump(monkeypatch):
+    _wrong_jump_checks("_p_jumper", P_CHECK, "p-jump", monkeypatch)
 
 
 def test_jump_checks_visit_the_horizons(monkeypatch):
