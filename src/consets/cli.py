@@ -44,7 +44,8 @@ compute converts N and S by divide and conquer, and a row prints only if
 they equal the checked ints modulo 2^61 - 1.  Each decimal column is one
 libmpdec division.  table and ladder --n-max print each csv or plain row
 as the engine yields it, so their memory does not grow with n_max; json
-collects the rows for one dump.
+collects the rows and writes the array in one call, so a failure
+mid-table prints no partial array.
 
 table, ladder --n-max and a compute that streams (n <= 4m+4) load only
 the engine's stream (aggregate, layers, records).  A compute that jumps
@@ -55,8 +56,8 @@ for p's scaled derivative inverse (exactmath.inverse_mod); modulo Q =
 (p (x-1))^2 at m = 1 and above the cut-off.  verify imports the census and the suites when it runs
 (verify --m/--n and --graph only the census and its checks, from
 reporting), charpoly only the coefficient checks (recurrence), never the
-census, and json is imported for json output alone, so a process pays
-only for the command it runs.
+census; the CLI writes JSON itself, and no command imports json, so a
+process pays only for the command it runs.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3
 internal error (any other exception, an engine cell outside
@@ -208,18 +209,31 @@ class OutputRecord(FrozenRecord):
                 f"D={_exact_text(d_num, d_den)} (~{d_dec})")
 
 
+def _json_text(fields: dict[str, object], indent: str) -> str:
+    """``json.dumps(fields, indent=2)`` of a json_object, nested ``indent``
+    deep: its keys are fixed ASCII names and its values ints or strings of
+    digits, "/" and ".", none of which JSON escapes."""
+    members = ",\n".join(f'{indent}  "{key}": {value}' if isinstance(value, int)
+                         else f'{indent}  "{key}": "{value}"' for key, value in fields.items())
+    return f"{{\n{members}\n{indent}}}"
+
+
 def emit_records(records: Iterable[OutputRecord], fmt: str, precision: int,
                  single: bool) -> None:
     """Print the records; csv and plain write each row as it arrives, with
     its newline in the same write call (``print`` makes two, which
-    unbuffered stdout, as under PYTHONUNBUFFERED, passes on one by one)."""
-    if fmt == "json":
-        import json
-
-        objects = [record.json_object(precision) for record in records]
-        print(json.dumps(objects[0] if single else objects, indent=2))
-        return
+    unbuffered stdout, as under PYTHONUNBUFFERED, passes on one by one).
+    json writes the text ``json.dumps(..., indent=2)`` gives for the one
+    record or the list of them, once every record is rendered."""
     write = sys.stdout.write
+    if fmt == "json":
+        objects = [_json_text(record.json_object(precision), "" if single else "  ")
+                   for record in records]
+        if single:
+            write(objects[0] + "\n")
+        else:
+            write("[\n  " + ",\n  ".join(objects) + "\n]\n" if objects else "[]\n")
+        return
     if fmt == "csv":
         write(CSV_HEADER + "\n")
     row = OutputRecord.csv_row if fmt == "csv" else OutputRecord.plain_line

@@ -18,8 +18,9 @@ Faddeev-LeVerrier, the weighted powers and the order-sum reference sum.
 Likewise ``weighted_sum`` weights a column by the binomial row, which the
 engine never does: that row is A's last, so a column's total is the last
 entry of the next column.  The walks need additions alone;
-``recurrence_matrix``, ``totals_polynomial`` and ``weighted_powers``
-import ``exactmath`` when they run, so the stream never loads it.
+``totals_polynomial`` imports ``exactmath`` when it runs, and
+``recurrence_matrix`` and ``weighted_powers`` import the literal matrix
+class from ``recurrence``, so the stream loads neither.
 
 Indices follow the combinatorics: layers and horizons k are 1-based, as
 are footprint sizes i in 1..m.  Matrix indices stay 0-based.
@@ -33,7 +34,8 @@ from operator import add, mul
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
-    from .exactmath import IntMatrix, IntPolynomial
+    from .exactmath import IntPolynomial
+    from .recurrence import IntMatrix
 
 
 def footprint_weights(m: int) -> tuple[int, ...]:
@@ -50,7 +52,7 @@ def recurrence_matrix(m: int) -> IntMatrix:
     footprints in the previous layer adjacent to a fixed i-vertex footprint
     in the next one.  The last row is the plain binomial row.
     """
-    from .exactmath import IntMatrix
+    from .recurrence import IntMatrix
 
     if m < 1:
         raise ValueError("layer size must be at least 1")
@@ -167,7 +169,7 @@ def weighted_powers(m: int) -> Iterator[IntMatrix]:
     Their symmetry is what lets per-size counts stand in for per-footprint
     counts; the powers are materialized, so keep k small.
     """
-    from .exactmath import IntMatrix
+    from .recurrence import IntMatrix
 
     matrix = recurrence_matrix(m)
     weighted = IntMatrix.diagonal(footprint_weights(m))

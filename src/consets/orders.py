@@ -17,8 +17,8 @@ from __future__ import annotations
 from itertools import islice
 from typing import Sequence
 
-from .exactmath import IntMatrix
 from .layers import column_stream, footprint_weights, recurrence_matrix, weighted_sum
+from .recurrence import IntMatrix
 
 
 def order_table(m: int, k_max: int) -> list[tuple[int, ...]]:

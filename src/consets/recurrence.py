@@ -14,15 +14,114 @@ certified exactly.  The trace and determinant are
 read off the literal matrix; ``verify.charpoly_checks`` compares p with
 Faddeev-LeVerrier (``exactmath.char_poly``), and ``verify.stream_checks``
 checks that the latter annihilates the per-horizon totals.
+
+``IntMatrix``, the literal matrix class, lives here: ``charpoly`` and
+``verify`` are the commands that build a literal matrix, and both load
+this module.  ``layers.recurrence_matrix``, ``layers.weighted_powers`` and
+``exactmath.char_poly`` import it when they run, so the engine's stream
+and jumps never compile it.  Its determinant shares the fraction-free
+elimination of ``exactmath.inverse_mod``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .exactmath import IntPolynomial
+from .exactmath import IntPolynomial, _bareiss
 from .layers import layer_polynomial, recurrence_matrix
 from .records import Check
+
+
+class IntMatrix:
+    """Immutable dense square matrix over Python integers.
+
+    Indices are 0-based.  Only the operations the reference routes need are
+    provided; this is deliberately not a general linear-algebra toolkit.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Iterable[Iterable[int]]):
+        rows = tuple(tuple(entry for entry in row) for row in rows)
+        if not rows:
+            raise ValueError("matrix must have positive order")
+        for row in rows:
+            if len(row) != len(rows):
+                raise ValueError("matrix must be square")
+            for entry in row:
+                if not isinstance(entry, int):
+                    raise TypeError(f"matrix entries must be int, got {type(entry).__name__}")
+        self._rows = rows
+
+    @classmethod
+    def identity(cls, order: int) -> IntMatrix:
+        return cls([[int(i == j) for j in range(order)] for i in range(order)])
+
+    @classmethod
+    def zero(cls, order: int) -> IntMatrix:
+        return cls([[0] * order for _ in range(order)])
+
+    @classmethod
+    def diagonal(cls, entries: Sequence[int]) -> IntMatrix:
+        return cls([[entries[i] if i == j else 0 for j in range(len(entries))]
+                    for i in range(len(entries))])
+
+    @classmethod
+    def unit(cls, order: int, row: int, col: int) -> IntMatrix:
+        """Matrix with a single 1 at (row, col), zeros elsewhere."""
+        return cls([[int(i == row and j == col) for j in range(order)]
+                    for i in range(order)])
+
+    @property
+    def order(self) -> int:
+        return len(self._rows)
+
+    def _check_order(self, other: IntMatrix) -> None:
+        if self.order != other.order:
+            raise ValueError(f"matrix orders differ: {self.order} vs {other.order}")
+
+    def __matmul__(self, other: IntMatrix) -> IntMatrix:
+        self._check_order(other)
+        cols = tuple(zip(*other._rows))
+        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
+                          for row in self._rows])
+
+    def __add__(self, other: IntMatrix) -> IntMatrix:
+        self._check_order(other)
+        return IntMatrix([[a + b for a, b in zip(r1, r2)]
+                          for r1, r2 in zip(self._rows, other._rows)])
+
+    def scale(self, c: int) -> IntMatrix:
+        return IntMatrix([[c * entry for entry in row] for row in self._rows])
+
+    def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
+        """Matrix-vector product M @ v."""
+        if len(vector) != self.order:
+            raise ValueError(f"vector length {len(vector)} does not match order {self.order}")
+        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._rows)
+
+    def trace(self) -> int:
+        return sum(row[i] for i, row in enumerate(self._rows))
+
+    def determinant(self) -> int:
+        """Exact determinant by fraction-free (Bareiss) elimination."""
+        rows = [list(row) for row in self._rows]
+        return _bareiss(rows, self.order) * rows[-1][-1]
+
+    @property
+    def is_symmetric(self) -> bool:
+        return all(self._rows[i][j] == self._rows[j][i]
+                   for i in range(self.order) for j in range(i + 1, self.order))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, IntMatrix) and self._rows == other._rows
+
+    def __hash__(self) -> int:
+        return hash(self._rows)
+
+    def __repr__(self) -> str:
+        body = "; ".join(" ".join(str(e) for e in row) for row in self._rows)
+        return f"IntMatrix[{body}]"
 
 
 def fibonacci(n: int) -> int:

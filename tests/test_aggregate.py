@@ -64,7 +64,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import consets
-from consets import aggregate, cli, exactmath, layers, oracle, verify
+from consets import aggregate, cli, exactmath, layers, oracle, recurrence, verify
 from consets.aggregate import (
     P_JUMP_MAX_M,
     ProductResult,
@@ -310,7 +310,7 @@ def test_production_paths_never_build_the_literal_matrix(monkeypatch):
     monkeypatch.setattr(layers, "recurrence_matrix", refused)
     monkeypatch.setattr(layers, "footprint_weights", refused)
     monkeypatch.setattr(exactmath, "char_poly", refused)
-    monkeypatch.setattr(exactmath.IntMatrix, "apply", refused)
+    monkeypatch.setattr(recurrence.IntMatrix, "apply", refused)
     for m, streamed in expected.items():
         seeds = 2 * m + 2
         assert list(islice(cell_stream(m), 4 * m + 5)) == streamed

@@ -4,6 +4,10 @@ Claims covered:
     - compute/table/ladder emit stable plain, csv, and json shapes
     - the csv header is identical across all record-emitting commands
     - json records round-trip: A recomputed from N and S equals A_exact
+    - json output, which the CLI writes without the json module, is byte
+      for byte json.dumps(..., indent=2) of the same rows, for compute at
+      streamed and jumped cells of m = 1..13, ladder --n, table and ladder
+      --n-max, at precisions 1, 12 and 40, and json.loads returns the rows
     - decimal renderings honor --precision with banker's rounding, and equal
       the decimal module's rendering (kept here as the reference) for any
       fraction
@@ -263,6 +267,47 @@ def test_compute_json_roundtrip(capsys):
     assert record["N"] == "51" and record["S"] == "162"
     assert Fraction(record["A_exact"]) == Fraction(int(record["S"]), int(record["N"]))
     assert Fraction(record["D_exact"]) == Fraction(record["A_exact"]) / 6
+
+
+def _json_rows(m: int, ns, precision: int) -> list[dict[str, object]]:
+    return [cli.OutputRecord.from_result(aggregate.evaluate(m, n)).json_object(precision)
+            for n in ns]
+
+
+@pytest.mark.parametrize("m", range(1, 14))
+def test_compute_json_is_the_text_json_dumps_prints(capsys, m):
+    # the CLI writes its JSON without the json module; json.dumps is the
+    # reference, at the last streamed cell, the first jumped one and a deep
+    # one (m = 1 and 13 jump modulo Q, the m between them modulo p)
+    for n in (4 * m + 4, 4 * m + 5, 40 * m):
+        for precision in (1, 12, 40):
+            code, out, _ = run_cli(capsys, "compute", "--m", str(m), "--n", str(n),
+                                   "--format", "json", "--precision", str(precision))
+            (row,) = _json_rows(m, [n], precision)
+            assert code == 0
+            assert out == json.dumps(row, indent=2) + "\n", (n, precision)
+            assert json.loads(out) == row
+
+
+@pytest.mark.parametrize("argv, m, ns, single", [
+    (["ladder", "--n", "13"], 2, [13], True),
+    (["table", "--m", "5", "--n-max", "30"], 5, range(1, 31), False),
+    (["table", "--m", "1", "--n-max", "1"], 1, [1], False),
+    (["ladder", "--n-max", "30"], 2, range(1, 31), False),
+], ids=["ladder-n", "table", "table-one-row", "ladder-n-max"])
+def test_json_rows_are_the_text_json_dumps_prints(capsys, argv, m, ns, single):
+    for precision in (1, 12, 40):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json", "--precision", str(precision))
+        rows = _json_rows(m, ns, precision)
+        expected = rows[0] if single else rows
+        assert code == 0
+        assert out == json.dumps(expected, indent=2) + "\n", precision
+        assert json.loads(out) == expected
+
+
+def test_no_json_rows_are_an_empty_array(capsys):
+    cli.emit_records([], "json", cli.DEFAULT_PRECISION, single=False)
+    assert capsys.readouterr().out == json.dumps([], indent=2) + "\n"
 
 
 def test_compute_rejects_bad_arguments(capsys):

@@ -34,7 +34,6 @@ from consets.exactmath import (
     _FIRST_PRIMES,
     _is_prime,
     _primes,
-    IntMatrix,
     IntPolynomial,
     char_poly,
     inverse_mod,
@@ -43,6 +42,7 @@ from consets.exactmath import (
     x_power_mod,
 )
 from consets.layers import recurrence_matrix
+from consets.recurrence import IntMatrix
 
 
 # -- matrices ----------------------------------------------------------------

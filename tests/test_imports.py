@@ -1,19 +1,27 @@
 """Each command loads only what it runs; the package loads only the engine.
 
 Claims covered:
-    - compute, table and ladder --n-max, run in a fresh interpreter, never
-      import the census, the verification suites, the scalar recurrence,
-      the order reference routes, the ladder closed forms, ``dataclasses``
-      or ``inspect`` (beyond what a bare interpreter already holds, so a
-      site hook that loads one of them does not count)
+    - compute, table and ladder (--n and --n-max), run in a fresh
+      interpreter in every format, never import the census, the
+      verification suites, the scalar recurrence, the order reference
+      routes, the ladder closed forms, ``dataclasses``, ``inspect`` or
+      ``json``: the CLI writes its JSON text itself (beyond what a bare
+      interpreter already holds, so a site hook that loads one of them
+      does not count); the harness that runs them imports nothing
     - verify --m --n and verify --graph import the census but neither the
       verification suites nor the ladder closed forms, the order
-      reference routes or the scalar recurrence
+      reference routes, the scalar recurrence or ``json``
     - charpoly imports the coefficient checks but not the census, its
-      checks, the suites, the ladder closed forms or the order routes
+      checks, the suites, the ladder closed forms, the order routes or
+      ``json``
     - table, ladder --n-max and compute up to n = 4m+4, the last cell the
       engine streams, never import the jump's polynomial arithmetic
-      (``exactmath``); compute at n = 4m+5, the first jumped cell, does
+      (``exactmath``); compute at n = 4m+5, the first jumped cell, does,
+      and among the package's modules loads exactly the engine and
+      ``exactmath``, by either jump
+    - ``exactmath.char_poly`` of ``layers.recurrence_matrix(5)``, the
+      lookups the benchmark probe makes, gives m = 5's polynomial in a
+      fresh interpreter, though the matrix class lives in ``recurrence``
     - ``import consets`` loads exactly ``aggregate``, ``layers`` and
       ``records``, and none of those above, ``exactmath`` included;
       ``from consets import evaluate`` loads the same
@@ -26,8 +34,8 @@ Claims covered:
       immutable, with a dataclass-style repr, and they pickle and copy
 """
 
+import ast
 import copy
-import json
 import os
 import pickle
 import subprocess
@@ -47,13 +55,15 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 
 #: Modules that no rendering command needs.
 GUARDED = {"consets.oracle", "consets.verify", "consets.recurrence", "consets.reporting",
-           "consets.orders", "consets.ladder", "dataclasses", "inspect"}
+           "consets.orders", "consets.ladder", "dataclasses", "inspect", "json"}
 
-#: Runs ``consets.cli`` as ``python -m`` does, with the argv in sys.argv[1],
-#: and prints its exit code and every module loaded by then.
+#: Runs ``consets.cli`` as ``python -m`` does, with the child's own
+#: arguments as its argv, and prints its exit code and every module loaded
+#: by then as a Python literal; the harness imports only ``os``, ``runpy``
+#: and ``sys``, so it loads nothing the commands are held to avoid.
 RUN_CLI = """
-import json, os, runpy, sys
-sys.argv = ["consets", *json.loads(sys.argv[1])]
+import os, runpy, sys
+sys.argv = ["consets", *sys.argv[1:]]
 sys.stdout = open(os.devnull, "w")
 try:
     runpy.run_module("consets.cli", run_name="__main__", alter_sys=True)
@@ -61,17 +71,17 @@ try:
 except SystemExit as stop:
     code = stop.code
 sys.stdout = sys.__stdout__
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+print(repr({"code": code, "modules": sorted(sys.modules)}))
 """
 
-REPORT = "import json, sys; print(json.dumps({'code': 0, 'modules': sorted(sys.modules)}))"
+REPORT = "import sys; print(repr({'code': 0, 'modules': sorted(sys.modules)}))"
 
 
 def _loaded(code: str, *argv: str) -> set[str]:
     completed = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                                text=True, env=ENV, timeout=120)
     assert completed.returncode == 0, completed.stderr
-    report = json.loads(completed.stdout.splitlines()[-1])
+    report = ast.literal_eval(completed.stdout.splitlines()[-1])
     assert report["code"] == 0, completed.stderr
     return set(report["modules"])
 
@@ -87,9 +97,14 @@ def bare() -> set[str]:
     ["compute", "--m", "3", "--n", "5", "--format", "json"],  # the stream
     ["table", "--m", "3", "--n-max", "12", "--format", "csv"],
     ["ladder", "--n-max", "12", "--format", "csv"],
+    *(["compute", "--m", "3", "--n", n, "--format", fmt]
+      for n in ("40", "5") for fmt in ("plain", "csv")),
+    *(["table", "--m", "3", "--n-max", "12", "--format", fmt] for fmt in ("plain", "json")),
+    *(["ladder", "--n-max", "12", "--format", fmt] for fmt in ("plain", "json")),
+    *(["ladder", "--n", "13", "--format", fmt] for fmt in ("plain", "csv", "json")),
 ])
 def test_rendering_commands_load_no_verification_module(bare, argv):
-    loaded = _loaded(RUN_CLI, json.dumps(argv))
+    loaded = _loaded(RUN_CLI, *argv)
     assert "consets.aggregate" in loaded  # the command ran
     assert (GUARDED & loaded) - bare == set()
 
@@ -103,16 +118,16 @@ def test_census_verify_loads_no_suite(bare, tmp_path, scope):
     path = tmp_path / "square.txt"
     path.write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
     argv = ["verify", "--m", "2", "--n", "3"] if scope == "cell" else ["verify", "--graph", str(path)]
-    loaded = _loaded(RUN_CLI, json.dumps(argv))
+    loaded = _loaded(RUN_CLI, *argv)
     assert {"consets.oracle", "consets.reporting"} <= loaded  # the census ran
-    assert (SUITES & loaded) - bare == set()
+    assert ({*SUITES, "json"} & loaded) - bare == set()
 
 
 def test_charpoly_loads_no_census(bare):
     # m = 4: the claims it checks hold there, so it exits 0
-    loaded = _loaded(RUN_CLI, json.dumps(["charpoly", "--m", "4"]))
+    loaded = _loaded(RUN_CLI, "charpoly", "--m", "4")
     assert "consets.recurrence" in loaded  # the checks ran
-    unwanted = {"consets.oracle", "consets.reporting", *SUITES} - {"consets.recurrence"}
+    unwanted = {"consets.oracle", "consets.reporting", "json", *SUITES} - {"consets.recurrence"}
     assert (unwanted & loaded) - bare == set()
 
 
@@ -123,20 +138,38 @@ def test_charpoly_loads_no_census(bare):
     ["ladder", "--n-max", "40", "--format", "json"],
 ])
 def test_streaming_commands_load_no_jump_arithmetic(argv):
-    loaded = _loaded(RUN_CLI, json.dumps(argv))
+    loaded = _loaded(RUN_CLI, *argv)
     assert "consets.aggregate" in loaded  # the command ran
     assert "consets.exactmath" not in loaded
-
-
-@pytest.mark.parametrize("argv", [["compute", "--m", "3", "--n", "17"],  # n = 4m+5
-                                  ["ladder", "--n", "13"]])
-def test_a_jumped_compute_loads_the_jump_arithmetic(argv):
-    assert "consets.exactmath" in _loaded(RUN_CLI, json.dumps(argv))
 
 
 #: The engine's stream and what it imports: all that ``import consets``
 #: loads; the jump's ``exactmath`` waits for the first jumped cell.
 ENGINE = {"consets.aggregate", "consets.layers", "consets.records"}
+
+
+@pytest.mark.parametrize("argv", [["compute", "--m", "3", "--n", "17"],  # n = 4m+5
+                                  ["ladder", "--n", "13"],
+                                  # the jump modulo Q: m = 1 and above P_JUMP_MAX_M
+                                  ["compute", "--m", "1", "--n", "9", "--format", "json"],
+                                  ["compute", "--m", "13", "--n", "57", "--format", "json"]])
+def test_a_jumped_compute_loads_the_jump_arithmetic(argv):
+    loaded = _loaded(RUN_CLI, *argv)
+    assert {name for name in loaded if name.startswith("consets.")} == \
+        ENGINE | {"consets.exactmath"}
+
+
+def test_char_poly_of_the_literal_matrix_in_a_fresh_interpreter():
+    # the benchmark probe looks up exactmath.char_poly and
+    # layers.recurrence_matrix; neither module imports recurrence, the
+    # matrix class's home, at its top
+    code = ("from consets.exactmath import char_poly\n"
+            "from consets.layers import recurrence_matrix\n"
+            "print(repr(char_poly(recurrence_matrix(5)).coefficients))")
+    completed = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                               text=True, env=ENV, timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    assert ast.literal_eval(completed.stdout) == (-1, 8, 39, -53, -24, 1)
 
 
 def test_importing_the_package_loads_only_the_engine(bare):

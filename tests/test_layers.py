@@ -26,7 +26,7 @@ from itertools import accumulate, islice
 import pytest
 
 from consets import exactmath, layers, verify
-from consets.exactmath import IntMatrix, char_poly
+from consets.exactmath import char_poly
 from consets.layers import (
     column_stream,
     count_columns,
@@ -40,6 +40,7 @@ from consets.layers import (
     weighted_sum,
 )
 from consets.oracle import complete_path_product, footprint_census
+from consets.recurrence import IntMatrix
 
 
 # -- binomials and the matrix ------------------------------------------------
