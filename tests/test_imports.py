@@ -7,7 +7,7 @@ Claims covered:
       routes, the ladder closed forms, ``dataclasses``, ``inspect`` or
       ``json``: the CLI writes its JSON text itself (beyond what a bare
       interpreter already holds, so a site hook that loads one of them
-      does not count); the harness that runs them imports nothing
+      does not count); the harness that runs them imports no ``json``
     - verify --m --n and verify --graph import the census but neither the
       verification suites nor the ladder closed forms, the order
       reference routes, the scalar recurrence or ``json``
