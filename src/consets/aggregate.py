@@ -5,10 +5,13 @@ equal length are interchangeable, so the graph-level count and order sum
 are triangular-weighted sums of the per-horizon layer quantities, which
 ``cell_stream`` keeps as running prefix sums.  ``evaluate`` returns all
 four quantities of one cell as one ``ProductResult``, which derives the
-average order and density from N and S as exact reduced fractions: one
-big gcd for the average, and a gcd with mn for the density, taken when
-it is read.  The CLI prints every row, ``ladder`` included, through this
-engine.
+average order and density from N and S as exact reduced fractions: a gcd
+for the average, and a gcd with mn for the density, taken when it is
+read.  The engine builds its rows with ``ProductResult.of_cell``: at
+m = 2 the average's gcd comes from ``ladder_gcd_multiple``, a proven
+multiple of about 4 log2(n) bits, by two remainders, and every other m
+takes the one big gcd of N and S.  The CLI prints every row, ``ladder``
+included, through this engine.
 
 One cell has one walk, finished by a jump only where the recurrence
 decides, by one of three routes:
@@ -45,7 +48,9 @@ never loads it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, islice, pairwise
+from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -62,6 +67,17 @@ if TYPE_CHECKING:
 #: 1.02 at m = 14: the solve for g and R, about 0.24 m^3 bits, outgrows
 #: the columns and the squarings it saves (CPython 3.11, 2-vCPU Xeon VM).
 P_JUMP_MAX_M = 12
+
+#: Fraction(numerator, denominator) of a coprime pair, denominator > 0,
+#: without the gcd that Fraction would take again: Python 3.12 on has a
+#: private constructor for it, earlier ones the keyword _normalize=False;
+#: a Fraction with neither reduces as usual.
+if hasattr(Fraction, "_from_coprime_ints"):
+    _coprime_fraction = Fraction._from_coprime_ints
+elif "_normalize" in Fraction.__new__.__code__.co_varnames:
+    _coprime_fraction = partial(Fraction, _normalize=False)
+else:
+    _coprime_fraction = Fraction
 
 
 def cell_stream(m: int, one=1) -> Iterator[tuple]:
@@ -222,27 +238,84 @@ def _p_jumper(m: int) -> Callable[[int], tuple[int, int]]:
     return jump
 
 
+def ladder_gcd_multiple(n: int) -> int:
+    """D(n) = 288n^4 + 1296n^3 + 2258n^2 + 1300n + 25(1 - (-1)^n), a
+    positive multiple of gcd(N(n), S(n)) at m = 2, for every n >= 1.
+
+    ``ladder._row`` reads the cell's count and order sum off (H, P) =
+    (H(n), P(n)), the coordinates of u^n = H + P sqrt(2), u = 1 + sqrt(2):
+        2N = 7H + 10P - (4n + 7),
+        4S = (21n - 32) H + (30n - 45) P + 10n + 32,
+    and the norm of u^n gives H^2 - 2P^2 = (-1)^n.  Modulo a common
+    divisor g of N and S, the first two are a linear system in (H, P)
+    of determinant 7(30n - 45) - 10(21n - 32) = 5, which its adjugate
+    solves:
+        5H = 120n^2 + 130n + 5,  5P = -(84n^2 + 89n)  (mod g).
+    Then 25(H^2 - 2P^2) = 25(-1)^n reads
+        (120n^2 + 130n + 5)^2 - 2(84n^2 + 89n)^2 - 25(-1)^n = D(n) = 0
+    modulo g.  Every coefficient of D is positive, so D(n) > 0, and
+    gcd(N, S) = gcd(D, N mod D, S mod D): two remainders by a number of
+    about 4 log2(n) + 8 bits (56 at n = 3814, 81 at 3·10^5) in place of
+    a gcd of two numbers of about 1.27 n bits each.  The argument holds
+    for the cell's own N and S only; of other integers D(n) need not be
+    a multiple.
+    """
+    return (((288 * n + 1296) * n + 2258) * n + 1300) * n + 50 * (n & 1)
+
+
 class ProductResult(FrozenRecord):
     """All four headline quantities for one (m, n) cell: built from the
     count N and order total S, it holds the average S/N as an exact
-    reduced fraction, the one big gcd of the cell, and derives the density
-    A/(mn) from it when read, so the two always agree.  1 <= A <= mn is
-    checked on the integers, as N <= S <= mn·N, before the gcd.  An average
-    outside that range is an engine fault, so it raises ArithmeticError,
-    not the ValueError of a bad argument."""
+    reduced fraction, and derives the density A/(mn) from it when read,
+    so the two always agree.  1 <= A <= mn is checked on the integers,
+    as N <= S <= mn·N, before the gcd.  An average outside that range is
+    an engine fault, so it raises ArithmeticError, not the ValueError of
+    a bad argument.
+
+    ``ProductResult(m, n, count, total)`` takes any integers and reduces
+    A by Fraction(total, count), one gcd of two big numbers.  The engine
+    builds its rows with ``of_cell``, which reduces the cell's own N and
+    S at m = 2 from a small multiple of their gcd; a pickled row comes
+    back through the first."""
 
     __slots__ = ("m", "n", "count", "total", "average")
 
     def __init__(self, m: int, n: int, count: int, total: int):
+        self._hold(m, n, count, total, None)
+
+    @classmethod
+    def of_cell(cls, m: int, n: int, count: int, total: int) -> ProductResult:
+        """The record ``ProductResult(m, n, count, total)`` gives, on the
+        premise that count and total are the cell's own N and S.
+
+        At m = 2 gcd(N, S) then divides ``ladder_gcd_multiple(n)``, so A
+        is reduced by two remainders and a gcd of small numbers, and built
+        from the coprime pair without a second gcd.  At m >= 3, N and S
+        are two linear forms in the m coordinates of a unit, whose norm
+        adds only one equation, so nothing bounds their gcd, and such a
+        cell takes the big gcd, as m = 1 does."""
+        result = cls.__new__(cls)
+        result._hold(m, n, count, total, ladder_gcd_multiple(n) if m == 2 else None)
+        return result
+
+    def _hold(self, m: int, n: int, count: int, total: int, multiple: int | None) -> None:
+        """Set the fields, A reduced by Fraction's gcd, or by one of
+        ``multiple``, N mod it and S mod it where a multiple of gcd(N, S)
+        is given."""
         # 1 <= A <= mn also gives 0 < D <= 1.
         if not count <= total <= m * n * count:
             raise ArithmeticError("average outside [1, m*n]")
+        if multiple is None:
+            average = Fraction(total, count)
+        else:
+            common = gcd(multiple, count % multiple, total % multiple)
+            average = _coprime_fraction(total // common, count // common)
         setter = object.__setattr__
         setter(self, "m", m)
         setter(self, "n", n)
         setter(self, "count", count)
         setter(self, "total", total)
-        setter(self, "average", Fraction(total, count))
+        setter(self, "average", average)
 
     @property
     def density(self) -> Fraction:
@@ -264,5 +337,5 @@ def evaluate(m: int, n: int) -> ProductResult:
         raise ValueError("path length n must be at least 1")
     if n > 4 * m + 4:
         jumper = _p_jumper if 2 <= m <= P_JUMP_MAX_M else _jumper
-        return ProductResult(m, n, *jumper(m)(n))
-    return ProductResult(m, n, *next(islice(cell_stream(m), n - 1, None)))
+        return ProductResult.of_cell(m, n, *jumper(m)(n))
+    return ProductResult.of_cell(m, n, *next(islice(cell_stream(m), n - 1, None)))

@@ -281,7 +281,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     # The int walk gives the checked results, its Decimal twin the printed N, S.
     cells = zip(range(1, args.n_max + 1), aggregate.cell_stream(args.m),
                 aggregate.cell_stream(args.m, Decimal(1)))
-    records = (OutputRecord(aggregate.ProductResult(args.m, n, count, total), *twin)
+    records = (OutputRecord(aggregate.ProductResult.of_cell(args.m, n, count, total), *twin)
                for n, (count, total), twin in cells)
     with localcontext(EXACT):
         emit_records(records, args.format, args.precision, single=False)

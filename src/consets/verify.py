@@ -51,39 +51,56 @@ def _swept(name: str, where: str, mismatches: list[str]) -> Check:
                  mismatches[0] if mismatches else "")
 
 
+#: Deep m = 2 horizons, both parities, where ``ladder_checks`` holds the
+#: engine's average against the one big gcd of Fraction(S, N).
+LADDER_GCD_HORIZONS = (1000, 1001, 4000, 4001)
+
+
 def ladder_checks(n_max: int = 200) -> list[Check]:
     """Ladder closed forms against the general-m machinery, n = 1..n_max.
 
     ``ladder.row_stream`` gives, for each n, the closed-form count and
     order sum, their average and density Fraction(S, N) / (2n), and with
     its (H(n), P(n)) pair the published average; each is compared with
-    the item of ``cell_stream(2)``, which ``ladder`` prints.  The anchors
-    at n = 1, 2, 3 are the first rows of ``ladder.row_stream``, whatever
-    n_max is.
+    the item of ``cell_stream(2)``, which ``ladder`` prints, made a row
+    as the engine makes it, so its average is reduced by
+    ``aggregate.ladder_gcd_multiple``.  Fractions compare numerator and
+    denominator, so an average left unreduced fails.  At
+    ``LADDER_GCD_HORIZONS`` the engine's average is held against
+    Fraction(S, N) of its own N and S.  The anchors at n = 1, 2, 3 are
+    the first rows of ``ladder.row_stream``, whatever n_max is.
     """
     count_bad, avg_bad, vince_bad, density_bad = [], [], [], []
     closed = ladder.row_stream()
     first_rows = list(islice(closed, 3))
     for n, (sums, ((closed_count, closed_total), (h, p))) in enumerate(
             zip(islice(aggregate.cell_stream(2), n_max), chain(first_rows, closed)), start=1):
-        result = aggregate.ProductResult(2, n, *sums)
+        result = aggregate.ProductResult.of_cell(2, n, *sums)
         count, average = result.count, result.average
+        closed_average = Fraction(closed_total, closed_count)
         if closed_count != count:
             count_bad.append(f"n={n}: closed {closed_count}, stream {count}")
-        if closed_total * count != result.total * closed_count:
-            avg_bad.append(f"n={n}: closed {Fraction(closed_total, closed_count)}, "
-                           f"stream {average}")
+        if closed_average != average:
+            avg_bad.append(f"n={n}: closed {closed_average}, stream {average}")
         published = ladder.vince_average(n, h, p)
         if published != average:
             vince_bad.append(f"n={n}: published {published}, stream {average}")
-        if Fraction(closed_total, closed_count) / (2 * n) != result.density:
+        if closed_average / (2 * n) != result.density:
             density_bad.append(f"n={n}")
+    gcd_bad = []
+    for n in LADDER_GCD_HORIZONS:
+        result = aggregate.evaluate(2, n)
+        average, plain = result.average, Fraction(result.total, result.count)
+        if (average.numerator, average.denominator) != (plain.numerator, plain.denominator):
+            gcd_bad.append(f"n={n}: engine divides N and S by {result.count // average.denominator}, "
+                           f"gcd(N, S) = {result.count // plain.denominator}")
     where = f"n=1..{n_max}"
     checks = [
         _swept("ladder count closed form", where, count_bad),
         _swept("ladder average closed form", where, avg_bad),
         _swept("ladder average vs published formula", where, vince_bad),
         _swept("ladder density closed form", where, density_bad),
+        _swept("ladder gcd multiple", f"n={','.join(map(str, LADDER_GCD_HORIZONS))}", gcd_bad),
     ]
     ((count_1, total_1), _), ((count_2, total_2), _), ((count_3, _), _) = first_rows
     anchors = [
