@@ -275,8 +275,8 @@ class ProductResult(FrozenRecord):
     ``ProductResult(m, n, count, total)`` takes any integers and reduces
     A by Fraction(total, count), one gcd of two big numbers.  The engine
     builds its rows with ``of_cell``, which reduces the cell's own N and
-    S at m = 2 from a small multiple of their gcd; a pickled row comes
-    back through the first."""
+    S at m = 2 from a small multiple of their gcd.  Either kind pickles
+    as ``ProductResult(m, n, count, total)``, an equal record."""
 
     __slots__ = ("m", "n", "count", "total", "average")
 

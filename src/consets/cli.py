@@ -29,10 +29,13 @@ ladder
 
 compute, table and ladder take --format: plain (default), csv (fixed
 header), json (big integers as decimal strings).  Every printed row is
-one aggregate.ProductResult, built from the cell's count and order sum:
-it checks that 1 <= A <= mn on the integers and reduces A, the row's one
-gcd of two big numbers.  OutputRecord renders it, reading D's reduction
-off A and a gcd with mn, and writes each csv or plain row in one call.
+one aggregate.ProductResult, built from the cell's count and order sum
+by ProductResult.of_cell: it checks that 1 <= A <= mn on the integers
+and reduces A, by the row's one gcd of two big numbers at m != 2, and
+at m = 2 by remainders modulo aggregate.ladder_gcd_multiple(n), a proven
+multiple of gcd(N, S) of about 4 log2(n) bits.  OutputRecord renders
+it, reading D's reduction off A and a gcd with mn, and writes each csv
+or plain row in one call.
 ladder takes exactly one of --n and --n-max.
 Exact fractions are authoritative; decimal columns are renderings at
 --precision significant digits, round-half-even, which compute, table,

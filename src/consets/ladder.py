@@ -13,7 +13,10 @@ to the pair (H(n), P(n)).
 These closed forms are a check, not an engine: ``verify`` compares them
 with ``aggregate.cell_stream(2)``, which is what ``consets ladder``
 prints.  The rows are exact integers (N, S), as every other route gives
-them.  Nothing is cached.
+them.  Nothing is cached.  They also prove the engine's m = 2 gcd: with
+the norm H^2 - 2P^2 = (-1)^n they make every common divisor of N and S
+divide D(n) = ``aggregate.ladder_gcd_multiple(n)``.  The proof is in
+that function's docstring, since the engine never imports this module.
 """
 
 from __future__ import annotations

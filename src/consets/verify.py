@@ -91,8 +91,9 @@ def ladder_checks(n_max: int = 200) -> list[Check]:
     for n in LADDER_GCD_HORIZONS:
         result = aggregate.evaluate(2, n)
         average, plain = result.average, Fraction(result.total, result.count)
-        if (average.numerator, average.denominator) != (plain.numerator, plain.denominator):
-            gcd_bad.append(f"n={n}: engine divides N and S by {result.count // average.denominator}, "
+        if average != plain:
+            gcd_bad.append(f"n={n}: engine divides N and S by "
+                           f"{result.count // average.denominator}, "
                            f"gcd(N, S) = {result.count // plain.denominator}")
     where = f"n=1..{n_max}"
     checks = [

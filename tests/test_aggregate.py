@@ -9,6 +9,13 @@ Claims covered:
       in; D = S/(N·mn); the bound 1 <= A <= mn is enforced on the
       integers, accepting both edges S = N and S = mn·N and refusing one
       past either; the average is held, not reduced again when read
+    - the engine's m = 2 rows (a jumped cell, a table, a ladder row) take
+      no gcd of two operands wider than 128 bits, where the public
+      constructor and m = 3 take one; D(n) is a positive multiple of
+      gcd(N, S), and reduces A to Fraction's pair, at hypothesis-drawn
+      n up to 3·10^5; only the cell's own N and S reduce by it; an
+      engine row pickles to an equal record; D(n) + 1 in place of D(n)
+      makes ``verify --ladder`` exit 1 on the four average checks
     - a deep cell holds O(m) integers, not every column
     - the recurrence jump equals the stream, and ``evaluate`` equals it
       on both sides of n = 4m+4, the last Hankel term: up to there it
@@ -53,6 +60,8 @@ Claims covered:
       and the polynomial resolve from their own modules only
 """
 
+import math
+import pickle
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -173,6 +182,89 @@ def test_result_range_is_checked_on_the_integers(m, n):
     for total in (count - 1, m * n * count + 1):
         with pytest.raises(ArithmeticError, match="average outside"):
             ProductResult(m, n, count, total)
+
+
+def _wide_gcds(monkeypatch):
+    """Record the operand widths of every gcd, through Fraction (``math``),
+    ``aggregate`` or ``cli``, that takes two operands wider than 128 bits."""
+    wide = []
+
+    def recording(real):
+        def gcd(*operands):
+            widths = tuple(abs(x).bit_length() for x in operands)
+            if sum(width > 128 for width in widths) >= 2:
+                wide.append(widths)
+            return real(*operands)
+        return gcd
+
+    for module in (math, aggregate, cli):
+        monkeypatch.setattr(module, "gcd", recording(module.gcd))
+    return wide
+
+
+def test_an_m_2_row_takes_no_gcd_of_two_big_numbers(monkeypatch, capsys):
+    # the engine's m = 2 rows reduce A by remainders modulo the small
+    # multiple D(n): a jumped cell, a table and a ladder row
+    wide = _wide_gcds(monkeypatch)
+    result = evaluate(2, 4000)
+    assert cli.main(["table", "--m", "2", "--n-max", "300"]) == 0
+    assert cli.main(["ladder", "--n", "4000", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert wide == []
+    # the public constructor, and the engine at m = 3, take the big gcd
+    assert ProductResult(2, 4000, result.count, result.total) == result
+    assert len(wide) == 1 and min(wide[0]) > 5000
+    evaluate(3, 4000)
+    assert len(wide) == 2
+
+
+@pytest.mark.parametrize("m, n", [(1, 30), (2, 1), (2, 12), (2, 13), (2, 4000), (3, 100)])
+def test_an_engine_row_pickles_to_an_equal_record(m, n):
+    # a row pickles through ProductResult(m, n, count, total), which
+    # reduces by Fraction: the same record, with A of type Fraction
+    row = evaluate(m, n)
+    again = pickle.loads(pickle.dumps(row))
+    assert again == row and hash(again) == hash(row) and repr(again) == repr(row)
+    assert type(row.average) is type(again.average) is Fraction
+    assert (row.average.numerator, row.average.denominator) == (
+        again.average.numerator, again.average.denominator)
+
+
+def test_only_the_cells_own_sums_reduce_by_the_multiple():
+    # D(n) bounds gcd(N, S) for the cell's N and S alone: of (N, N) the
+    # public constructor gives 1, while reducing by gcd(D, N mod D) would
+    # leave N/g over N/g
+    count = evaluate(2, 2000).count
+    assert ProductResult(2, 2000, count, count).average == 1
+    assert ProductResult.of_cell(2, 2000, count, count).average.denominator > 1
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(5001, 3 * 10 ** 5))
+@example(3 * 10 ** 5).via("the deepest horizon measured")
+def test_the_gcd_multiple_gives_the_gcd_deep(n):
+    count, total = _p_jumper(2)(n)
+    multiple, common = aggregate.ladder_gcd_multiple(n), math.gcd(count, total)
+    assert multiple > 0 and multiple % common == 0
+    average = ProductResult.of_cell(2, n, count, total).average
+    assert (average.numerator, average.denominator) == (total // common, count // common)
+
+
+def test_a_corrupted_gcd_multiple_fails_verify(monkeypatch, capsys):
+    # D(n) + 1 shares no factor with gcd(N, S) > 1, so the engine's A is
+    # left unreduced at such an n; verify --ladder, otherwise clean, fails
+    # the ladder's four average checks and exits 1
+    assert cli.main(["verify", "--ladder"]) == 0
+    assert "PASS  ladder gcd multiple  [n=1000,1001,4000,4001]" in capsys.readouterr().out
+    real = aggregate.ladder_gcd_multiple
+    monkeypatch.setattr(aggregate, "ladder_gcd_multiple", lambda n: real(n) + 1)
+    assert cli.main(["verify", "--ladder"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert [line.split("  ")[1] for line in failed] == [
+        "ladder average closed form", "ladder average vs published formula",
+        "ladder density closed form", "ladder gcd multiple"]
+    assert failed[-1] == ("FAIL  ladder gcd multiple  [n=1000,1001,4000,4001]: "
+                          "n=1000: engine divides N and S by 1, gcd(N, S) = 8")
 
 
 def test_deep_cell_memory_stays_flat():

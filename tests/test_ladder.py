@@ -12,6 +12,10 @@ Claims covered:
       built from them, match the general-m machinery; the row stream
       carries each row's (H(n), P(n)) pair
     - the independently published ladder average gives the same fractions
+    - the closed forms prove the engine's m = 2 gcd: modulo gcd(N, S) they
+      solve for 5H and 5P, whose norm is D(n) =
+      ``aggregate.ladder_gcd_multiple(n)``; D(n) > 0 is a multiple of
+      gcd(N, S), and gcd(D, N mod D, S mod D) equals it, n = 1..5000
     - the five prefix-sum identities hold, and their running sums equal
       direct summation
     - the count numerator is always even (the halving is exact), and an
@@ -21,11 +25,12 @@ Claims covered:
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 
 from consets import ladder
-from consets.aggregate import ProductResult, evaluate
+from consets.aggregate import ProductResult, evaluate, ladder_gcd_multiple
 from consets.exactmath import IntPolynomial, x_power_mod
 from consets.ladder import ladder_sum_identities, row_stream, vince_average
 from consets.layers import weighted_sum
@@ -229,6 +234,33 @@ def test_rung_count_domain():
     # and the published formula is undefined there: u^0 = 1 makes it 0/0
     with pytest.raises(ZeroDivisionError):
         vince_average(0, *unit_power(0))
+
+
+# -- the engine's m = 2 gcd -----------------------------------------------------
+
+def test_gcd_multiple_follows_from_the_closed_forms():
+    # the steps of ladder_gcd_multiple's proof along the row stream: the
+    # two closed forms, their solution for 5H and 5P modulo g = gcd(N, S),
+    # and D(n) as the norm 25(H^2 - 2P^2) - 25(-1)^n of that solution
+    for n, ((count, total), (h, p)) in zip(range(1, 2001), row_stream()):
+        g = gcd(count, total)
+        assert 2 * count == 7 * h + 10 * p - (4 * n + 7)
+        assert 4 * total == (21 * n - 32) * h + (30 * n - 45) * p + 10 * n + 32
+        five_h, five_p = 120 * n * n + 130 * n + 5, -(84 * n * n + 89 * n)
+        assert (5 * h - five_h) % g == 0 and (5 * p - five_p) % g == 0
+        assert ladder_gcd_multiple(n) == five_h ** 2 - 2 * five_p ** 2 - 25 * (-1) ** n
+
+
+def test_gcd_multiple_gives_the_gcd():
+    # D(n) > 0 and gcd(N, S) divides it, so gcd(D, N mod D, S mod D) is
+    # math.gcd(N, S), and the engine's A is the reduced pair, n = 1..5000
+    for n, ((count, total), _) in zip(range(1, 5001), row_stream()):
+        multiple, common = ladder_gcd_multiple(n), gcd(count, total)
+        assert multiple > 0 and multiple % common == 0
+        assert gcd(multiple, count % multiple, total % multiple) == common
+        average = ProductResult.of_cell(2, n, count, total).average
+        assert (average.numerator, average.denominator) == (total // common, count // common)
+    assert [ladder_gcd_multiple(n).bit_length() for n in (3814, 3 * 10 ** 5)] == [56, 81]
 
 
 # -- summation identities ---------------------------------------------------------
