@@ -9,14 +9,12 @@ table
 verify
     Cross-validation: census vs formulas at one cell, ladder closed
     forms, characteristic-coefficient identities, an arbitrary edge-list
-    graph, or (with no scope flags) the full desk-scale battery.  A cell
-    and the battery's grid are censused by oracle.enumerated_census, which
-    grows the connected sets and counts each search subtree once,
-    memoized on its frontier and the part of the graph that frontier
-    reaches (milliseconds for the 10^7 sets of a 24-vertex cell); --graph
-    runs it and the 2^v flood census of oracle.census, bit-sliced over
-    2^20 subsets at a time, and compares their size counts.  Both
-    routes refuse a graph above 26 vertices (oracle.MAX_CAP).
+    graph, or (with no scope flags) the full desk-scale battery,
+    verify.SUITES.  --ladder and --charpoly run their suites at the
+    battery's sizes unless --n-max or --m-max is given.  A cell and the
+    battery's grid are censused by oracle.enumerated_census; --graph runs
+    it and the 2^v flood census of oracle.census and compares their size
+    counts.  Both routes refuse a graph above 26 vertices (oracle.MAX_CAP).
 charpoly
     The characteristic polynomial of the layer recurrence matrix, with
     its coefficient identities checked.  It comes from
@@ -30,12 +28,9 @@ ladder
 compute, table and ladder take --format: plain (default), csv (fixed
 header), json (big integers as decimal strings).  Every printed row is
 one aggregate.ProductResult, built from the cell's count and order sum
-by ProductResult.of_cell: it checks that 1 <= A <= mn on the integers
-and reduces A, by the row's one gcd of two big numbers at m != 2, and
-at m = 2 by remainders modulo aggregate.ladder_gcd_multiple(n), a proven
-multiple of gcd(N, S) of about 4 log2(n) bits.  OutputRecord renders
-it, reading D's reduction off A and a gcd with mn, and writes each csv
-or plain row in one call.
+by ProductResult.of_cell, which checks that 1 <= A <= mn on the integers
+and reduces A.  OutputRecord renders it, reading D's reduction off A and
+a gcd with mn, and writes each csv or plain row in one call.
 ladder takes exactly one of --n and --n-max.
 Exact fractions are authoritative; decimal columns are renderings at
 --precision significant digits, round-half-even, which compute, table,
@@ -53,14 +48,12 @@ mid-table prints no partial array.
 table, ladder --n-max and a compute that streams (n <= 4m+4) load only
 the engine's stream (aggregate, layers, records).  A compute that jumps
 (n >= 4m+5) also loads the polynomial arithmetic of exactmath, as
-charpoly and verify do, by either route: modulo p, the layer polynomial,
-for 2 <= m <= aggregate.P_JUMP_MAX_M (12), with one fraction-free solve
-for p's scaled derivative inverse (exactmath.inverse_mod); modulo Q =
-(p (x-1))^2 at m = 1 and above the cut-off.  verify imports the census and the suites when it runs
-(verify --m/--n and --graph only the census and its checks, from
-reporting), charpoly only the coefficient checks (recurrence), never the
-census; the CLI writes JSON itself, and no command imports json, so a
-process pays only for the command it runs.
+charpoly and verify do; aggregate's docstring states the engine's
+routes and the cells each serves.  verify imports the census and the
+suites when it runs (verify --m/--n and --graph only the census and its
+checks, from reporting), charpoly only the coefficient checks
+(recurrence), never the census; the CLI writes JSON itself, and no
+command imports json, so a process pays only for the command it runs.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3
 internal error (any other exception, an engine cell outside
@@ -103,25 +96,30 @@ EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decim
 CLOSED_PIPE = 141
 
 
-def _decimal(value: int) -> Decimal:
-    """``Decimal(value)`` by divide and conquer: split at power-of-two bit
-    boundaries and join the halves with libmpdec products, so only pieces
-    under 2^1024 meet ``Decimal(int)``, which is quadratic."""
+def _decimals(*values: int) -> tuple[Decimal, ...]:
+    """``Decimal(value)`` of each value by divide and conquer: split at
+    power-of-two bit boundaries and join the halves with libmpdec products,
+    so only pieces under 2^1024 meet ``Decimal(int)``, which is quadratic.
+    The powers 2^(1024·2^j) are built once for all the values, as many as
+    the widest needs: a row converts its N and S with one set."""
     with localcontext(EXACT):
-        if value < 0:
-            return -_decimal(-value)
-        powers = [Decimal(1 << 1024)]  # powers[j] = 2^(1024·2^j), built per call
-        while 1024 << len(powers) < value.bit_length():
-            powers.append(powers[-1] * powers[-1])
+        widest = max(abs(value).bit_length() for value in values)
+        powers: list[Decimal] = []  # powers[j] = 2^(1024·2^j)
+        while 1024 << len(powers) < widest:
+            powers.append(powers[-1] * powers[-1] if powers else Decimal(1 << 1024))
 
         def join(piece: int, level: int) -> Decimal:
             if not piece >> 1024:
                 return Decimal(piece)
             width = 1024 << level
-            return (join(piece >> width, level - 1) * powers[level]
+            high = piece >> width
+            if not high:  # a narrower value, or a low half with leading zeros
+                return join(piece, level - 1)
+            return (join(high, level - 1) * powers[level]
                     + join(piece & ((1 << width) - 1), level - 1))
 
-        return join(value, len(powers) - 1)
+        top = len(powers) - 1
+        return tuple(-join(-value, top) if value < 0 else join(value, top) for value in values)
 
 
 @lru_cache(maxsize=1)
@@ -138,7 +136,7 @@ def _rounding(precision: int) -> decimal.Context:
 
 def format_decimal(value: Fraction, precision: int = DEFAULT_PRECISION) -> str:
     """Decimal rendering at the given significant digits, round-half-even."""
-    num, den = _decimal(value.numerator), _decimal(value.denominator)
+    num, den = _decimals(value.numerator, value.denominator)
     return format(_rounding(precision).divide(num, den), "f")
 
 
@@ -156,7 +154,7 @@ class OutputRecord(FrozenRecord):
 
     def __init__(self, result: aggregate.ProductResult, count=None, total=None):
         if count is None:
-            count, total = _decimal(result.count), _decimal(result.total)
+            count, total = _decimals(result.count, result.total)
         # hash() of a whole number is its residue modulo 2^61 - 1
         # (sys.hash_info.modulus), for an int as for a Decimal.
         if (hash(count), hash(total)) != (hash(result.count), hash(result.total)):
@@ -329,17 +327,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         from . import verify
 
         scoped = True
-        n_max = args.n_max if args.n_max is not None else 50
-        checks.extend(verify.ladder_checks(n_max))
-        checks.extend(verify.ladder_identity_checks(n_max))
+        # without --n-max (or --m-max) a suite runs at its defaults, the battery's sizes
+        n_max = () if args.n_max is None else (args.n_max,)
+        checks.extend(verify.ladder_checks(*n_max))
+        checks.extend(verify.ladder_identity_checks(*n_max))
     if args.charpoly:
         from . import verify
 
         scoped = True
-        m_max = args.m_max if args.m_max is not None else 8
-        if m_max < 2:
+        m_max = () if args.m_max is None else (args.m_max,)
+        if args.m_max is not None and args.m_max < 2:
             raise ValueError("--m-max must be at least 2 for coefficient checks")
-        checks.extend(verify.charpoly_checks(m_max))
+        checks.extend(verify.charpoly_checks(*m_max))
     if args.graph is not None:
         scoped = True
         graph = oracle.parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
@@ -400,9 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--charpoly", action="store_true",
                           help="check the characteristic-coefficient identities")
     p_verify.add_argument("--n-max", type=_positive_int,
-                          help="horizon for --ladder (default 50)")
+                          help="horizon for --ladder (default: the battery's, "
+                               "200, and 100 for the prefix-sum identities)")
     p_verify.add_argument("--m-max", type=_positive_int,
-                          help="largest layer size for --charpoly (default 8)")
+                          help="largest layer size for --charpoly "
+                               "(default: the battery's, 10)")
     p_verify.add_argument("--graph", metavar="FILE",
                           help="edge-list file ('u v' per line, 0-based) to census "
                                "twice: connected-set enumerator against the 2^v "

@@ -284,17 +284,15 @@ def jump_checks(m_max: int = 8, n_max: int = 200) -> list[Check]:
     return checks
 
 
+#: The desk-scale battery, in the order it runs.  Each suite's defaults
+#: are its sizes in the battery, which ``verify --ladder`` and
+#: ``--charpoly`` share unless given --n-max or --m-max.
+SUITES = (oracle_grid_checks, ladder_checks, ladder_identity_checks, charpoly_checks,
+          layer_step_checks, stream_checks, symmetry_checks, order_path_checks,
+          anchor_checks, jump_checks)
+
+
 def full_suite() -> list[Check]:
-    """The whole desk-scale battery; the single verification entry point."""
-    checks = []
-    checks.extend(oracle_grid_checks())
-    checks.extend(ladder_checks(200))
-    checks.extend(ladder_identity_checks(100))
-    checks.extend(charpoly_checks(10))
-    checks.extend(layer_step_checks(12))
-    checks.extend(stream_checks(6, 200))
-    checks.extend(symmetry_checks(6, 12))
-    checks.extend(order_path_checks(5, 10))
-    checks.extend(anchor_checks())
-    checks.extend(jump_checks(8, 200))
-    return checks
+    """The whole battery, every suite at its defaults; the single
+    verification entry point."""
+    return [check for suite in SUITES for check in suite()]

@@ -2,8 +2,8 @@
 
 All comparisons are exact (tolerance zero); the stated runtime budgets
 are asserted as well.  Criteria 1, 2, 4-8, 10 and 11 run the matching
-``consets.verify`` suite with the arguments ``verify.full_suite`` passes,
-so the battery has one source of truth.  Criterion 10 holds the
+``consets.verify`` suite at its defaults, the sizes ``verify.full_suite``
+runs it at, so the battery has one source of truth.  Criterion 10 holds the
 recurrence jump that ``evaluate`` takes above its 4m+4 Hankel terms
 against one stream walk per m, for m = 1..8 and n up to 200.  Criterion 11 holds
 the additions-only layer step against the literal matrix.  Run with
@@ -19,18 +19,13 @@ than weakened.
 """
 
 import json
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
+from conftest import run_child
 from consets import recurrence, verify
 from consets.exactmath import char_poly
 from consets.layers import recurrence_matrix
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _criterion(number: int, description: str, ok: bool, elapsed: float,
@@ -42,10 +37,11 @@ def _criterion(number: int, description: str, ok: bool, elapsed: float,
     print(line)
 
 
-def _suite(number: int, description: str, suite, *args) -> tuple[list[str], float]:
-    """Run one verify suite, print the criterion line, return its failures."""
+def _suite(number: int, description: str, suite) -> tuple[list[str], float]:
+    """Run one verify suite at its defaults, print the criterion line,
+    return its failures."""
     start = time.perf_counter()
-    checks = suite(*args)
+    checks = suite()
     elapsed = time.perf_counter() - start
     assert checks, "suite ran no checks"
     failures = [check.line() for check in checks if not check.ok]
@@ -61,8 +57,7 @@ def test_criterion_1_census_equivalence():
 
 
 def test_criterion_2_ladder_closed_forms():
-    failures, elapsed = _suite(2, "ladder closed forms for n=1..200",
-                               verify.ladder_checks, 200)
+    failures, elapsed = _suite(2, "ladder closed forms for n=1..200", verify.ladder_checks)
     assert not failures
     assert elapsed < 5
 
@@ -91,21 +86,21 @@ def test_criterion_3_characteristic_coefficient_identities():
 
 def test_criterion_4_recurrence_matches_matrix_path():
     failures, elapsed = _suite(4, "scalar recurrence equals matrix path for m=2..6, k=1..200",
-                               verify.stream_checks, 6, 200)
+                               verify.stream_checks)
     assert not failures
     assert elapsed < 5
 
 
 def test_criterion_5_weighted_symmetry():
     failures, elapsed = _suite(5, "weighted power symmetry and column sums for m=2..6, k=1..12",
-                               verify.symmetry_checks, 6, 12)
+                               verify.symmetry_checks)
     assert not failures
     assert elapsed < 5
 
 
 def test_criterion_6_order_sum_three_paths():
     failures, elapsed = _suite(6, "order-sum three-path agreement for m=2..5, k=1..10",
-                               verify.order_path_checks, 5, 10)
+                               verify.order_path_checks)
     assert not failures
     assert elapsed < 10
 
@@ -118,20 +113,15 @@ def test_criterion_7_analytic_anchors():
 
 def test_criterion_8_summation_identities():
     failures, elapsed = _suite(8, "prefix-sum identities for n=1..100",
-                               verify.ladder_identity_checks, 100)
+                               verify.ladder_identity_checks)
     assert not failures
     assert elapsed < 2
 
 
 def test_criterion_9_performance_floor():
-    # the child finds the source tree even when consets is not installed
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     start = time.perf_counter()
-    completed = subprocess.run(
-        [sys.executable, "-m", "consets.cli", "compute",
-         "--m", "6", "--n", "1000", "--format", "json"],
-        capture_output=True, text=True, env=env)
+    completed = run_child("-m", "consets.cli", "compute", "--m", "6", "--n", "1000",
+                          "--format", "json")
     elapsed = time.perf_counter() - start
     record = json.loads(completed.stdout) if completed.returncode == 0 else {}
     exact = (completed.returncode == 0
@@ -148,13 +138,13 @@ def test_criterion_9_performance_floor():
 
 def test_criterion_10_recurrence_jump_matches_stream():
     failures, elapsed = _suite(10, "recurrence jump equals stream for m=1..8, n<=200",
-                               verify.jump_checks, 8, 200)
+                               verify.jump_checks)
     assert not failures
     assert elapsed < 2
 
 
 def test_criterion_11_layer_step_matches_literal_matrix():
     failures, elapsed = _suite(11, "factored layer step equals literal matrix for m=1..12",
-                               verify.layer_step_checks, 12)
+                               verify.layer_step_checks)
     assert not failures
     assert elapsed < 2

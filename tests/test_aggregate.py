@@ -73,6 +73,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import consets
+from conftest import recording, schoolbook
 from consets import aggregate, cli, exactmath, layers, oracle, recurrence, verify
 from consets.aggregate import (
     P_JUMP_MAX_M,
@@ -184,38 +185,25 @@ def test_result_range_is_checked_on_the_integers(m, n):
             ProductResult(m, n, count, total)
 
 
-def _wide_gcds(monkeypatch):
-    """Record the operand widths of every gcd, through Fraction (``math``),
-    ``aggregate`` or ``cli``, that takes two operands wider than 128 bits."""
-    wide = []
-
-    def recording(real):
-        def gcd(*operands):
-            widths = tuple(abs(x).bit_length() for x in operands)
-            if sum(width > 128 for width in widths) >= 2:
-                wide.append(widths)
-            return real(*operands)
-        return gcd
-
-    for module in (math, aggregate, cli):
-        monkeypatch.setattr(module, "gcd", recording(module.gcd))
-    return wide
-
-
-def test_an_m_2_row_takes_no_gcd_of_two_big_numbers(monkeypatch, capsys):
+def test_an_m_2_row_takes_no_gcd_of_two_big_numbers(capsys, spy):
     # the engine's m = 2 rows reduce A by remainders modulo the small
     # multiple D(n): a jumped cell, a table and a ladder row
-    wide = _wide_gcds(monkeypatch)
+    gcds = [spy(module, "gcd") for module in (math, aggregate, cli)]  # math's: Fraction's
+
+    def wide():  # the operand widths of each gcd of two operands wider than 128 bits
+        widths = [tuple(abs(x).bit_length() for x in args) for calls in gcds for args in calls]
+        return [w for w in widths if sum(width > 128 for width in w) >= 2]
+
     result = evaluate(2, 4000)
     assert cli.main(["table", "--m", "2", "--n-max", "300"]) == 0
     assert cli.main(["ladder", "--n", "4000", "--format", "json"]) == 0
     capsys.readouterr()
-    assert wide == []
+    assert wide() == []
     # the public constructor, and the engine at m = 3, take the big gcd
     assert ProductResult(2, 4000, result.count, result.total) == result
-    assert len(wide) == 1 and min(wide[0]) > 5000
+    assert len(wide()) == 1 and min(wide()[0]) > 5000
     evaluate(3, 4000)
-    assert len(wide) == 2
+    assert len(wide()) == 2
 
 
 @pytest.mark.parametrize("m, n", [(1, 30), (2, 1), (2, 12), (2, 13), (2, 4000), (3, 100)])
@@ -323,32 +311,26 @@ def test_decimal_twin_equals_the_int_stream(m):
 
 
 @pytest.mark.parametrize("m", [*range(1, 11), P_JUMP_MAX_M, P_JUMP_MAX_M + 1])
-def test_evaluate_across_the_engine_crossover(m, monkeypatch):
+def test_evaluate_across_the_engine_crossover(m, spy):
     # n = 4m+4 is the last Hankel term and streams; n = 4m+5, the first
     # horizon whose half power is reduced mod Q, jumps: modulo p for
     # 2 <= m <= P_JUMP_MAX_M, modulo Q at m = 1 and above that
     last = 4 * m + 4
     streamed = list(islice(cell_stream(m), last + 1))
-    jumped = []
-    monkeypatch.setattr(aggregate, "_jumper", lambda m: jumped.append(("Q", m)) or _jumper(m))
-    monkeypatch.setattr(aggregate, "_p_jumper", lambda m: jumped.append(("p", m)) or _p_jumper(m))
+    jumped = {"Q": spy(aggregate, "_jumper"), "p": spy(aggregate, "_p_jumper")}
     assert evaluate(m, last) == ProductResult(m, last, *streamed[last - 1])
-    assert jumped == []
+    assert jumped == {"Q": [], "p": []}
     assert evaluate(m, last + 1) == ProductResult(m, last + 1, *streamed[last])
-    assert jumped == [("p" if 2 <= m <= P_JUMP_MAX_M else "Q", m)]
+    route = "p" if 2 <= m <= P_JUMP_MAX_M else "Q"
+    assert jumped == {"Q": [], "p": [], route: [(m,)]}
 
 
-def test_evaluate_streams_through_the_hankel_terms(monkeypatch):
+def test_evaluate_streams_through_the_hankel_terms(refuse):
     # for n <= 4m+4 the n-th stream item is the answer: no jumper, no p
     # and no power of x is built
     expected = {m: list(islice(cell_stream(m), 4 * m + 4)) for m in range(1, 13)}
-
-    def refused(*args):
-        raise AssertionError("evaluate left the stream")
-
-    for name in ("_jumper", "_p_jumper", "totals_polynomial"):
-        monkeypatch.setattr(aggregate, name, refused)
-    monkeypatch.setattr(exactmath, "x_power_mod", refused)
+    refuse(aggregate, "_jumper", "_p_jumper", "totals_polynomial")
+    refuse(exactmath, "x_power_mod")
     for m, streamed in expected.items():
         for n, item in enumerate(streamed, start=1):
             assert evaluate(m, n) == ProductResult(m, n, *item), (m, n)
@@ -388,21 +370,16 @@ def test_a_p_jump_walks_the_columns_once(m, monkeypatch):
     assert jump(4 * m + 5) == next(islice(cell_stream(m), 4 * m + 4, None))
 
 
-def test_production_paths_never_build_the_literal_matrix(monkeypatch):
+def test_production_paths_never_build_the_literal_matrix(refuse):
     # the engine steps by the factored layer matrix and reads the totals
     # off its last row; the literal matrix and the binomial weights are
     # left to verify, and to layer_polynomial's fallback, which m <= 60
     # never takes
     expected = {m: list(islice(cell_stream(m), 4 * m + 5)) for m in range(1, 13)}
     polynomials = {m: layer_polynomial(m) for m in range(1, 13)}
-
-    def refused(*args):
-        raise AssertionError("a reference route was used")
-
-    monkeypatch.setattr(layers, "recurrence_matrix", refused)
-    monkeypatch.setattr(layers, "footprint_weights", refused)
-    monkeypatch.setattr(exactmath, "char_poly", refused)
-    monkeypatch.setattr(recurrence.IntMatrix, "apply", refused)
+    refuse(layers, "recurrence_matrix", "footprint_weights")
+    refuse(exactmath, "char_poly")
+    refuse(recurrence.IntMatrix, "apply")
     for m, streamed in expected.items():
         seeds = 2 * m + 2
         assert list(islice(cell_stream(m), 4 * m + 5)) == streamed
@@ -428,16 +405,13 @@ def test_count_totals_are_second_differences_of_the_stream(m):
 
 
 @pytest.mark.parametrize("m", [1, 3, 7])
-def test_jump_falls_back_to_layer_polynomial(m, monkeypatch):
+def test_jump_falls_back_to_layer_polynomial(m, monkeypatch, spy):
     # an uncertified Berlekamp-Massey answer sends layer_polynomial to
     # Faddeev-LeVerrier, and the jump takes p from there
-    taken = []
-    real = exactmath.char_poly
     monkeypatch.setattr(exactmath, "sequence_annihilator", lambda terms: None)
-    monkeypatch.setattr(exactmath, "char_poly",
-                        lambda matrix: taken.append(matrix.order) or real(matrix))
+    taken = spy(exactmath, "char_poly")
     jump = _jumper(m)
-    assert taken == [m]
+    assert [matrix.order for matrix, in taken] == [m]
     streamed = list(islice(cell_stream(m), 6 * m + 6))
     for n in range(2 * m + 3, 6 * m + 7):
         assert jump(n) == streamed[n - 1], n
@@ -504,42 +478,30 @@ def test_deep_jump_equals_the_linear_read_out(m):
 
 
 @pytest.mark.parametrize("m", [1, 4, 9])
-def test_a_jump_powers_x_once_to_the_half_power(m, monkeypatch):
-    powers = []
-
-    def counted(e, modulus):
-        powers.append((e, modulus.degree))
-        return x_power_mod(e, modulus)
-
-    monkeypatch.setattr(exactmath, "x_power_mod", counted)
+def test_a_jump_powers_x_once_to_the_half_power(m, spy):
+    powers = spy(exactmath, "x_power_mod")
     jump = _jumper(m)
     for n in (1, 2, 2 * m + 3, 2 * m + 4, 4 * m + 5, 4 * m + 6, 777, 778):
         powers.clear()
         jump(n)
-        assert powers == [((n - 1) // 2, 2 * m + 2)], n
+        assert [(e, modulus.degree) for e, modulus in powers] == [((n - 1) // 2, 2 * m + 2)], n
 
 
 @pytest.mark.parametrize("m", [2, 4, 9, P_JUMP_MAX_M])
-def test_a_p_jump_powers_x_once_to_the_half_power_modulo_p(m, monkeypatch):
+def test_a_p_jump_powers_x_once_to_the_half_power_modulo_p(m, monkeypatch, spy):
     # x^(n+1) = x^o s^2 with s = x^((n+1) div 2), modulo p of degree m;
     # evaluate past 4m+4 powers x once, that way
-    powers = []
-
-    def counted(e, modulus):
-        powers.append((e, modulus.degree))
-        return x_power_mod(e, modulus)
-
-    monkeypatch.setattr(exactmath, "x_power_mod", counted)
+    powers = spy(exactmath, "x_power_mod")
     jump = _p_jumper(m)
     for n in (1, 2, 2 * m + 3, 2 * m + 4, 4 * m + 5, 4 * m + 6, 777, 778):
         powers.clear()
         jump(n)
-        assert powers == [((n + 1) // 2, m)], n
+        assert [(e, modulus.degree) for e, modulus in powers] == [((n + 1) // 2, m)], n
     monkeypatch.setattr(aggregate, "_p_jumper", lambda m: jump)
     for n in (4 * m + 5, 4 * m + 6, 777, 778):
         powers.clear()
         evaluate(m, n)
-        assert powers == [((n + 1) // 2, m)], n
+        assert [(e, modulus.degree) for e, modulus in powers] == [((n + 1) // 2, m)], n
 
 
 def test_deep_jump_equals_stream():
@@ -547,18 +509,10 @@ def test_deep_jump_equals_stream():
         3, 5000, *next(islice(cell_stream(3), 4999, None)))
 
 
-def _schoolbook(a, b):
-    product = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            product[i + j] += x * y
-    return product
-
-
 @pytest.mark.parametrize("m", range(1, 9))
 def test_annihilator_is_p_squared_times_x_minus_one_squared(m):
     p = layer_polynomial(m).coefficients
-    expected = _schoolbook(_schoolbook(p, p), (1, -2, 1))
+    expected = schoolbook(schoolbook(p, p), (1, -2, 1))
     assert annihilator(layer_polynomial(m)).coefficients == tuple(expected)
 
 
@@ -573,23 +527,16 @@ def test_annihilator_holds_on_streamed_sums(m):
         assert sum(c * total for c, (_, total) in zip(q.coefficients, window)) == 0
 
 
-def test_annihilator_never_takes_faddeev_leverrier(monkeypatch):
-    # p off layer_polynomial's totals is certified for every m <= 60
-    def refused(matrix):
-        raise AssertionError(f"char_poly called at m={matrix.order}")
-
-    found = []
-    real = exactmath.sequence_annihilator
-
-    def recorded(terms):
-        found.append(real(terms))
-        return found[-1]
-
-    monkeypatch.setattr(exactmath, "char_poly", refused)
-    monkeypatch.setattr(exactmath, "sequence_annihilator", recorded)
+def test_annihilator_never_takes_faddeev_leverrier(refuse, spy):
+    # p off layer_polynomial's totals is certified for every m <= 60: with
+    # Faddeev-LeVerrier refused, the p that Q is built from is
+    # sequence_annihilator's answer
+    refuse(exactmath, "char_poly")
+    found = spy(aggregate, "annihilator")
     for m in range(1, 61):
         _jumper(m)
-        assert found[-1] is not None and found[-1].degree == m
+        (p,) = found[-1]
+        assert p is not None and p.degree == m
 
 
 Q_CHECK, P_CHECK = "recurrence jump vs stream", "recurrence jump modulo p vs stream"
@@ -625,10 +572,7 @@ def test_jump_checks_visit_the_horizons(monkeypatch):
     visited = {}
 
     def recorder(route, real):
-        def recorded(m):
-            jump = real(m)
-            return lambda n: visited.setdefault((route, m), []).append(n) or jump(n)
-        return recorded
+        return lambda m: recording(real(m), visited.setdefault((route, m), []))
 
     monkeypatch.setattr(aggregate, "_jumper", recorder("Q", _jumper))
     monkeypatch.setattr(aggregate, "_p_jumper", recorder("p", _p_jumper))
@@ -639,12 +583,12 @@ def test_jump_checks_visit_the_horizons(monkeypatch):
     assert [check.where for check in routes[P_CHECK]] == [f"m={m} n<=40" for m in range(2, 5)]
     horizons = {1: [5, 6, 7, 8, 9, 10, 39, 40], 2: [7, 8, 9, 10, 13, 14, 39, 40],
                 3: [9, 10, 11, 12, 17, 18, 39, 40], 4: [11, 12, 13, 14, 21, 22, 39, 40]}
-    assert visited == {**{("Q", m): ns for m, ns in horizons.items()},
-                       **{("p", m): ns for m, ns in horizons.items() if m >= 2}}
+    assert visited == {**{("Q", m): [(n,) for n in ns] for m, ns in horizons.items()},
+                       **{("p", m): [(n,) for n in ns] for m, ns in horizons.items() if m >= 2}}
     # n_max - 1 = 0 is no horizon
     visited.clear()
     assert [check.ok for check in verify.jump_checks(2, 1)] == [True, True, True]
-    assert visited == {("Q", 1): [1], ("Q", 2): [1], ("p", 2): [1]}
+    assert visited == {("Q", 1): [(1,)], ("Q", 2): [(1,)], ("p", 2): [(1,)]}
 
 
 def _one_off(coefficients, k):
@@ -729,16 +673,15 @@ def test_jump_domain_errors():
 
 
 @pytest.mark.parametrize("m, n", [(3, 17), (4, 21)])
-def test_census_equals_the_p_jump_at_its_first_cells(m, n, monkeypatch):
+def test_census_equals_the_p_jump_at_its_first_cells(m, n, monkeypatch, spy):
     # the first cells evaluate jumps modulo p at m = 3 and 4: 51 and 84
     # vertices, past the census limit, which is lifted for this test only;
     # the census shares no code with either jump
     monkeypatch.setattr(oracle, "MAX_CAP", m * n)
     report = enumerated_census(complete_path_product(m, n).graph)
-    routes = []
-    monkeypatch.setattr(aggregate, "_p_jumper", lambda m: routes.append(m) or _p_jumper(m))
+    routes = spy(aggregate, "_p_jumper")
     result = evaluate(m, n)
-    assert routes == [m]
+    assert routes == [(m,)]
     assert (result.count, result.total) == (report.count, report.total_order)
 
 
@@ -779,10 +722,9 @@ def test_a_corrupted_p_jump_exits_3(datum, monkeypatch, capsys):
     ((-1, 0, 1), "p\\(1\\) = 0 at m=2"),  # x^2 - 1
     ((1, 2, 1), "p has a repeated root at m=2"),  # (x + 1)^2, p(1) = 4
 ])
-def test_a_p_jump_refuses_a_faked_p_at_setup(fake, refusal, monkeypatch, capsys):
-    powered = []
+def test_a_p_jump_refuses_a_faked_p_at_setup(fake, refusal, monkeypatch, capsys, spy):
     monkeypatch.setattr(aggregate, "totals_polynomial", lambda m, totals: IntPolynomial(fake))
-    monkeypatch.setattr(exactmath, "x_power_mod", lambda e, modulus: powered.append(e))
+    powered = spy(exactmath, "x_power_mod")
     with pytest.raises(ArithmeticError, match=f"^{refusal}: no jump modulo p$"):
         _p_jumper(2)
     assert powered == []

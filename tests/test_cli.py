@@ -12,7 +12,8 @@ Claims covered:
       the decimal module's rendering (kept here as the reference) for any
       fraction
     - the divide-and-conquer conversion to Decimal equals str() at its
-      split points and for random integers of either sign
+      split points and for random integers of either sign, one at a time
+      or all at once
     - rows come out the same whatever the caller's decimal context is; a
       rounding inside the exact context exits 3; a Decimal twin that
       disagrees with the int walk stops the table before that row; the
@@ -28,9 +29,11 @@ Claims covered:
     - table and ladder stream their rows: memory does not grow with n_max
     - a reader closing the pipe ends the CLI quietly with exit 141
     - verify exits 0 on clean scopes, 1 on mismatch, 2 on usage errors,
-      and any other exception exits 3
+      and any other exception exits 3; --ladder and --charpoly print the
+      battery's lines for their suites, unless --n-max or --m-max is given
     - text that is not an integer is a usage error naming the flag
-    - integers past CPython's 4300-digit str guard print in full
+    - integers past CPython's 4300-digit str guard print in full; main
+      lifts the guard for its call, so a check's detail past it prints
     - table rows equal the per-cell evaluation, and each compute csv row
       equals the table's row through n = 4m+6, past the jump
     - ladder rows come from the engine at m = 2 and equal the closed-form
@@ -52,6 +55,7 @@ Claims covered:
 """
 
 import contextlib
+import io
 import itertools
 import json
 import math
@@ -64,18 +68,15 @@ import time
 import tracemalloc
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from consets import aggregate, cli, exactmath, ladder, oracle, recurrence, verify
+from conftest import CHILD_ENV, run_child
+from consets import aggregate, cli, exactmath, ladder, oracle, recurrence, reporting, verify
 from consets.cli import CSV_HEADER, format_decimal, main
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-CLI_ENV = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+from consets.records import Check
 
 
 def run_cli(capsys, *argv):
@@ -185,8 +186,12 @@ def _split_points() -> list[int]:
 def test_divide_and_conquer_conversion_equals_str(unlimited_digits):
     rng = random.Random(8191)
     sizes = [199_000, *(rng.randrange(1, 199_000) for _ in range(20))]  # up to 60k digits
-    for value in [*_split_points(), *(rng.choice((1, -1)) * rng.getrandbits(b) for b in sizes)]:
-        assert str(cli._decimal(value)) == str(value)
+    values = [*_split_points(), *(rng.choice((1, -1)) * rng.getrandbits(b) for b in sizes)]
+    for value in values:
+        (converted,) = cli._decimals(value)
+        assert str(converted) == str(value)
+    # at once, every value joined with the widest one's powers
+    assert [str(converted) for converted in cli._decimals(*values)] == [str(v) for v in values]
 
 
 def test_rendering_ignores_the_callers_decimal_context(capsys):
@@ -214,8 +219,7 @@ def test_a_rounding_in_the_exact_context_exits_3(argv, monkeypatch, capsys):
 
 def _printed_row(fmt: str, *argv: str) -> object:
     """The last row a fresh CLI process prints: a line, or a json object."""
-    completed = subprocess.run([sys.executable, "-m", "consets.cli", *argv, "--format", fmt],
-                               capture_output=True, text=True, env=CLI_ENV, timeout=120)
+    completed = run_child("-m", "consets.cli", *argv, "--format", fmt)
     assert completed.returncode == 0, completed.stderr
     if fmt != "json":
         return completed.stdout.splitlines()[-1]
@@ -483,23 +487,12 @@ def test_charpoly_printout(capsys):
     assert "all 4 checks passed" in out
 
 
-def test_charpoly_computes_polynomial_once(monkeypatch, capsys):
-    calls, matrix_side = [], []
-    original = cli.layer_polynomial
-
-    def counted(m):
-        calls.append(m)
-        return original(m)
-
-    def refused(matrix):
-        matrix_side.append(matrix)
-        return exactmath.IntPolynomial([0] * matrix.order + [1])
-
-    monkeypatch.setattr(cli, "layer_polynomial", counted)
-    monkeypatch.setattr(recurrence, "layer_polynomial", counted)
-    monkeypatch.setattr(exactmath, "char_poly", refused)
+def test_charpoly_computes_polynomial_once(capsys, spy):
+    # with checks, through validate_coefficients; m = 1, unchecked, in cli
+    checked, unchecked = spy(recurrence, "layer_polynomial"), spy(cli, "layer_polynomial")
+    matrix_side = spy(exactmath, "char_poly")
     code, out, _ = run_cli(capsys, "charpoly", "--m", "6")
-    assert calls == [6]
+    assert (checked, unchecked) == ([(6,)], [])
     assert matrix_side == []  # Faddeev-LeVerrier is never on this path
     assert code == 1
     assert out == (
@@ -511,7 +504,7 @@ def test_charpoly_computes_polynomial_once(monkeypatch, capsys):
         "1 of 4 checks FAILED\n")
     code, out, _ = run_cli(capsys, "charpoly", "--m", "1")  # the unchecked branch
     assert (code, out.splitlines()[0]) == (0, "m=1: λ - 1")
-    assert calls == [6, 1]
+    assert (checked, unchecked) == ([(6,)], [(1,)])
     assert matrix_side == []
 
 
@@ -689,18 +682,45 @@ def test_verify_n_max_needs_ladder(capsys):
     assert "--n-max applies only with --ladder" in err
 
 
-def test_verify_ladder_scope(capsys):
+@pytest.fixture(scope="module")
+def battery() -> tuple[int, list[str]]:
+    """The exit code and the printed lines of the full battery, run once."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["verify"])
+    return code, out.getvalue().splitlines()
+
+
+def test_verify_ladder_scope(capsys, battery):
+    # the battery's ladder suites, n = 1..200 and identities n = 1..100,
+    # line for line; --n-max sets both horizons
+    code, out, _ = run_cli(capsys, "verify", "--ladder")
+    *lines, summary = out.splitlines()
+    assert (code, summary) == (0, "all 15 checks passed")
+    assert (lines[0], lines[-1]) == ("PASS  ladder count closed form  [n=1..200]",
+                                     "PASS  square-weighted prefix sum of totals  [n=1..100]")
+    start = battery[1].index(lines[0])
+    assert battery[1][start:start + 15] == lines
     code, out, _ = run_cli(capsys, "verify", "--ladder", "--n-max", "30")
     assert code == 0
     assert "ladder average vs published formula" in out
+    assert out.splitlines()[:-1] == [
+        check.line() for check in verify.ladder_checks(30) + verify.ladder_identity_checks(30)]
 
 
-def test_verify_charpoly_scope_exits_by_truth(capsys):
+def test_verify_charpoly_scope_exits_by_truth(capsys, battery):
+    # the battery's charpoly suite, m = 2..10, line for line; --m-max sets m
+    code, out, _ = run_cli(capsys, "verify", "--charpoly")
+    *lines, summary = out.splitlines()
+    assert (code, summary) == (1, "4 of 45 checks FAILED")
+    assert lines[-1] == "PASS  charpoly routes agree  [m=10]"
+    start = battery[1].index(lines[0])
+    assert battery[1][start:start + 45] == lines
     code, out, _ = run_cli(capsys, "verify", "--charpoly", "--m-max", "4")
     assert code == 0
     code, out, _ = run_cli(capsys, "verify", "--charpoly", "--m-max", "5")
     assert code == 1
     assert "FAIL  charpoly constant term  [m=5]" in out
+    assert out.splitlines()[:-1] == [check.line() for check in verify.charpoly_checks(5)]
 
 
 def test_verify_graph_file(tmp_path, capsys):
@@ -712,11 +732,8 @@ def test_verify_graph_file(tmp_path, capsys):
     assert "connectivity checkers agree" in out
 
 
-def test_cell_checks_run_no_subset_census(monkeypatch, capsys):
-    def refused(*args, **kwargs):
-        raise AssertionError("the 2^v census ran")
-
-    monkeypatch.setattr(oracle, "census", refused)
+def test_cell_checks_run_no_subset_census(capsys, refuse):
+    refuse(oracle, "census")  # the 2^v census
     code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "10")
     assert code == 0
     assert out.endswith("all 4 checks passed\n")
@@ -752,10 +769,10 @@ def test_verify_missing_graph_file(tmp_path, capsys):
     assert "error" in err
 
 
-def test_verify_full_suite_reports_only_the_false_claim(capsys):
-    code, out, _ = run_cli(capsys, "verify")
+def test_verify_full_suite_reports_only_the_false_claim(battery):
+    code, lines = battery
     assert code == 1
-    failures = [line for line in out.splitlines() if line.startswith("FAIL")]
+    failures = [line for line in lines if line.startswith("FAIL")]
     assert failures == [
         "FAIL  charpoly constant term  [m=5]: got -1, expected 1",
         "FAIL  charpoly constant term  [m=6]: got -1, expected 1",
@@ -817,7 +834,7 @@ def test_verify_oracle_cap_env(monkeypatch, capsys):
 def test_closed_pipe_exits_141_quietly():
     with subprocess.Popen(
             [sys.executable, "-m", "consets.cli", "table", "--m", "3", "--n-max", "2000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV) as child:
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV) as child:
         first = child.stdout.readline()
         child.stdout.close()
         err = child.stderr.read()
@@ -876,9 +893,8 @@ def _parse_json(out: str) -> tuple[int, int, Fraction, Fraction]:
                                         ("json", _parse_json)])
 def test_compute_prints_integers_past_the_digit_guard(fmt, parse, unlimited_digits):
     # the guard is process-wide, so only a fresh process shows the CLI lifting it
-    completed = subprocess.run(
-        [sys.executable, "-m", "consets.cli", "compute", "--m", "6", "--n", "3000",
-         "--format", fmt], capture_output=True, text=True, env=CLI_ENV)
+    completed = run_child("-m", "consets.cli", "compute", "--m", "6", "--n", "3000",
+                          "--format", fmt)
     assert completed.returncode == 0, completed.stderr
     result = aggregate.evaluate(6, 3000)
     assert len(str(result.count)) > 4300
@@ -886,16 +902,27 @@ def test_compute_prints_integers_past_the_digit_guard(fmt, parse, unlimited_digi
                                        result.average, result.density)
 
 
+def test_main_lifts_the_digit_guard_for_a_wide_detail(monkeypatch, capsys, default_digit_limit):
+    # rows get their digits from libmpdec, which the guard does not bind;
+    # a check's detail is str() of its integers, so a FAIL past 4300
+    # digits prints only because main lifts the guard (else exit 2), and
+    # main restores it when it returns
+    wide = 3 ** 10000  # 4772 digits
+    monkeypatch.setattr(reporting, "oracle_cell_checks", lambda m, n: [
+        Check("census-vs-formula count", f"m={m} n={n}", False, f"formula 1, census {wide}")])
+    code, out, err = run_cli(capsys, "verify", "--m", "1", "--n", "1")
+    assert (code, err) == (1, "")
+    assert out == (f"FAIL  census-vs-formula count  [m=1 n=1]: formula 1, census {Decimal(wide)}\n"
+                   "1 of 1 checks FAILED\n")
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+
+
 @pytest.mark.parametrize("argv", [["compute", "--m", "1", "--n", "3"],
                                   ["table", "--m", "1", "--n-max", "3"],
                                   ["ladder", "--n", "3"],
                                   ["verify", "--graph", "unread.txt"]])
-def test_precision_above_the_limit_is_refused(argv, monkeypatch, capsys):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("work started before the refusal")
-
-    monkeypatch.setattr(cli, "_decimal", unreachable)
-    monkeypatch.setattr(cli, "_rounding", unreachable)
+def test_precision_above_the_limit_is_refused(argv, capsys, refuse):
+    refuse(cli, "_decimals", "_rounding")  # no work starts before the refusal
     with pytest.raises(SystemExit) as excinfo:
         main([*argv, "--precision", str(cli.MAX_PRECISION + 1)])
     assert excinfo.value.code == 2
@@ -907,8 +934,7 @@ def test_precision_above_the_limit_is_refused(argv, monkeypatch, capsys):
 
 
 def _cli_lines(*argv: str) -> tuple[int, list[str], str]:
-    completed = subprocess.run([sys.executable, "-m", "consets.cli", *argv],
-                               capture_output=True, text=True, env=CLI_ENV, timeout=120)
+    completed = run_child("-m", "consets.cli", *argv)
     return completed.returncode, completed.stdout.splitlines(), completed.stderr
 
 

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import schoolbook
 from consets.exactmath import (
     _FIRST_PRIMES,
     _is_prime,
@@ -156,14 +157,6 @@ def _remainder(a, modulus):
     return a + [0] * (degree - len(a))
 
 
-def _schoolbook(a, b):
-    product = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            product[i + j] += x * y
-    return product
-
-
 _inverse_cases = st.integers(1, 6).flatmap(lambda degree: st.tuples(
     st.lists(st.integers(-9, 9), min_size=degree, max_size=degree),
     st.lists(st.integers(-9, 9), min_size=1, max_size=2 * degree)))
@@ -181,7 +174,7 @@ def test_inverse_mod_scales_the_inverse(case):
     assert abs(scale) == abs(determinant)
     if scale:
         assert len(g) == degree
-        assert _remainder(_schoolbook(g, a), modulus.coefficients) == [scale] + [0] * (degree - 1)
+        assert _remainder(schoolbook(g, a), modulus.coefficients) == [scale] + [0] * (degree - 1)
     else:
         assert g == []
 
@@ -190,7 +183,7 @@ def test_inverse_mod_fixed_cases():
     # x is its own inverse up to sign mod x^2 + 1, and its matrix needs a
     # row swap at the first pivot
     scale, g = inverse_mod([0, 1], IntPolynomial((1, 0, 1)))
-    assert _remainder(_schoolbook(g, [0, 1]), (1, 0, 1)) == [scale, 0] and abs(scale) == 1
+    assert _remainder(schoolbook(g, [0, 1]), (1, 0, 1)) == [scale, 0] and abs(scale) == 1
     # (x + 1)^2 (x - 2) = x^3 - 3x - 2 shares the root -1 with its derivative
     assert inverse_mod([-3, 0, 3], IntPolynomial((-2, -3, 0, 1))) == (0, [])
     # degree 1: a(c) mod x - c, g = 1

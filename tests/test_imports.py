@@ -36,22 +36,17 @@ Claims covered:
 
 import ast
 import copy
-import os
 import pickle
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import consets
+from conftest import run_child
 from consets import ProductResult
 from consets.cli import OutputRecord
 from consets.oracle import CensusReport
 
-ROOT = Path(__file__).resolve().parents[1]
-ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
-    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 #: Modules that no rendering command needs.
 GUARDED = {"consets.oracle", "consets.verify", "consets.recurrence", "consets.reporting",
@@ -78,8 +73,7 @@ REPORT = "import sys; print(repr({'code': 0, 'modules': sorted(sys.modules)}))"
 
 
 def _loaded(code: str, *argv: str) -> set[str]:
-    completed = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                               text=True, env=ENV, timeout=120)
+    completed = run_child("-c", code, *argv)
     assert completed.returncode == 0, completed.stderr
     report = ast.literal_eval(completed.stdout.splitlines()[-1])
     assert report["code"] == 0, completed.stderr
@@ -166,8 +160,7 @@ def test_char_poly_of_the_literal_matrix_in_a_fresh_interpreter():
     code = ("from consets.exactmath import char_poly\n"
             "from consets.layers import recurrence_matrix\n"
             "print(repr(char_poly(recurrence_matrix(5)).coefficients))")
-    completed = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                               text=True, env=ENV, timeout=120)
+    completed = run_child("-c", code)
     assert completed.returncode == 0, completed.stderr
     assert ast.literal_eval(completed.stdout) == (-1, 8, 39, -53, -24, 1)
 

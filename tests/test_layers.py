@@ -251,18 +251,14 @@ def test_layer_polynomial_equals_faddeev_leverrier(m):
     assert layer_polynomial(m) == char_poly(recurrence_matrix(m))
 
 
-def test_layer_polynomial_falls_back_to_the_literal_matrix(monkeypatch):
-    refused, matrix_side = [], []
+def test_layer_polynomial_falls_back_to_the_literal_matrix(monkeypatch, spy):
+    refused = []
 
     def uncertified(terms):
         refused.append(len(terms))
         return None
 
-    def counted(matrix):
-        matrix_side.append(matrix.order)
-        return char_poly(matrix)
-
     monkeypatch.setattr(exactmath, "sequence_annihilator", uncertified)
-    monkeypatch.setattr(exactmath, "char_poly", counted)
+    matrix_side = spy(exactmath, "char_poly")
     assert str(layer_polynomial(3)) == "λ^3 - 5λ^2 - 3λ + 1"
-    assert (refused, matrix_side) == ([6], [3])
+    assert (refused, [matrix.order for matrix, in matrix_side]) == ([6], [3])

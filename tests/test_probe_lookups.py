@@ -13,19 +13,15 @@ perfbench/ is changed here.
 
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import run_child
 from consets import verify
 
 ROOT = Path(__file__).resolve().parents[1]
 PROBE = ROOT / "perfbench" / "probe.py"
-ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
-    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 RENDERED = {"cli.render_s", "cli.render_failed", "cli.out_bytes"}
 TABLES = {"layers.profile_table_s", "orders.order_table_s",
@@ -43,8 +39,7 @@ def _load_probe():
 
 
 def _probe(op: dict, *flags: str) -> set[str]:
-    completed = subprocess.run([sys.executable, str(PROBE), json.dumps(op), *flags],
-                               capture_output=True, text=True, env=ENV, timeout=120)
+    completed = run_child(str(PROBE), json.dumps(op), *flags)
     assert completed.returncode == 0, completed.stderr
     return set(json.loads(completed.stdout.splitlines()[-1])["metrics"])
 
