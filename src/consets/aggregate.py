@@ -144,7 +144,7 @@ def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
     hankel = list(zip(*islice(cell_stream(m), 4 * m + 4)))
     counts = hankel[0]
     totals = [a - 2 * b + c for a, b, c in zip(counts[:2 * m], (0, *counts), (0, 0, *counts))]
-    modulus = annihilator(totals_polynomial(m, totals))
+    modulus = annihilator(totals_polynomial(totals))
 
     def jump(n: int) -> tuple[int, int]:
         half, odd = divmod(n - 1, 2)
@@ -190,7 +190,7 @@ def _p_jumper(m: int) -> Callable[[int], tuple[int, int]]:
     counts, totals = zip(*islice(cell_stream(m), 2 * m))
     count_totals, order_totals = ([a - 2 * b + c for a, b, c in zip(sums, (0, *sums), (0, 0, *sums))]
                                   for sums in (counts, totals))
-    p = totals_polynomial(m, count_totals)
+    p = totals_polynomial(count_totals)
     c = p.coefficients
     at_one = sum(c)
     if not at_one:

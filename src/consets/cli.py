@@ -19,8 +19,8 @@ charpoly
     The characteristic polynomial of the layer recurrence matrix, with
     its coefficient identities checked.  It comes from
     layers.layer_polynomial (Berlekamp-Massey on the streamed totals,
-    certified exactly), the step that gives both recurrence jumps their p;
-    verify --charpoly compares it with Faddeev-LeVerrier.
+    certified exactly or refused), p's one route, which both recurrence
+    jumps take too; verify --charpoly compares it with Faddeev-LeVerrier.
 ladder
     The two-layer cells: compute (--n) or table (--n-max) at m = 2;
     verify --ladder checks them against the ladder closed forms.

@@ -10,11 +10,12 @@ matrix with its rows reversed, so ``layer_step`` applies it by additions
 alone and the production walks never build it.  ``count_columns`` is the
 count walk; ``column_stream`` adds the order step to it.
 ``layer_polynomial`` and ``profile_table`` read count columns only, so
-they walk ``count_columns`` and never advance an order column.
+they walk ``count_columns`` and never advance an order column.  p, A's
+characteristic polynomial, has that one route, certified or refused.
 
-``recurrence_matrix`` writes A out entry by entry.  It is the independent
-route: ``verify`` holds the walks against it, and it feeds
-Faddeev-LeVerrier, the weighted powers and the order-sum reference sum.
+``recurrence_matrix`` writes A out entry by entry, for the checks alone:
+``verify`` holds the walks against it, and p against Faddeev-LeVerrier
+on it, and it feeds the weighted powers and the order-sum reference sum.
 Likewise ``weighted_sum`` weights a column by the binomial row, which the
 engine never does: that row is A's last, so a column's total is the last
 entry of the next column.  The walks need additions alone;
@@ -117,21 +118,19 @@ def layer_polynomial(m: int) -> IntPolynomial:
     row of A is that weight row, so T(k) is the last entry of column k+1,
     and p annihilates the totals (Cayley-Hamilton).
     """
-    return totals_polynomial(m, [counts[-1] for counts in islice(count_columns(m), 1, 2 * m + 1)])
+    return totals_polynomial([counts[-1] for counts in islice(count_columns(m), 1, 2 * m + 1)])
 
 
-def totals_polynomial(m: int, totals: Sequence[int]) -> IntPolynomial:
+def totals_polynomial(totals: Sequence[int]) -> IntPolynomial:
     """p from the totals T(1..2m), however the caller came by them:
     ``sequence_annihilator`` certifies their monic degree-m annihilator
-    unique, which makes it p; where it cannot, p comes from ``char_poly``
-    of the literal matrix (Faddeev-LeVerrier).  ``layer_polynomial``
-    reads the totals off the last entries of the count columns, both
-    recurrence jumps as second differences of the counts they stream,
-    and all three take p from here."""
-    from .exactmath import char_poly, sequence_annihilator
+    unique, which makes it p, or else an ArithmeticError names the degree.
+    ``layer_polynomial`` and both recurrence jumps take p from here."""
+    from .exactmath import sequence_annihilator
 
-    polynomial = sequence_annihilator(totals)
-    return polynomial if polynomial is not None else char_poly(recurrence_matrix(m))
+    if (polynomial := sequence_annihilator(totals)) is None:
+        raise ArithmeticError(f"Berlekamp-Massey did not certify p of degree {len(totals) // 2}")
+    return polynomial
 
 
 def profile_table(m: int, k_max: int) -> list[tuple[int, ...]]:

@@ -6,12 +6,11 @@ forms for its coefficients against independent matrix-side quantities:
 the top coefficient (through the trace, against Fibonacci numbers) holds
 for every m, while the unit-constant-term claim is true only for
 m = 0, 3 (mod 4) and is reported honestly where it fails.  p comes from
-``layers.layer_polynomial``, which ``charpoly`` prints, by the step
-(``layers.totals_polynomial``) from which the engine's jumps take p,
-the modulus of one and the root of the other's ``aggregate.annihilator``:
-Berlekamp-Massey on the streamed totals,
-certified exactly.  The trace and determinant are
-read off the literal matrix; ``verify.charpoly_checks`` compares p with
+``layers.layer_polynomial``, which ``charpoly`` prints, by p's one route,
+the step from which the engine's jumps take it too
+(``layers.totals_polynomial``): Berlekamp-Massey on the streamed totals,
+certified exactly or refused.  The trace and determinant are read off
+the literal matrix; ``verify.charpoly_checks`` compares p with
 Faddeev-LeVerrier (``exactmath.char_poly``), and ``verify.stream_checks``
 checks that the latter annihilates the per-horizon totals.
 

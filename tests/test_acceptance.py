@@ -3,10 +3,11 @@
 All comparisons are exact (tolerance zero); the stated runtime budgets
 are asserted as well.  Criteria 1, 2, 4-8, 10 and 11 run the matching
 ``consets.verify`` suite at its defaults, the sizes ``verify.full_suite``
-runs it at, so the battery has one source of truth.  Criterion 10 holds the
-recurrence jump that ``evaluate`` takes above its 4m+4 Hankel terms
-against one stream walk per m, for m = 1..8 and n up to 200.  Criterion 11 holds
-the additions-only layer step against the literal matrix.  Run with
+runs it at, so the battery has one source of truth; the sizes that a
+criterion's line prints are that suite's defaults too.  Criterion 10 holds
+the recurrence jump that ``evaluate`` takes above its 4m+4 Hankel terms
+against one stream walk per m.  Criterion 11 holds the additions-only
+layer step against the literal matrix.  Run with
 ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines.
 
 Criterion 3 is known red: it asserts a unit constant term for the
@@ -39,13 +40,15 @@ def _criterion(number: int, description: str, ok: bool, elapsed: float,
 
 def _suite(number: int, description: str, suite) -> tuple[list[str], float]:
     """Run one verify suite at its defaults, print the criterion line,
-    return its failures."""
+    return its failures.  The description's ``{}`` fields take the
+    suite's defaults in order, so the line prints the sizes that ran."""
     start = time.perf_counter()
     checks = suite()
     elapsed = time.perf_counter() - start
     assert checks, "suite ran no checks"
     failures = [check.line() for check in checks if not check.ok]
-    _criterion(number, description, not failures, elapsed, "; ".join(failures))
+    _criterion(number, description.format(*suite.__defaults__ or ()), not failures, elapsed,
+               "; ".join(failures))
     return failures, elapsed
 
 
@@ -57,7 +60,7 @@ def test_criterion_1_census_equivalence():
 
 
 def test_criterion_2_ladder_closed_forms():
-    failures, elapsed = _suite(2, "ladder closed forms for n=1..200", verify.ladder_checks)
+    failures, elapsed = _suite(2, "ladder closed forms for n=1..{}", verify.ladder_checks)
     assert not failures
     assert elapsed < 5
 
@@ -85,21 +88,21 @@ def test_criterion_3_characteristic_coefficient_identities():
 
 
 def test_criterion_4_recurrence_matches_matrix_path():
-    failures, elapsed = _suite(4, "scalar recurrence equals matrix path for m=2..6, k=1..200",
+    failures, elapsed = _suite(4, "scalar recurrence equals matrix path for m=2..{}, k=1..{}",
                                verify.stream_checks)
     assert not failures
     assert elapsed < 5
 
 
 def test_criterion_5_weighted_symmetry():
-    failures, elapsed = _suite(5, "weighted power symmetry and column sums for m=2..6, k=1..12",
+    failures, elapsed = _suite(5, "weighted power symmetry and column sums for m=2..{}, k=1..{}",
                                verify.symmetry_checks)
     assert not failures
     assert elapsed < 5
 
 
 def test_criterion_6_order_sum_three_paths():
-    failures, elapsed = _suite(6, "order-sum three-path agreement for m=2..5, k=1..10",
+    failures, elapsed = _suite(6, "order-sum three-path agreement for m=2..{}, k=1..{}",
                                verify.order_path_checks)
     assert not failures
     assert elapsed < 10
@@ -112,15 +115,16 @@ def test_criterion_7_analytic_anchors():
 
 
 def test_criterion_8_summation_identities():
-    failures, elapsed = _suite(8, "prefix-sum identities for n=1..100",
+    failures, elapsed = _suite(8, "prefix-sum identities for n=1..{}",
                                verify.ladder_identity_checks)
     assert not failures
     assert elapsed < 2
 
 
 def test_criterion_9_performance_floor():
+    m, n = 6, 1000
     start = time.perf_counter()
-    completed = run_child("-m", "consets.cli", "compute", "--m", "6", "--n", "1000",
+    completed = run_child("-m", "consets.cli", "compute", "--m", str(m), "--n", str(n),
                           "--format", "json")
     elapsed = time.perf_counter() - start
     record = json.loads(completed.stdout) if completed.returncode == 0 else {}
@@ -128,8 +132,8 @@ def test_criterion_9_performance_floor():
              and Fraction(record["A_exact"])
              == Fraction(int(record["S"]), int(record["N"]))
              and Fraction(record["D_exact"])
-             == Fraction(record["A_exact"]) / 6000)
-    _criterion(9, "compute m=6 n=1000 under ten seconds with exact output",
+             == Fraction(record["A_exact"]) / (m * n))
+    _criterion(9, f"compute m={m} n={n} under ten seconds with exact output",
                exact and elapsed < 10, elapsed,
                completed.stderr.strip() or "output not exact")
     assert exact
@@ -137,14 +141,14 @@ def test_criterion_9_performance_floor():
 
 
 def test_criterion_10_recurrence_jump_matches_stream():
-    failures, elapsed = _suite(10, "recurrence jump equals stream for m=1..8, n<=200",
+    failures, elapsed = _suite(10, "recurrence jump equals stream for m=1..{}, n<={}",
                                verify.jump_checks)
     assert not failures
     assert elapsed < 2
 
 
 def test_criterion_11_layer_step_matches_literal_matrix():
-    failures, elapsed = _suite(11, "factored layer step equals literal matrix for m=1..12",
+    failures, elapsed = _suite(11, "factored layer step equals literal matrix for m=1..{}",
                                verify.layer_step_checks)
     assert not failures
     assert elapsed < 2

@@ -31,7 +31,9 @@ Claims covered:
     - a jump walks the count columns once: modulo Q for its 4m+4 Hankel
       terms, modulo p for its 2m items, and either way the totals
       T(1..2m) that give p come off that walk, never by Faddeev-LeVerrier
-      for m <= 60, and by it where Berlekamp-Massey is not certified
+    - where Berlekamp-Massey is not certified, both jumps refuse at setup
+      and compute and charpoly exit 3 with one ``internal error`` line
+      and no row
     - the jump modulo Q equals the stream at random n of both parities
       past the seeds, m = 1..12, and the linear read-out sum_j r_j a(j+1),
       with r = x^(n-1) mod Q, at n = 1001, 1002 and 10^4
@@ -373,8 +375,7 @@ def test_a_p_jump_walks_the_columns_once(m, monkeypatch):
 def test_production_paths_never_build_the_literal_matrix(refuse):
     # the engine steps by the factored layer matrix and reads the totals
     # off its last row; the literal matrix and the binomial weights are
-    # left to verify, and to layer_polynomial's fallback, which m <= 60
-    # never takes
+    # left to verify and the tests
     expected = {m: list(islice(cell_stream(m), 4 * m + 5)) for m in range(1, 13)}
     polynomials = {m: layer_polynomial(m) for m in range(1, 13)}
     refuse(layers, "recurrence_matrix", "footprint_weights")
@@ -405,16 +406,19 @@ def test_count_totals_are_second_differences_of_the_stream(m):
 
 
 @pytest.mark.parametrize("m", [1, 3, 7])
-def test_jump_falls_back_to_layer_polynomial(m, monkeypatch, spy):
-    # an uncertified Berlekamp-Massey answer sends layer_polynomial to
-    # Faddeev-LeVerrier, and the jump takes p from there
+def test_an_uncertified_p_stops_the_jumps(m, monkeypatch, refuse, capsys):
+    # with no Berlekamp-Massey certificate no route stands in for p: both
+    # jumps refuse at setup, and compute and charpoly exit 3 with no row
     monkeypatch.setattr(exactmath, "sequence_annihilator", lambda terms: None)
-    taken = spy(exactmath, "char_poly")
-    jump = _jumper(m)
-    assert [matrix.order for matrix, in taken] == [m]
-    streamed = list(islice(cell_stream(m), 6 * m + 6))
-    for n in range(2 * m + 3, 6 * m + 7):
-        assert jump(n) == streamed[n - 1], n
+    refuse(exactmath, "char_poly", "x_power_mod")
+    refuse(layers, "recurrence_matrix")
+    refusal = f"Berlekamp-Massey did not certify p of degree {m}"
+    for jumper in (_jumper, _p_jumper) if m >= 2 else (_jumper,):
+        with pytest.raises(ArithmeticError, match=f"^{refusal}$"):
+            jumper(m)
+    for argv in (["compute", "--m", str(m), "--n", str(4 * m + 5)], ["charpoly", "--m", str(m)]):
+        assert cli.main(argv) == 3, argv
+        assert capsys.readouterr() == ("", f"internal error: ArithmeticError: {refusal}\n")
 
 
 _stream = cache(lambda m: list(islice(cell_stream(m), 400)))
@@ -723,7 +727,7 @@ def test_a_corrupted_p_jump_exits_3(datum, monkeypatch, capsys):
     ((1, 2, 1), "p has a repeated root at m=2"),  # (x + 1)^2, p(1) = 4
 ])
 def test_a_p_jump_refuses_a_faked_p_at_setup(fake, refusal, monkeypatch, capsys, spy):
-    monkeypatch.setattr(aggregate, "totals_polynomial", lambda m, totals: IntPolynomial(fake))
+    monkeypatch.setattr(aggregate, "totals_polynomial", lambda totals: IntPolynomial(fake))
     powered = spy(exactmath, "x_power_mod")
     with pytest.raises(ArithmeticError, match=f"^{refusal}: no jump modulo p$"):
         _p_jumper(2)

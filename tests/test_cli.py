@@ -29,7 +29,8 @@ Claims covered:
     - table and ladder stream their rows: memory does not grow with n_max
     - a reader closing the pipe ends the CLI quietly with exit 141
     - verify exits 0 on clean scopes, 1 on mismatch, 2 on usage errors,
-      and any other exception exits 3; --ladder and --charpoly print the
+      and any other exception exits 3; an uncertified p stops the full
+      battery with exit 3, not 1; --ladder and --charpoly print the
       battery's lines for their suites, unless --n-max or --m-max is given
     - text that is not an integer is a usage error naming the flag
     - integers past CPython's 4300-digit str guard print in full; main
@@ -675,6 +676,12 @@ def test_verify_m_max_needs_charpoly(capsys):
     assert "--m-max applies only with --charpoly" in err
 
 
+def test_verify_charpoly_m_max_starts_at_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--charpoly", "--m-max", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --m-max must be at least 2 for coefficient checks\n"
+
+
 def test_verify_n_max_needs_ladder(capsys):
     code, out, err = run_cli(capsys, "verify", "--n-max", "5")
     assert code == 2
@@ -779,6 +786,16 @@ def test_verify_full_suite_reports_only_the_false_claim(battery):
         "FAIL  charpoly constant term  [m=9]: got -1, expected 1",
         "FAIL  charpoly constant term  [m=10]: got -1, expected 1",
     ]
+
+
+def test_verify_exits_3_when_p_is_not_certified(monkeypatch, capsys):
+    # Berlekamp-Massey is p's one route: without its certificate the
+    # battery stops with an internal error, where a stand-in p would let
+    # "charpoly routes agree" compare Faddeev-LeVerrier with itself
+    monkeypatch.setattr(exactmath, "sequence_annihilator", lambda terms: None)
+    code, out, err = run_cli(capsys, "verify")
+    assert (code, out) == (3, "")
+    assert err == "internal error: ArithmeticError: Berlekamp-Massey did not certify p of degree 1\n"
 
 
 # -- caps ------------------------------------------------------------------------

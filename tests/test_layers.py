@@ -11,21 +11,27 @@ Claims covered:
       corrupted step fails the battery's step check and its
       scalar-recurrence checks
     - weighted column sums through matrix powers match table counts
+    - a route that a swept battery check guards, corrupted from one cell
+      on, fails that check, whose detail names the cell: the ladder count
+      closed form, each of the five prefix-sum identities, weighted power
+      symmetry and column sums, and both order-sum paths
     - the binomial-weighted matrix powers are symmetric
     - counts agree with the exhaustive census footprint by footprint
     - the layer matrix factors as L R (prefix sums after a row-reversed
       Pascal matrix), so its determinant is (-1)^(m(m-1)/2)
     - the characteristic polynomial read off the streamed totals equals
-      Faddeev-LeVerrier's, and falls back to it when the certificate fails
+      Faddeev-LeVerrier's; where the certificate fails it raises, naming
+      the degree, and the literal matrix never stands in
 """
 
 import math
 import random
+from functools import partial
 from itertools import accumulate, islice
 
 import pytest
 
-from consets import exactmath, layers, verify
+from consets import exactmath, ladder, layers, verify
 from consets.exactmath import char_poly
 from consets.layers import (
     column_stream,
@@ -246,12 +252,77 @@ def test_battery_catches_a_corrupted_step(corrupted, monkeypatch):
     assert not all(check.ok for check in verify.stream_checks(6, 200))
 
 
+def _items_off(first, bump):
+    """Corrupt a generator function: bump each item from the first-th on."""
+    def corrupt(real):
+        def corrupted(*args):
+            for k, item in enumerate(real(*args), start=1):
+                yield bump(item) if k >= first else item
+        return corrupted
+    return corrupt
+
+
+def _values_off(first, bump):
+    """Corrupt a function of (m, k, ...): bump its value from horizon first on."""
+    def corrupt(real):
+        def corrupted(m, k, *rest):
+            value = real(m, k, *rest)
+            return bump(value) if k >= first else value
+        return corrupted
+    return corrupt
+
+
+def _identity_off(index, identities):
+    name, direct, closed = identities[index]
+    return (*identities[:index], (name, direct + 1, closed), *identities[index + 1:])
+
+
+_IDENTITIES = ("prefix sum of totals", "weighted prefix sum of totals",
+               "prefix sum of shifted pell", "weighted prefix sum of shifted pell",
+               "square-weighted prefix sum of totals")
+_SYMMETRY, _ORDER_PATHS = partial(verify.symmetry_checks, 3, 5), partial(verify.order_path_checks, 3, 8)
+
+
+#: (owner, name, corruption, suite, check, first bad cell): ``owner.name``
+#: is the route that the suite's check guards, as the suite reads it
+_BROKEN_ROUTES = [
+    (ladder, "row_stream", _items_off(5, lambda row: ((row[0][0] + 1, row[0][1]), row[1])),
+     partial(verify.ladder_checks, 10), "ladder count closed form", "n=5"),
+    *((ladder, "ladder_sum_identities", _items_off(4, partial(_identity_off, index)),
+       partial(verify.ladder_identity_checks, 10), identity, "n=4")
+      for index, identity in enumerate(_IDENTITIES)),
+    (verify, "weighted_powers", _items_off(3, lambda power: power + IntMatrix.unit(power.order, 0, 1)),
+     _SYMMETRY, "weighted power symmetry", "m=2 k=3"),
+    (verify, "weighted_profile_sums", _items_off(4, lambda sums: (sums[0], sums[1] + 1, *sums[2:])),
+     _SYMMETRY, "weighted profile sum", "m=2 i=2 k=4"),
+    (verify, "order_column_direct", _values_off(6, lambda column: (column[0] + 1, *column[1:])),
+     _ORDER_PATHS, "order sums recursive vs literal matrix sum", "m=2 k=6"),
+    (verify, "layer_order_sum_convolution", _values_off(6, lambda total: total + 1),
+     _ORDER_PATHS, "order sums recursive vs convolution", "m=2 k=6"),
+]
+
+
+@pytest.mark.parametrize("owner, name, corrupt, suite, check, first_bad", _BROKEN_ROUTES,
+                         ids=[case[4].replace(" ", "-") for case in _BROKEN_ROUTES])
+def test_battery_names_the_first_bad_cell(owner, name, corrupt, suite, check, first_bad, monkeypatch):
+    # a route that a swept check guards goes wrong from one cell on: the
+    # check fails, and its detail names that cell, not a later one
+    assert all(each.ok for each in suite())
+    monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
+    named = next(each for each in suite() if each.name == check)
+    assert not named.ok
+    assert named.detail.partition(":")[0] == first_bad
+
+
 @pytest.mark.parametrize("m", [*range(1, 13), 20, 30, 40, 50])
 def test_layer_polynomial_equals_faddeev_leverrier(m):
     assert layer_polynomial(m) == char_poly(recurrence_matrix(m))
 
 
-def test_layer_polynomial_falls_back_to_the_literal_matrix(monkeypatch, spy):
+@pytest.mark.parametrize("m", [1, 3, 7])
+def test_an_uncertified_layer_polynomial_raises(m, monkeypatch, refuse):
+    # Berlekamp-Massey is p's one route: with no certificate there is no
+    # p, and the literal matrix never stands in
     refused = []
 
     def uncertified(terms):
@@ -259,6 +330,8 @@ def test_layer_polynomial_falls_back_to_the_literal_matrix(monkeypatch, spy):
         return None
 
     monkeypatch.setattr(exactmath, "sequence_annihilator", uncertified)
-    matrix_side = spy(exactmath, "char_poly")
-    assert str(layer_polynomial(3)) == "λ^3 - 5λ^2 - 3λ + 1"
-    assert (refused, [matrix.order for matrix, in matrix_side]) == ([6], [3])
+    refuse(exactmath, "char_poly")
+    refuse(layers, "recurrence_matrix")
+    with pytest.raises(ArithmeticError, match=f"^Berlekamp-Massey did not certify p of degree {m}$"):
+        layer_polynomial(m)
+    assert refused == [2 * m]
