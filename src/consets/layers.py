@@ -11,7 +11,8 @@ alone and the production walks never build it.  ``count_columns`` is the
 count walk; ``column_stream`` adds the order step to it.
 ``layer_polynomial`` and ``profile_table`` read count columns only, so
 they walk ``count_columns`` and never advance an order column.  p, A's
-characteristic polynomial, has that one route, certified or refused.
+characteristic polynomial, has one route, ``totals_polynomial``:
+Berlekamp-Massey on the totals, certified exactly or refused.
 
 ``recurrence_matrix`` writes A out entry by entry, for the checks alone:
 ``verify`` holds the walks against it, and p against Faddeev-LeVerrier
