@@ -54,7 +54,7 @@ from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from .layers import column_stream, totals_polynomial
+from .layers import column_stream
 from .records import FrozenRecord
 
 if TYPE_CHECKING:
@@ -130,8 +130,8 @@ def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
     Those items are the Hankel terms a(1..2d), d = 2m+2, the degree of Q.
     Their counts' second differences are the totals
     T(k) = N(k) - 2N(k-1) + N(k-2), with N(0) = N(-1) = 0, and from
-    T(1..2m) ``layers.totals_polynomial`` gives p, as it does for
-    ``layers.layer_polynomial``.
+    T(1..2m) ``exactmath.sequence_annihilator`` gives p, certified or
+    refused, as it does for ``layers.layer_polynomial``.
     The functional x^j -> a(j+1) vanishes on multiples of Q, and
     x^(n-1) = x^o s^2 mod Q with s = x^h mod Q, n - 1 = 2h + o, so
     a(n) = sum_i s_i sum_j s_j a(i+j+o+1): one powering to the half power
@@ -139,12 +139,12 @@ def _jumper(m: int) -> Callable[[int], tuple[int, int]]:
     n = 2d+1 the half power is unreduced and the form reads a(n) back,
     so ``evaluate`` jumps only from n = 2d+1 = 4m+5 on.
     """
-    from .exactmath import x_power_mod
+    from .exactmath import sequence_annihilator, x_power_mod
 
     hankel = list(zip(*islice(cell_stream(m), 4 * m + 4)))
     counts = hankel[0]
     totals = [a - 2 * b + c for a, b, c in zip(counts[:2 * m], (0, *counts), (0, 0, *counts))]
-    modulus = annihilator(totals_polynomial(totals))
+    modulus = annihilator(sequence_annihilator(totals))
 
     def jump(n: int) -> tuple[int, int]:
         half, odd = divmod(n - 1, 2)
@@ -160,7 +160,7 @@ def _p_jumper(m: int) -> Callable[[int], tuple[int, int]]:
     """n -> (N(n), S(n)) by the jump modulo p, the layer polynomial of
     degree m, off the first 2m items of ``cell_stream``: 2m+1 column
     pairs, whose second differences are the totals T(1..2m) and
-    U(1..2m), and p from T by ``totals_polynomial``.
+    U(1..2m), and p from T by ``exactmath.sequence_annihilator``.
 
     T obeys p and U obeys p^2 from k = 1 on, so with l(x^j) = T(j+1) and
     e = n+1, N(n) = sum_k (n+1-k) T(k) is l applied to
@@ -185,12 +185,12 @@ def _p_jumper(m: int) -> Callable[[int], tuple[int, int]]:
     m = 1 (p = x - 1), and R = 0, a p with a repeated root; these, and an
     inexact division, raise ArithmeticError.
     """
-    from .exactmath import inverse_mod, poly_square, x_power_mod
+    from .exactmath import inverse_mod, poly_square, sequence_annihilator, x_power_mod
 
     counts, totals = zip(*islice(cell_stream(m), 2 * m))
     count_totals, order_totals = ([a - 2 * b + c for a, b, c in zip(sums, (0, *sums), (0, 0, *sums))]
                                   for sums in (counts, totals))
-    p = totals_polynomial(count_totals)
+    p = sequence_annihilator(count_totals)
     c = p.coefficients
     at_one = sum(c)
     if not at_one:

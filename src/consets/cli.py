@@ -51,7 +51,7 @@ the engine's stream (aggregate, layers, records).  A compute that jumps
 charpoly and verify do; aggregate's docstring states the engine's
 routes and the cells each serves.  verify imports the census and the
 suites when it runs (verify --m/--n and --graph only the census and its
-checks, from reporting), charpoly only the coefficient checks
+checks, both in oracle), charpoly only the coefficient checks
 (recurrence), never the census; the CLI writes JSON itself, and no
 command imports json, so a process pays only for the command it runs.
 
@@ -308,7 +308,7 @@ def cmd_ladder(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from . import oracle, reporting
+    from . import oracle
 
     if args.n_max is not None and not args.ladder:
         raise ValueError("--n-max applies only with --ladder")
@@ -322,7 +322,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.m is None or args.n is None:
             raise ValueError("cell verification needs both --m and --n")
         scoped = True
-        checks.extend(reporting.oracle_cell_checks(args.m, args.n))
+        checks.extend(oracle.oracle_cell_checks(args.m, args.n))
     if args.ladder:
         from . import verify
 
@@ -342,7 +342,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.graph is not None:
         scoped = True
         graph = oracle.parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
-        graph_checks, report = reporting.graph_file_checks(graph)
+        graph_checks, report = oracle.graph_file_checks(graph)
         precision = DEFAULT_PRECISION if args.precision is None else args.precision
         sizes = " ".join(f"{t}:{c}" for t, c in enumerate(report.size_counts, start=1) if c)
         print(f"census of {args.graph}: sizes {{{sizes}}}")

@@ -163,9 +163,10 @@ def _linear_complexity(terms: Sequence[int], q: int) -> tuple[int, list[int]]:
     return length, connection + [0] * (length + 1 - len(connection))
 
 
-def sequence_annihilator(terms: Sequence[int]) -> IntPolynomial | None:
+def sequence_annihilator(terms: Sequence[int]) -> IntPolynomial:
     """The monic degree-d polynomial p with sum_j p_j t(k+j) = 0 for every
-    window of the 2d terms, or None where it is not certified unique.
+    window of the 2d terms, certified unique, or else an ArithmeticError
+    that names d.
 
     Berlekamp-Massey runs modulo 61-bit primes, generated downward from
     2^61 - 1, and the Chinese remainder theorem rebuilds the coefficients
@@ -175,7 +176,7 @@ def sequence_annihilator(terms: Sequence[int]) -> IntPolynomial | None:
     makes the d x d Hankel matrix of the terms nonsingular (Massey's
     uniqueness theorem, N = 2L), so a certified candidate is the only
     monic degree-d annihilator over Q.  Any other complexity means no
-    unique one exists, and the answer is None; so is a sequence whose
+    unique one exists, and the call raises; so does a sequence whose
     rational annihilator is not integral, once the primes multiply past
     the Hadamard bound on its Cramer numerators.
     """
@@ -189,7 +190,7 @@ def sequence_annihilator(terms: Sequence[int]) -> IntPolynomial | None:
     for q in _primes():
         length, connection = _linear_complexity([t % q for t in terms], q)
         if length != d:
-            return None
+            break
         inverse = pow(modulus, -1, q)
         residues = [r + modulus * ((connection[d - j] - r) * inverse % q)
                     for j, r in enumerate(residues)]
@@ -202,7 +203,8 @@ def sequence_annihilator(terms: Sequence[int]) -> IntPolynomial | None:
                for k in range(d)):
             return IntPolynomial(candidate)
         if modulus > bound:
-            return None
+            break
+    raise ArithmeticError(f"Berlekamp-Massey did not certify p of degree {d}")
 
 
 def poly_square(a: Sequence[int]) -> list[int]:
@@ -248,14 +250,15 @@ def x_power_mod(e: int, modulus: IntPolynomial) -> list[int]:
     return result
 
 
-def _bareiss(rows: list[list[int]], order: int) -> int:
-    """Fraction-free (Bareiss) elimination of the first ``order`` columns,
+def _bareiss(rows: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) elimination of the first len(rows) columns,
     in place, on rows that may carry further columns: each row k then
     holds the k-th leading principal minor of the row-swapped matrix at
     column k, so the last pivot is its determinant.  Returns the sign of
     the swaps, or 0, leaving the rows half done, where a column has no
     pivot and the determinant is 0.  Below the pivots the entries are
     left stale; only those on and above them are read afterwards."""
+    order = len(rows)
     sign, previous = 1, 1
     for k in range(order):
         swap = next((i for i in range(k, order) if rows[i][k]), None)
@@ -294,7 +297,7 @@ def inverse_mod(a: Sequence[int], modulus: IntPolynomial) -> tuple[int, list[int
         columns.append(column)
         column = _reduce([0, *column], coefficients)
     rows = [[*row, int(i == 0)] for i, row in enumerate(zip(*columns))]
-    if not _bareiss(rows, degree):
+    if not _bareiss(rows):
         return 0, []
     scale = rows[-1][degree - 1]
     g = [0] * degree

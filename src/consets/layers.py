@@ -11,8 +11,9 @@ alone and the production walks never build it.  ``count_columns`` is the
 count walk; ``column_stream`` adds the order step to it.
 ``layer_polynomial`` and ``profile_table`` read count columns only, so
 they walk ``count_columns`` and never advance an order column.  p, A's
-characteristic polynomial, has one route, ``totals_polynomial``:
-Berlekamp-Massey on the totals, certified exactly or refused.
+characteristic polynomial, has one route, ``exactmath.sequence_annihilator``:
+Berlekamp-Massey on the totals, certified exactly or refused, which
+``layer_polynomial`` and both recurrence jumps call.
 
 ``recurrence_matrix`` writes A out entry by entry, for the checks alone:
 ``verify`` holds the walks against it, and p against Faddeev-LeVerrier
@@ -20,7 +21,7 @@ on it, and it feeds the weighted powers and the order-sum reference sum.
 Likewise ``weighted_sum`` weights a column by the binomial row, which the
 engine never does: that row is A's last, so a column's total is the last
 entry of the next column.  The walks need additions alone;
-``totals_polynomial`` imports ``exactmath`` when it runs, and
+``layer_polynomial`` imports ``exactmath`` when it runs, and
 ``recurrence_matrix`` and ``weighted_powers`` import the literal matrix
 class from ``recurrence``, so the stream loads neither.
 
@@ -117,21 +118,13 @@ def layer_polynomial(m: int) -> IntPolynomial:
 
     T(k) is the weight row times A^(k-1) times the ones column.  The last
     row of A is that weight row, so T(k) is the last entry of column k+1,
-    and p annihilates the totals (Cayley-Hamilton).
+    and p annihilates the totals (Cayley-Hamilton).  ``sequence_annihilator``
+    certifies their monic degree-m annihilator unique, which makes it p,
+    or else raises an ArithmeticError that names the degree.
     """
-    return totals_polynomial([counts[-1] for counts in islice(count_columns(m), 1, 2 * m + 1)])
-
-
-def totals_polynomial(totals: Sequence[int]) -> IntPolynomial:
-    """p from the totals T(1..2m), however the caller came by them:
-    ``sequence_annihilator`` certifies their monic degree-m annihilator
-    unique, which makes it p, or else an ArithmeticError names the degree.
-    ``layer_polynomial`` and both recurrence jumps take p from here."""
     from .exactmath import sequence_annihilator
 
-    if (polynomial := sequence_annihilator(totals)) is None:
-        raise ArithmeticError(f"Berlekamp-Massey did not certify p of degree {len(totals) // 2}")
-    return polynomial
+    return sequence_annihilator([counts[-1] for counts in islice(count_columns(m), 1, 2 * m + 1)])
 
 
 def profile_table(m: int, k_max: int) -> list[tuple[int, ...]]:

@@ -7,8 +7,7 @@ only on its frontier and on the part of the graph the frontier can still
 reach, so the subtree counts are memoized on that pair, and a subtree
 that can only add frontier vertices is counted in closed form.  Its cost
 follows the number of distinct subtrees, not of sets: the 10^7 sets of
-(6, 4) take milliseconds.  ``verify --m --n`` and the battery's grid
-compare the engine with it.
+(6, 4) take milliseconds.
 
 ``census`` tests every nonempty vertex subset for connectivity and
 tallies counts by size.  Two independent connectivity tests are kept.
@@ -28,6 +27,13 @@ engine included, takes 16 ms (median of 5).  The flood census of a
 26-vertex graph takes 0.2-0.9 s (medians of 3: a path, 52 random edges,
 a 2 x 13 grid, a dense graph), and ``verify --graph`` on one peaks at
 about 33 MB.
+
+The census checks live here too, with the census they read:
+``oracle_cell_checks`` holds the engine's four headline quantities at
+one cell against the enumerator, for ``verify --m --n`` and the
+battery's grid alike, and ``graph_file_checks`` holds the enumerator
+against the flood census for ``verify --graph``.  So a census-only
+``verify`` loads this module and the engine, never the suites.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
-from .records import FrozenRecord
+from . import aggregate
+from .records import Check, FrozenRecord
 
 #: The most vertices any census takes.
 MAX_CAP = 26
@@ -275,8 +282,11 @@ def census(graph: SimpleGraph, cap: int | None = None,
            connectivity: str = "flood") -> CensusReport:
     """Count the connected sets of a graph, by size, over all 2^v - 1
     subsets: all at once by the sliced flood, or one at a time by
-    union-find.  ``cap`` is ignored: whatever it holds, a graph above
-    MAX_CAP vertices is refused."""
+    union-find.  A graph above MAX_CAP vertices is refused, and ``cap``
+    must stay None: no census takes another limit."""
+    if cap is not None:
+        raise ValueError(f"census takes no cap: every census refuses a graph above "
+                         f"{MAX_CAP} vertices")
     if connectivity not in ("flood", "union-find"):
         raise ValueError(f"unknown connectivity checker {connectivity!r}")
     _check_cap(graph.vertex_count)
@@ -458,3 +468,33 @@ def parse_edge_list(text: str) -> SimpleGraph:
         raise ValueError("edge list is empty")
     _check_cap(top + 1)
     return SimpleGraph(top + 1, edges)
+
+
+def oracle_cell_checks(m: int, n: int) -> list[Check]:
+    """All four headline quantities at one cell, formula path vs the
+    connected-set enumerator."""
+    result = aggregate.evaluate(m, n)
+    report = enumerated_census(complete_path_product(m, n).graph)
+    where = f"m={m} n={n}"
+    return [
+        Check("census-vs-formula count", where, result.count == report.count,
+              f"formula {result.count}, census {report.count}"),
+        Check("census-vs-formula order total", where, result.total == report.total_order,
+              f"formula {result.total}, census {report.total_order}"),
+        Check("census-vs-formula average", where, result.average == report.average,
+              f"formula {result.average}, census {report.average}"),
+        Check("census-vs-formula density", where, result.density == report.density,
+              f"formula {result.density}, census {report.density}"),
+    ]
+
+
+def graph_file_checks(graph: SimpleGraph) -> tuple[list[Check], CensusReport]:
+    """Census an arbitrary graph twice: the connected-set enumerator
+    against the 2^v census with the flood checker."""
+    grown = enumerated_census(graph)
+    flood = census(graph, connectivity="flood")
+    where = f"{graph.vertex_count} vertices, {graph.edge_count} edges"
+    checks = [Check("connectivity checkers agree", where,
+                    grown.size_counts == flood.size_counts,
+                    f"enumerator {grown.size_counts}, flood {flood.size_counts}")]
+    return checks, flood

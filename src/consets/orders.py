@@ -58,17 +58,17 @@ def _self_convolution(counts: Sequence[tuple[int, ...]], i: int, k: int) -> int:
     return sum(counts[s - 1][i - 1] * counts[k - s][i - 1] for s in range(1, k + 1))
 
 
-def layer_order_sum_convolution(m: int, k: int, counts: Sequence[tuple[int, ...]]) -> int:
+def layer_order_sum_convolution(k: int, counts: Sequence[tuple[int, ...]]) -> int:
     """Order sum over all sets meeting k layers, from counts alone.
 
     Total = m*k*(count of such sets) minus, for every footprint size
     i < m, the weighted convolution of the size-i count sequence with
     itself: each term prices the vertices missing from the layers where
     the set's footprint is smaller than full.  ``counts`` holds the count
-    columns for horizons 1..k or beyond, as ``profile_table`` lists them.
+    columns for horizons 1..k or beyond, as ``profile_table`` lists them;
+    their length is the layer size m.
     """
-    if len(counts[0]) != m:
-        raise ValueError(f"count columns are for layer size {len(counts[0])}, not {m}")
+    m = len(counts[0])
     if len(counts) < k:
         raise ValueError(f"count columns reach horizon {len(counts)}, shorter than {k}")
     if k < 1:
@@ -80,17 +80,19 @@ def layer_order_sum_convolution(m: int, k: int, counts: Sequence[tuple[int, ...]
     return total
 
 
-def convolution_identity_holds(m: int, i: int, k: int, counts: Sequence[tuple[int, ...]]) -> bool:
+def convolution_identity_holds(i: int, k: int, counts: Sequence[tuple[int, ...]]) -> bool:
     """Check the bridge between the matrix and convolution paths.
 
     Left side: binomial row dotted with sum_{s=0}^{k-1} A^(k-s-1) E_ii A^s
     applied to all-ones, with E_ii the (i,i) matrix unit, computed from
     literal matrix products.  Right side: C(m,i) times the convolution of
-    the size-i count sequence with itself.  True iff they agree.
+    the size-i count sequence with itself, read off count columns of
+    layer size m = len(counts[0]).  True iff they agree.
     """
+    m = len(counts[0])
     if not 1 <= i <= m:
         raise ValueError(f"footprint size {i} outside 1..{m}")
-    if len(counts[0]) != m or len(counts) < k:
+    if len(counts) < k:
         raise ValueError("count columns do not cover the requested cell")
     matrix = recurrence_matrix(m)
     powers = [IntMatrix.identity(m)]

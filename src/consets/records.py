@@ -1,8 +1,8 @@
 """The immutable records that the result types and the checks share.
 
-``Check`` lives here rather than beside the census checks in
-``reporting``, so that ``recurrence`` (and with it ``charpoly``) can make
-checks without importing the census.
+``Check`` lives here rather than beside the census checks in ``oracle``,
+so that ``recurrence`` (and with it ``charpoly``) can make checks
+without importing the census.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@ forms for its coefficients against independent matrix-side quantities:
 the top coefficient (through the trace, against Fibonacci numbers) holds
 for every m, while the unit-constant-term claim is true only for
 m = 0, 3 (mod 4) and is reported honestly where it fails.  p comes from
-``layers.layer_polynomial``, which ``charpoly`` prints, by p's one route,
-the step from which the engine's jumps take it too
-(``layers.totals_polynomial``): Berlekamp-Massey on the streamed totals,
-certified exactly or refused.  The trace and determinant are read off
-the literal matrix; ``verify.charpoly_checks`` compares p with
+``layers.layer_polynomial``, which ``charpoly`` prints, by p's one
+route, which the engine's jumps call too
+(``exactmath.sequence_annihilator``): Berlekamp-Massey on the streamed
+totals, certified exactly or refused by an ArithmeticError that names
+the degree.  The trace and determinant are read off the literal
+matrix; ``verify.charpoly_checks`` compares p with
 Faddeev-LeVerrier (``exactmath.char_poly``), and ``verify.stream_checks``
 checks that the latter annihilates the per-horizon totals.
 
@@ -105,7 +106,7 @@ class IntMatrix:
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         rows = [list(row) for row in self._rows]
-        return _bareiss(rows, self.order) * rows[-1][-1]
+        return _bareiss(rows) * rows[-1][-1]
 
     @property
     def is_symmetric(self) -> bool:

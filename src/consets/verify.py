@@ -3,7 +3,7 @@ each other.
 
 The census is ``oracle.enumerated_census``, which grows the connected
 sets themselves: the battery's ``ORACLE_GRID`` compares the engine with
-it, through ``reporting.oracle_cell_checks``, the check that ``verify
+it, through ``oracle.oracle_cell_checks``, the check that ``verify
 --m --n`` runs without importing this module.
 
 Each suite returns a list of Check records; the CLI prints one line for
@@ -28,9 +28,9 @@ from .layers import (
     weighted_profile_sums,
     weighted_sum,
 )
+from .oracle import oracle_cell_checks
 from .orders import layer_order_sum_convolution, order_column_direct
 from .records import Check
-from .reporting import oracle_cell_checks
 
 #: Desk-scale cells for census-vs-formula equivalence: (m, largest n).
 #: Every cell has at most 26 vertices, the census limit; (2, 13) is the
@@ -223,7 +223,7 @@ def order_path_checks(m_max: int = 5, k_max: int = 10) -> list[Check]:
             if recursive != direct:
                 direct_bad.append(f"m={m} k={k}: recursive {recursive}, direct {direct}")
             weighted = weighted_sum(recursive)
-            convolved = layer_order_sum_convolution(m, k, counts)
+            convolved = layer_order_sum_convolution(k, counts)
             if weighted != convolved:
                 conv_bad.append(f"m={m} k={k}: weighted {weighted}, convolution {convolved}")
         where = f"m={m} k=1..{k_max}"

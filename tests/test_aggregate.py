@@ -131,7 +131,7 @@ def test_convolution_route_agrees():
     for m in range(1, 6):
         for n in range(1, 13):
             counts = profile_table(m, n)
-            total = sum((n - k + 1) * layer_order_sum_convolution(m, k, counts)
+            total = sum((n - k + 1) * layer_order_sum_convolution(k, counts)
                         for k in range(1, n + 1))
             result = evaluate(m, n)
             assert Fraction(total, result.count) == result.average
@@ -331,8 +331,8 @@ def test_evaluate_streams_through_the_hankel_terms(refuse):
     # for n <= 4m+4 the n-th stream item is the answer: no jumper, no p
     # and no power of x is built
     expected = {m: list(islice(cell_stream(m), 4 * m + 4)) for m in range(1, 13)}
-    refuse(aggregate, "_jumper", "_p_jumper", "totals_polynomial")
-    refuse(exactmath, "x_power_mod")
+    refuse(aggregate, "_jumper", "_p_jumper")
+    refuse(exactmath, "sequence_annihilator", "x_power_mod")
     for m, streamed in expected.items():
         for n, item in enumerate(streamed, start=1):
             assert evaluate(m, n) == ProductResult(m, n, *item), (m, n)
@@ -408,8 +408,9 @@ def test_count_totals_are_second_differences_of_the_stream(m):
 @pytest.mark.parametrize("m", [1, 3, 7])
 def test_an_uncertified_p_stops_the_jumps(m, monkeypatch, refuse, capsys):
     # with no Berlekamp-Massey certificate no route stands in for p: both
-    # jumps refuse at setup, and compute and charpoly exit 3 with no row
-    monkeypatch.setattr(exactmath, "sequence_annihilator", lambda terms: None)
+    # jumps refuse at setup, and compute and charpoly exit 3 with no row;
+    # Berlekamp-Massey reports complexity 0, below the degree m
+    monkeypatch.setattr(exactmath, "_linear_complexity", lambda terms, q: (0, [1]))
     refuse(exactmath, "char_poly", "x_power_mod")
     refuse(layers, "recurrence_matrix")
     refusal = f"Berlekamp-Massey did not certify p of degree {m}"
@@ -540,7 +541,7 @@ def test_annihilator_never_takes_faddeev_leverrier(refuse, spy):
     for m in range(1, 61):
         _jumper(m)
         (p,) = found[-1]
-        assert p is not None and p.degree == m
+        assert p.degree == m
 
 
 Q_CHECK, P_CHECK = "recurrence jump vs stream", "recurrence jump modulo p vs stream"
@@ -727,7 +728,7 @@ def test_a_corrupted_p_jump_exits_3(datum, monkeypatch, capsys):
     ((1, 2, 1), "p has a repeated root at m=2"),  # (x + 1)^2, p(1) = 4
 ])
 def test_a_p_jump_refuses_a_faked_p_at_setup(fake, refusal, monkeypatch, capsys, spy):
-    monkeypatch.setattr(aggregate, "totals_polynomial", lambda totals: IntPolynomial(fake))
+    monkeypatch.setattr(exactmath, "sequence_annihilator", lambda totals: IntPolynomial(fake))
     powered = spy(exactmath, "x_power_mod")
     with pytest.raises(ArithmeticError, match=f"^{refusal}: no jump modulo p$"):
         _p_jumper(2)

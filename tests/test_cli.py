@@ -75,7 +75,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CHILD_ENV, run_child
-from consets import aggregate, cli, exactmath, ladder, oracle, recurrence, reporting, verify
+from consets import aggregate, cli, exactmath, ladder, oracle, recurrence, verify
 from consets.cli import CSV_HEADER, format_decimal, main
 from consets.records import Check
 
@@ -791,8 +791,9 @@ def test_verify_full_suite_reports_only_the_false_claim(battery):
 def test_verify_exits_3_when_p_is_not_certified(monkeypatch, capsys):
     # Berlekamp-Massey is p's one route: without its certificate the
     # battery stops with an internal error, where a stand-in p would let
-    # "charpoly routes agree" compare Faddeev-LeVerrier with itself
-    monkeypatch.setattr(exactmath, "sequence_annihilator", lambda terms: None)
+    # "charpoly routes agree" compare Faddeev-LeVerrier with itself; the
+    # refusal is sequence_annihilator's own, at complexity 0 below d
+    monkeypatch.setattr(exactmath, "_linear_complexity", lambda terms, q: (0, [1]))
     code, out, err = run_cli(capsys, "verify")
     assert (code, out) == (3, "")
     assert err == "internal error: ArithmeticError: Berlekamp-Massey did not certify p of degree 1\n"
@@ -925,7 +926,7 @@ def test_main_lifts_the_digit_guard_for_a_wide_detail(monkeypatch, capsys, defau
     # digits prints only because main lifts the guard (else exit 2), and
     # main restores it when it returns
     wide = 3 ** 10000  # 4772 digits
-    monkeypatch.setattr(reporting, "oracle_cell_checks", lambda m, n: [
+    monkeypatch.setattr(oracle, "oracle_cell_checks", lambda m, n: [
         Check("census-vs-formula count", f"m={m} n={n}", False, f"formula 1, census {wide}")])
     code, out, err = run_cli(capsys, "verify", "--m", "1", "--n", "1")
     assert (code, err) == (1, "")

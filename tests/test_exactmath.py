@@ -9,8 +9,8 @@ Claims covered:
       cofactor expansion on matrices whose pivots are not +-1, a row swap
       included
     - the multi-modular Berlekamp-Massey annihilator returns exactly the
-      recurrence of a sequence, and None where the degree-d annihilator is
-      not unique or not integral
+      recurrence of a sequence, and raises an ArithmeticError naming d
+      where the degree-d annihilator is not unique or not integral
     - its primes are the primes below 2^61, largest first: the table of
       the first 16 equals a Miller-Rabin scan down from 2^61 - 1, and the
       generator goes on past it without a gap
@@ -259,7 +259,7 @@ def test_sequence_annihilator_recovers_the_recurrence(drawn):
     hankel = IntMatrix([terms[i:i + d] for i in range(d)])
     # A singular Hankel matrix leaves the degree-d annihilator not unique.
     # A nonsingular one whose determinant the first 61-bit prime divides
-    # would also give None, but hypothesis draws such seeds with
+    # would also be refused, but hypothesis draws such seeds with
     # probability about 2^-61.
     assume(hankel.determinant() != 0)
     assert sequence_annihilator(terms) == IntPolynomial([*coefficients, 1])
@@ -281,11 +281,16 @@ def test_prime_table_is_the_start_of_the_generated_primes():
 
 def test_sequence_annihilator_refuses_what_is_not_unique_or_integral():
     powers = [2 ** k for k in range(6)]
-    assert sequence_annihilator(powers) is None  # complexity 1 below d = 3
-    assert sequence_annihilator([0, 0, 0, 0]) is None  # complexity 0
-    assert sequence_annihilator([0, 1]) is None  # complexity 2 above d = 1
-    assert sequence_annihilator([2, 1]) is None  # x - 1/2 is not integral
-    assert sequence_annihilator([1, 0, 3, 1]) is None  # nor x^2 - x/3 - 3
+    refused = [powers,  # complexity 1 below d = 3
+               [0, 0, 0, 0],  # complexity 0
+               [0, 1],  # complexity 2 above d = 1
+               [2, 1],  # x - 1/2 is not integral
+               [1, 0, 3, 1]]  # nor x^2 - x/3 - 3
+    for terms in refused:
+        degree = len(terms) // 2
+        with pytest.raises(ArithmeticError,
+                           match=f"^Berlekamp-Massey did not certify p of degree {degree}$"):
+            sequence_annihilator(terms)
     assert sequence_annihilator(powers[:2]) == IntPolynomial((-2, 1))
     with pytest.raises(ValueError, match="2d terms"):
         sequence_annihilator([1, 2, 3])

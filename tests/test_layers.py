@@ -262,12 +262,13 @@ def _items_off(first, bump):
     return corrupt
 
 
-def _values_off(first, bump):
-    """Corrupt a function of (m, k, ...): bump its value from horizon first on."""
+def _values_off(first, bump, horizon=1):
+    """Corrupt a function whose argument at index ``horizon`` is the
+    horizon k: bump its value from horizon first on."""
     def corrupt(real):
-        def corrupted(m, k, *rest):
-            value = real(m, k, *rest)
-            return bump(value) if k >= first else value
+        def corrupted(*args):
+            value = real(*args)
+            return bump(value) if args[horizon] >= first else value
         return corrupted
     return corrupt
 
@@ -297,7 +298,7 @@ _BROKEN_ROUTES = [
      _SYMMETRY, "weighted profile sum", "m=2 i=2 k=4"),
     (verify, "order_column_direct", _values_off(6, lambda column: (column[0] + 1, *column[1:])),
      _ORDER_PATHS, "order sums recursive vs literal matrix sum", "m=2 k=6"),
-    (verify, "layer_order_sum_convolution", _values_off(6, lambda total: total + 1),
+    (verify, "layer_order_sum_convolution", _values_off(6, lambda total: total + 1, horizon=0),
      _ORDER_PATHS, "order sums recursive vs convolution", "m=2 k=6"),
 ]
 
@@ -325,11 +326,11 @@ def test_an_uncertified_layer_polynomial_raises(m, monkeypatch, refuse):
     # p, and the literal matrix never stands in
     refused = []
 
-    def uncertified(terms):
+    def uncertified(terms, q):  # complexity 0, below the degree m
         refused.append(len(terms))
-        return None
+        return 0, [1]
 
-    monkeypatch.setattr(exactmath, "sequence_annihilator", uncertified)
+    monkeypatch.setattr(exactmath, "_linear_complexity", uncertified)
     refuse(exactmath, "char_poly")
     refuse(layers, "recurrence_matrix")
     with pytest.raises(ArithmeticError, match=f"^Berlekamp-Massey did not certify p of degree {m}$"):

@@ -23,8 +23,9 @@ Claims covered:
     - footprint families of equal size have equal counts and order sums
     - the census decomposes over layer spans, independent of position
     - census output is invariant under vertex relabeling
-    - every census route refuses a graph above 26 vertices, whatever
-      census's cap slot holds; malformed inputs are refused with clear
+    - every census route refuses a graph above 26 vertices; census's cap
+      slot takes only None, and any other value is refused, since no
+      census takes another limit; malformed inputs are refused with clear
       errors
 """
 
@@ -381,8 +382,7 @@ def test_span_census_validation():
 # -- caps ----------------------------------------------------------------------------
 
 def test_cap_refusals():
-    # every census route refuses 27 vertices with the one limit, 26;
-    # census's cap slot sets no other limit, lower or higher
+    # every census route refuses 27 vertices with the one limit, 26
     refused = "graph has 27 vertices; enumeration cap is 26$"
     path = SimpleGraph(MAX_CAP + 1, [(i, i + 1) for i in range(MAX_CAP)])
     layered = LayeredGraph(path, 1, MAX_CAP + 1)
@@ -390,9 +390,8 @@ def test_cap_refusals():
         complete_path_product(3, 9)
     with pytest.raises(CapExceededError, match=refused):
         complete_path_product(1, MAX_CAP + 1)
-    for cap in (None, 10, 30):
-        with pytest.raises(CapExceededError, match=refused):
-            census(path, cap)
+    with pytest.raises(CapExceededError, match=refused):
+        census(path, None)
     with pytest.raises(CapExceededError, match=refused):
         census(path, connectivity="union-find")
     with pytest.raises(CapExceededError, match=refused):
@@ -403,8 +402,17 @@ def test_cap_refusals():
         span_census(layered, 1, 1)
     with pytest.raises(CapExceededError, match=refused):
         parse_edge_list("0 26\n")
-    cell = complete_path_product(4, 3).graph  # 12 vertices, past cap=10
-    assert census(cell, 10).size_counts == enumerated_census(cell).size_counts
+
+
+def test_census_takes_no_cap():
+    # the cap slot stays for callers that pass None by position; a value
+    # there would promise a limit that no census keeps
+    cell = complete_path_product(4, 3).graph  # 12 vertices
+    refused = f"^census takes no cap: every census refuses a graph above {MAX_CAP} vertices$"
+    for cap in (10, 30):
+        with pytest.raises(ValueError, match=refused):
+            census(cell, cap)
+    assert census(cell, None, "union-find").size_counts == enumerated_census(cell).size_counts
 
 
 # -- edge-list parsing -----------------------------------------------------------------

@@ -55,12 +55,12 @@ def test_direct_column_matches_recursive():
 
 def test_convolution_examples():
     table2 = profile_table(2, 2)
-    assert layer_order_sum_convolution(2, 1, table2) == 4
+    assert layer_order_sum_convolution(1, table2) == 4
     table3 = profile_table(3, 2)
-    assert layer_order_sum_convolution(3, 2, table3) == 138
+    assert layer_order_sum_convolution(2, table3) == 138
     table1 = profile_table(1, 7)
     for k in range(1, 8):
-        assert layer_order_sum_convolution(1, k, table1) == k
+        assert layer_order_sum_convolution(k, table1) == k
 
 
 def test_three_path_agreement():
@@ -73,15 +73,13 @@ def test_three_path_agreement():
             assert column == order_column_direct(m, k)
             weighted = sum(w * s for w, s in zip(weights, column))
             assert weighted == weighted_sum(column)
-            assert weighted == layer_order_sum_convolution(m, k, counts)
+            assert weighted == layer_order_sum_convolution(k, counts)
 
 
 def test_convolution_horizon_error():
     table = profile_table(3, 2)
     with pytest.raises(ValueError, match="shorter"):
-        layer_order_sum_convolution(3, 5, table)
-    with pytest.raises(ValueError, match="layer size"):
-        layer_order_sum_convolution(2, 1, table)
+        layer_order_sum_convolution(5, table)
 
 
 def test_convolution_is_reindexing_symmetric():
@@ -97,11 +95,11 @@ def test_convolution_is_reindexing_symmetric():
 
 
 def test_convolution_identity_examples():
-    assert convolution_identity_holds(2, 1, 2, profile_table(2, 2))
+    assert convolution_identity_holds(1, 2, profile_table(2, 2))
     table1 = profile_table(1, 6)
     for k in range(1, 7):
-        assert convolution_identity_holds(1, 1, k, table1)
-    assert convolution_identity_holds(4, 3, 5, profile_table(4, 5))
+        assert convolution_identity_holds(1, k, table1)
+    assert convolution_identity_holds(3, 5, profile_table(4, 5))
 
 
 def test_convolution_identity_sweep():
@@ -109,7 +107,7 @@ def test_convolution_identity_sweep():
         table = profile_table(m, 8)
         for i in range(1, m + 1):
             for k in range(1, 9):
-                assert convolution_identity_holds(m, i, k, table)
+                assert convolution_identity_holds(i, k, table)
 
 
 def test_order_sum_bounds():

@@ -13,12 +13,16 @@ Claims covered:
       vertex-at-a-time flood, the per-subset flood with its table of
       checkers, the jump's own route to p, the running sums split off
       ``cell_stream``, the census half-table helper and the table of
-      neighbour unions it filled
+      neighbour unions it filled, and the step that turned an uncertified
+      p into an error; the ``reporting`` module, whose census checks now
+      live in ``oracle``, stays deleted
     - no module but ``verify`` imports ``consets.ladder``: the closed
       forms check the engine and never print a row
     - no module in src/consets imports a name it never reads: a name
       listed in ``__all__`` counts as read, ``__future__`` imports are
       not checked
+    - every input check of the reference routes and the substrate refuses
+      a bad argument with its own exception type and message
 
 A top-level function or class counts as used where the code reads its
 name (not a local variable of the same name) or reads it off its module
@@ -32,9 +36,21 @@ table of names and ``__all__`` do not count as uses.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
+
+from consets.exactmath import IntPolynomial
+from consets.layers import footprint_weights, profile_table
+from consets.oracle import SimpleGraph, census, complete_path_product
+from consets.orders import (
+    convolution_identity_holds,
+    layer_order_sum_convolution,
+    order_column_direct,
+    order_table,
+)
+from consets.recurrence import IntMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "consets"
@@ -66,7 +82,9 @@ TEST_ONLY_ROUTES = {
 #: them is gone, or because the enumerator grows R by neighbour rows and
 #: builds no table of neighbour unions, or because the literal matrix
 #: class moved to ``recurrence``, which the engine's jumps never load (its
-#: deleted members are listed there, so their check still finds the class).
+#: deleted members are listed there, so their check still finds the class),
+#: or because ``exactmath.sequence_annihilator`` refuses an uncertified p
+#: itself, so its callers take p from it directly.
 DELETED = [
     ("aggregate", "count_connected_sets"), ("aggregate", "total_order"),
     ("aggregate", "average_order"), ("aggregate", "density"),
@@ -91,7 +109,7 @@ DELETED = [
     ("recurrence", "CoefficientReport.failures"),
     ("aggregate", "_running_sums"), ("oracle", "_half_tables"),
     ("oracle", "_union_table"), ("oracle", "resolve_cap"), ("oracle", "DEFAULT_CAP"),
-    ("exactmath", "IntMatrix"),
+    ("exactmath", "IntMatrix"), ("layers", "totals_polynomial"),
 ]
 
 
@@ -189,6 +207,12 @@ def test_deleted_names_stay_gone(module, name):
     assert not hasattr(owner, last)
 
 
+def test_the_census_checks_module_stays_gone():
+    # oracle_cell_checks and graph_file_checks live beside the census
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("consets.reporting")
+
+
 def _imports_ladder(tree: ast.AST) -> bool:
     """Whether a module imports ``ladder`` or a name from it, in any form."""
     for node in ast.walk(tree):
@@ -226,3 +250,46 @@ def _unread_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
 def test_no_module_imports_a_name_it_never_reads(path):
     assert _unread_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+#: (id, call, exception type, message): one bad argument to each input check
+INPUT_CHECKS = [
+    ("SimpleGraph-no-vertex", lambda: SimpleGraph(0, []),
+     ValueError, "graph needs at least one vertex"),
+    ("layer_mask-past-n", lambda: complete_path_product(2, 3).layer_mask(4),
+     ValueError, "layer 4 outside 1..3"),
+    ("complete_path_product-m-0", lambda: complete_path_product(0, 3),
+     ValueError, "both layer size and path length must be at least 1"),
+    ("census-unknown-checker", lambda: census(SimpleGraph(2, [(0, 1)]), None, "bfs"),
+     ValueError, "unknown connectivity checker 'bfs'"),
+    ("order_table-k-0", lambda: order_table(2, 0),
+     ValueError, "horizon must be at least 1"),
+    ("order_column_direct-m-0", lambda: order_column_direct(0, 1),
+     ValueError, "layer size must be at least 1"),
+    ("order_column_direct-k-0", lambda: order_column_direct(2, 0),
+     ValueError, "horizon must be at least 1"),
+    ("layer_order_sum_convolution-k-0", lambda: layer_order_sum_convolution(0, profile_table(2, 2)),
+     ValueError, "horizon must be at least 1"),
+    ("convolution_identity_holds-i-0", lambda: convolution_identity_holds(0, 1, profile_table(2, 2)),
+     ValueError, "footprint size 0 outside 1..2"),
+    ("convolution_identity_holds-i-past-m",
+     lambda: convolution_identity_holds(3, 1, profile_table(2, 2)),
+     ValueError, "footprint size 3 outside 1..2"),
+    ("convolution_identity_holds-k-past-columns",
+     lambda: convolution_identity_holds(1, 3, profile_table(2, 2)),
+     ValueError, "count columns do not cover the requested cell"),
+    ("IntMatrix.apply-wrong-length", lambda: IntMatrix.identity(2).apply((1, 2, 3)),
+     ValueError, "vector length 3 does not match order 2"),
+    ("IntPolynomial-float-coefficient", lambda: IntPolynomial((0.5, 1)),
+     TypeError, "coefficients must be int"),
+    ("footprint_weights-m-0", lambda: footprint_weights(0),
+     ValueError, "layer size must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("call, kind, message", [case[1:] for case in INPUT_CHECKS],
+                         ids=[case[0] for case in INPUT_CHECKS])
+def test_input_checks_refuse_with_their_message(call, kind, message):
+    with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
+        call()
+    assert type(raised.value) is kind
